@@ -5,7 +5,9 @@
                [--out DIR] [--metric consensus|nearest]
 
 Exit codes: 0 success, 2 validation error, 3 runtime failure.  The
-EPIDYN_THREADS environment variable caps replicate parallelism.
+EPIDYN_THREADS environment variable caps replicate parallelism: a positive
+integer, clamped to the replicate count and the CPU count; any other value
+is a validation error.
 """
 
 from __future__ import annotations

@@ -499,12 +499,16 @@ def run_experiment(
     """
     try:
         setup = resolve_target(target, overrides)
+        if n_jobs is None:
+            n_jobs = worker_count(
+                os.environ.get("EPIDYN_THREADS"),
+                setup.config.replicates,
+                os.cpu_count(),
+            )
     except (ConfigError, KnowledgeError, OSError) as err:
         if not quiet:
             print(f"error: {err}")
         return EXIT_VALIDATION
-    if n_jobs is None:
-        n_jobs = max(1, int(os.environ.get("EPIDYN_THREADS", "1")))
     try:
         result = run(
             setup.config,
@@ -530,6 +534,24 @@ def run_experiment(
     if not quiet:
         print(summary, end="")
     return EXIT_OK
+
+
+def worker_count(raw: Optional[str], replicates: int, cpus: Optional[int]) -> int:
+    """Replicate worker processes for an ``EPIDYN_THREADS`` value.
+
+    Unset means one.  A set value must be a positive integer; it is clamped
+    to the replicate count and to ``cpus`` (one when unknown).  Raises
+    ConfigError otherwise.
+    """
+    if raw is None:
+        return 1
+    try:
+        requested = int(raw)
+    except ValueError:
+        requested = 0
+    if requested < 1:
+        raise ConfigError(f"EPIDYN_THREADS must be a positive integer, got {raw!r}")
+    return min(requested, replicates, cpus or 1)
 
 
 def resolve_target(target, overrides: Optional[dict] = None) -> ExperimentSetup:

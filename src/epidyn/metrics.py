@@ -95,13 +95,21 @@ class MetricTrace:
 
     def mean_rows(self) -> np.ndarray:
         """Per-t averages over replicates: columns t, d_consensus, d_nearest,
-        relative_entropy."""
-        ts = self.times
+        relative_entropy.
+
+        Requires exactly one row per (t, replicate) pair, as ``run`` records
+        them, and raises ValueError otherwise.  Each average adds the
+        replicates in ascending order.
+        """
+        ts, reps = np.unique(self.rows[:, 0]), np.unique(self.rows[:, 1])
+        rows = self.rows[np.lexsort((self.rows[:, 0], self.rows[:, 1]))]
+        keys = np.column_stack([np.tile(ts, len(reps)), np.repeat(reps, len(ts))])
+        if not np.array_equal(rows[:, :2], keys):
+            raise ValueError("trace needs exactly one row per (t, replicate)")
+        grid = rows.reshape(len(reps), len(ts), len(TRACE_COLUMNS))
         out = np.empty((len(ts), 4))
-        for k, t in enumerate(ts):
-            sel = self.rows[self.rows[:, 0] == t]
-            out[k, 0] = t
-            out[k, 1:] = sel[:, 2:].mean(axis=0)
+        out[:, 0] = ts
+        out[:, 1:] = grid[:, :, 2:].mean(axis=0)
         return out
 
     def mean_column(self, name: str) -> np.ndarray:

@@ -41,22 +41,35 @@ def communicates(A, i: int, j: int) -> bool:
 def is_primitive(A) -> Tuple[bool, Optional[int]]:
     """Whether some power of the nonnegative matrix is strictly positive.
 
-    Searches exponents up to the Wielandt bound (N-1)^2 + 1 with boolean
-    matrix powers and returns the first witnessing exponent.
+    Returns the first exponent k with A^k > 0, or (False, None) when no power
+    up to the Wielandt bound (N-1)^2 + 1 is positive.  The 0/1 pattern is
+    squared repeatedly until a power 2^s is positive, then the exact exponent
+    is found by binary lifting over the stored squares.  Lifting is sound
+    because positivity is monotone: A^k > 0 leaves A without a zero row, so
+    A^(k+1) = A A^k > 0.  The patterns stay float64 so that products run on
+    BLAS; their entries count paths, at most N, and are exact.
     """
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise MatrixError("matrix must be square")
     if np.any(M < 0.0):
         raise MatrixError("primitivity is defined for nonnegative matrices")
-    n = M.shape[0]
-    base = (M > 0.0).astype(np.int64)
-    power = base.copy()
-    for k in range(1, (n - 1) ** 2 + 2):
-        if power.all():
-            return True, k
-        power = ((power @ base) > 0).astype(np.int64)
-    return False, None
+    bound = (M.shape[0] - 1) ** 2 + 1
+    squares = [(M > 0.0).astype(float)]  # squares[s] is the pattern of A^(2^s)
+    while not squares[-1].all():
+        if 2 ** (len(squares) - 1) >= bound:
+            return False, None
+        P = squares[-1]
+        squares.append((P @ P > 0.0).astype(float))
+    if len(squares) == 1:
+        return True, 1
+    # A^(2^(s-1)) is not positive: grow the largest non-positive power k.
+    k, power = 0, None
+    for s in range(len(squares) - 2, -1, -1):
+        candidate = squares[s] if power is None else (power @ squares[s] > 0.0)
+        if not candidate.all():
+            k, power = k + 2**s, candidate.astype(float)
+    return True, k + 1
 
 
 def entry_lower_bound(gamma, c_min: float) -> float:
@@ -83,10 +96,20 @@ def entry_lower_bound(gamma, c_min: float) -> float:
 
 def dobrushin_coefficient(A) -> float:
     """Contraction coefficient of a row-stochastic matrix on the max-spread
-    seminorm max_{i,j} |x_i - x_j|: half the largest L1 distance between rows."""
+    seminorm max_{i,j} |x_i - x_j|: half the largest L1 distance between rows.
+
+    Row i is compared with rows i.. in one reused N x N buffer instead of an
+    N^3 pairwise tensor.  Each distance is still summed along the last axis,
+    and |x - y| = |y - x| exactly, so the result matches the full tensor to
+    the bit.
+    """
     M = validate_stochastic(A)
-    diff = np.abs(M[:, None, :] - M[None, :, :]).sum(axis=-1)
-    return float(diff.max() / 2.0)
+    diff = np.empty_like(M)
+    widest = [
+        np.abs(np.subtract(M[i:], M[i], out=diff[i:]), out=diff[i:]).sum(axis=-1).max()
+        for i in range(len(M))
+    ]
+    return float(max(widest) / 2.0)
 
 
 def second_modulus(A) -> float:

@@ -19,7 +19,7 @@ from epidyn import (
     setup_from_dict,
 )
 from epidyn.cli import main as cli_main
-from epidyn.experiments import build_manifest, resolve_target
+from epidyn.experiments import build_manifest, resolve_target, worker_count
 
 
 class TestPresets:
@@ -236,6 +236,23 @@ class TestRunExperiment:
         assert m1["input_hash"] != m3["input_hash"]
 
 
+class TestWorkerCount:
+    def test_unset_means_one(self):
+        assert worker_count(None, 8, 4) == 1
+
+    @pytest.mark.parametrize(
+        "raw, replicates, cpus, expected",
+        [("1", 8, 4, 1), ("3", 8, 4, 3), ("64", 8, 4, 4), ("64", 2, 4, 2), ("5", 8, None, 1)],
+    )
+    def test_clamped_to_replicates_and_cpus(self, raw, replicates, cpus, expected):
+        assert worker_count(raw, replicates, cpus) == expected
+
+    @pytest.mark.parametrize("raw", ["abc", "", "0", "-3", "2.5"])
+    def test_rejects_anything_but_a_positive_integer(self, raw):
+        with pytest.raises(ConfigError, match="EPIDYN_THREADS"):
+            worker_count(raw, 4, 4)
+
+
 class TestFitDecayRate:
     def test_exact_exponential(self):
         d = 8.0 * 0.7 ** np.arange(20)
@@ -305,6 +322,15 @@ class TestCli:
     def test_bad_flag_value_is_validation_error(self, tmp_path, capsys):
         code = cli_main(["run", "test1-self-inertia", "--metric", "bogus"])
         assert code == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "-3"])
+    def test_bad_thread_count_is_validation_error(self, tmp_path, capsys, monkeypatch, raw):
+        # rejected before any replicate runs, so no worker process starts
+        monkeypatch.setenv("EPIDYN_THREADS", raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", "test1-self-inertia", "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: EPIDYN_THREADS")
+        assert not out.exists()
 
     def test_likelihood_flag(self, tmp_path):
         out = tmp_path / "out"

@@ -182,6 +182,40 @@ class TestMetricTrace:
         assert list(trace.times) == [0, 1, 2]
         assert trace.n_replicates == 2
 
+    @staticmethod
+    def per_t_means(rows):
+        """The per-t scan mean_rows replaced, kept as its reference."""
+        ts = np.unique(rows[:, 0]).astype(int)
+        out = np.empty((len(ts), 4))
+        for k, t in enumerate(ts):
+            sel = rows[rows[:, 0] == t]
+            out[k, 0] = t
+            out[k, 1:] = sel[:, 2:].mean(axis=0)
+        return out
+
+    @pytest.mark.parametrize("n_reps, with_target", [(13, False), (3, True)])
+    def test_mean_rows_equal_per_t_scan_on_shuffled_rows(self, n_reps, with_target):
+        rng = np.random.default_rng(83 + n_reps)
+        rows = np.array(
+            [
+                [t, r, *(rng.lognormal(size=2) * 10.0 ** rng.integers(-6, 7, 2)),
+                 -rng.random() if with_target else np.nan]
+                for r in range(n_reps)  # replicate-major, as run records rows
+                for t in range(40)
+            ]
+        )
+        expected = self.per_t_means(rows)
+        got = MetricTrace(rows[rng.permutation(len(rows))]).mean_rows()
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_mean_rows_rejects_ragged_trace(self):
+        rows = self.build().rows
+        moved = rows.copy()
+        moved[0, 0] = 1.0  # replicate 0 now has t = 1 twice and no t = 0
+        for bad in (rows[1:], np.vstack([rows, rows[:1]]), moved):
+            with pytest.raises(ValueError):
+                MetricTrace(bad).mean_rows()
+
     def test_replicate_rows_sorted_by_time(self):
         trace = self.build()
         rep = trace.replicate(1)

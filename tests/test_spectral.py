@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,69 @@ def primitivity_oracle(A):
         if np.all(P > 0):
             return True, k
     return False, None
+
+
+def linear_scan_is_primitive(A):
+    """The exponent search ``is_primitive`` replaced: one boolean int64 power
+    at a time up to the Wielandt bound."""
+    M = np.asarray(A, dtype=float)
+    n = M.shape[0]
+    base = (M > 0.0).astype(np.int64)
+    power = base.copy()
+    for k in range(1, (n - 1) ** 2 + 2):
+        if power.all():
+            return True, k
+        power = ((power @ base) > 0).astype(np.int64)
+    return False, None
+
+
+def full_tensor_dobrushin(A):
+    """Half the largest row-pair L1 distance over the full N x N x N tensor."""
+    M = np.asarray(A, dtype=float)
+    diff = np.abs(M[:, None, :] - M[None, :, :]).sum(axis=-1)
+    return float(diff.max() / 2.0)
+
+
+def wielandt_matrix(n):
+    """n-cycle plus one chord: the primitive pattern with the largest
+    exponent, (n-1)^2 + 1."""
+    W = np.zeros((n, n))
+    W[np.arange(n), (np.arange(n) + 1) % n] = 1.0
+    W[n - 1, 1] = 1.0
+    return W
+
+
+def ring_lattice_learning(rng, n, reach):
+    """Row-stochastic matrix on a ring: self plus ``reach`` neighbours on
+    each side, random positive weights."""
+    L = np.zeros((n, n))
+    for d in range(-reach, reach + 1):
+        L[np.arange(n), (np.arange(n) + d) % n] = rng.uniform(0.1, 1.0, n)
+    return L / L.sum(axis=1, keepdims=True)
+
+
+def pattern_zoo(rng):
+    """0/1 patterns up to N = 40: sparse random, reducible (a zero
+    off-diagonal block), periodic (edges only between consecutive classes)
+    and long-exponent cycles with one extra edge."""
+    for n in (1, 2, 5, 9, 16, 23, 31, 40):
+        for degree in (2.5, 6.0):
+            yield (rng.random((n, n)) < min(1.0, degree / n)).astype(float)
+        if n > 1:
+            A = (rng.random((n, n)) < 0.5).astype(float)
+            cut = int(rng.integers(1, n))
+            A[cut:, :cut] = 0.0
+            yield A
+        for period in (2, 3):
+            if n >= period:
+                cls = rng.integers(0, period, n)
+                nxt = (cls[:, None] + 1) % period == cls[None, :]
+                yield (nxt & (rng.random((n, n)) < 0.6)).astype(float)
+        order = rng.permutation(n)
+        C = np.zeros((n, n))
+        C[order, np.roll(order, -1)] = 1.0
+        C[int(rng.integers(n)), int(rng.integers(n))] = 1.0
+        yield C
 
 
 class TestCommunicates:
@@ -115,6 +179,19 @@ class TestIsPrimitive:
             A = (rng.random((n, n)) < rng.uniform(0.2, 0.8)).astype(float)
             assert is_primitive(A) == primitivity_oracle(A)
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_wielandt_matrix_attains_the_bound(self, n):
+        assert is_primitive(wielandt_matrix(n)) == (True, (n - 1) ** 2 + 1)
+
+    def test_matches_linear_scan_up_to_forty(self):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for A in pattern_zoo(rng):
+            expected = linear_scan_is_primitive(A)
+            assert is_primitive(A) == expected
+            seen.add(expected[0])
+        assert seen == {True, False}
+
 
 class TestEntryLowerBound:
     def test_plug_in_value(self):
@@ -164,6 +241,14 @@ class TestDobrushin:
     def test_rejects_non_stochastic(self):
         with pytest.raises(MatrixError):
             dobrushin_coefficient(np.array([[0.5, 0.6], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 17, 50])
+    def test_bit_equal_to_full_tensor(self, n):
+        rng = np.random.default_rng(37 + n)
+        dense = random_stochastic(rng, n)
+        sparse = ring_lattice_learning(rng, n, reach=min(2, n // 2))
+        for A in (dense, sparse):
+            assert dobrushin_coefficient(A) == full_tensor_dobrushin(A)
 
 
 class TestSecondModulus:
@@ -341,6 +426,18 @@ class TestReport:
                 assert report.primitivity_exponent <= (n - 1) ** 2 + 1
                 if n > 1:
                     assert report.second_modulus < 1.0
+
+    def test_report_peak_memory_at_400_agents(self):
+        # The full pairwise tensor at N = 400 alone would take 1 GB.
+        lam = ring_lattice_learning(np.random.default_rng(67), 400, reach=8)
+        tracemalloc.start()
+        try:
+            report = analyze(lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.is_primitive
+        assert peak < 64 * 2**20
 
     def test_report_serializes(self, banded_primitive):
         from epidyn import normalize_rows
