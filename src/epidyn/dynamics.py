@@ -91,9 +91,12 @@ class SimulationConfig:
 
 @dataclass(frozen=True, eq=False)
 class PopulationState:
-    """N knowledge functions plus the time index."""
+    """N knowledge functions held as one read-only (N, n_experiences, l)
+    value array, plus the time index.  ``functions`` views the rows as
+    :class:`KnowledgeFunction` objects."""
 
-    functions: Tuple[KnowledgeFunction, ...]
+    setting: KnowledgeSetting
+    values: np.ndarray
     t: int = 0
 
     def __init__(self, functions: Sequence[KnowledgeFunction], t: int = 0):
@@ -105,25 +108,24 @@ class PopulationState:
             raise ConfigError("all agents must share one knowledge setting")
         if t < 0:
             raise ConfigError("time index must be nonnegative")
-        object.__setattr__(self, "functions", functions)
+        self._fill(setting, np.stack([k.values for k in functions]), t)
+
+    def _fill(self, setting: KnowledgeSetting, values: np.ndarray, t: int) -> None:
+        values.setflags(write=False)
+        object.__setattr__(self, "setting", setting)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "t", t)
 
     @property
     def n_agents(self) -> int:
-        return len(self.functions)
+        return len(self.values)
 
     @property
-    def setting(self) -> KnowledgeSetting:
-        return self.functions[0].setting
-
-    @property
-    def values(self) -> np.ndarray:
-        """(N, n_experiences, l) stack of all agents' tables."""
-        cached = self.__dict__.get("_values")
+    def functions(self) -> Tuple[KnowledgeFunction, ...]:
+        cached = self.__dict__.get("_functions")
         if cached is None:
-            cached = np.stack([k.values for k in self.functions])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_values", cached)
+            cached = tuple(KnowledgeFunction._trusted(self.setting, v) for v in self.values)
+            object.__setattr__(self, "_functions", cached)
         return cached
 
     @classmethod
@@ -132,6 +134,14 @@ class PopulationState:
         if values.ndim == 2:
             values = values[:, :, None]
         return cls([KnowledgeFunction(setting, v) for v in values], t)
+
+    @classmethod
+    def _trusted(cls, setting: KnowledgeSetting, values: np.ndarray, t: int) -> "PopulationState":
+        # Skips validation; ``values`` must be an (N, n_experiences, l)
+        # array already in the concept space.
+        self = object.__new__(cls)
+        self._fill(setting, values, t)
+        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,19 +189,15 @@ def experience_kernel(setting: KnowledgeSetting, sigma_e: float) -> np.ndarray:
 
 def _categorical(rng, cumulative: np.ndarray, size: int) -> np.ndarray:
     u = rng.random(size)
-    return np.minimum(
-        np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1
-    )
+    return np.minimum(cumulative.searchsorted(u, side="right"), len(cumulative) - 1)
 
 
 def draw_social(i: int, state: PopulationState, learning, rng) -> Tuple[int, np.ndarray]:
     """One social observation for agent i: pick a source agent from row i of
     the learning matrix, pick an experience uniformly, and report that
     agent's concept there (including the zero concept)."""
-    learning = np.asarray(learning, dtype=float)
-    j = _categorical(rng, np.cumsum(learning[i]), 1)[0]
-    e = int(rng.integers(0, state.setting.n_experiences))
-    return e, state.functions[j].values[e].copy()
+    sample = draw_sample(i, state, SimulationConfig(tau=0.0, sample_size=1), learning, rng)
+    return int(sample.experience_indices[0]), sample.concepts[0]
 
 
 def _individual_weights(kernel: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -241,16 +247,9 @@ def draw_individual(
     for a newborn); the concept is a Gaussian perturbation of the agent's
     current concept there, confined to the concept space.
     """
-    setting = state.setting
-    kernel = experience_kernel(setting, sigma_e)
-    weights = _individual_weights(kernel, state.functions[i].support())
-    e = int(_categorical(rng, np.cumsum(weights), 1)[0])
-    center = state.functions[i].values[e][None, :]
-    if isinstance(setting.concepts, DiscreteConcepts):
-        c = _discrete_gaussian(rng, center, sigma_c, setting.concepts)[0]
-    else:
-        c = _truncated_gaussian(rng, center, sigma_c, setting.concepts)[0]
-    return e, c
+    config = SimulationConfig(tau=1.0, sample_size=1, sigma_e=sigma_e, sigma_c=sigma_c)
+    sample = draw_sample(i, state, config, np.eye(state.n_agents), rng)
+    return int(sample.experience_indices[0]), sample.concepts[0]
 
 
 def draw_sample(
@@ -264,42 +263,59 @@ def draw_sample(
     """m observations for agent i; each is individual with probability tau,
     social otherwise.  Zero-concept social observations are kept unless the
     configuration drops them."""
+    e_idx, concepts, keep = _draw_rows(state, config, learning, [rng], [i], kernel)
+    return Sample(e_idx[0, keep[0]], concepts[0, keep[0]])
+
+
+def _draw_rows(state, config, learning, rngs, agents, kernel=None):
+    """Samples of the listed agents, agent ``agents[r]`` drawing from
+    ``rngs[r]``.
+
+    Each stream is consumed in a fixed order: m uniforms that split
+    individual from social draws, then the social source agents and
+    experiences, then the individual experiences and concepts.  Returns
+    (k, m) experience indices, (k, m, l) concepts and the (k, m) mask of
+    the observations kept.
+    """
     setting = state.setting
     values = state.values
-    learning = np.asarray(learning, dtype=float)
     m = config.sample_size
-
-    individual = rng.random(m) < config.tau
-    n_ind = int(individual.sum())
-    n_soc = m - n_ind
-
-    e_idx = np.empty(m, dtype=np.intp)
-    concepts = np.empty((m, setting.concept_dim))
-    social = ~individual
-
-    if n_soc:
-        js = _categorical(rng, np.cumsum(learning[i]), n_soc)
-        es = rng.integers(0, setting.n_experiences, size=n_soc)
-        e_idx[social] = es
-        concepts[social] = values[js, es]
-
-    if n_ind:
+    shape = (len(agents), m)
+    cumulative = np.cumsum(np.asarray(learning, dtype=float)[agents], axis=1)
+    individual = np.empty(shape, dtype=bool)
+    sources = np.empty(shape, dtype=np.intp)
+    e_idx = np.empty(shape, dtype=np.intp)
+    concepts = np.empty(shape + (setting.concept_dim,))
+    if config.tau > 0.0:
+        support = np.any(values != 0.0, axis=-1)
         if kernel is None:
             kernel = experience_kernel(setting, config.sigma_e)
-        weights = _individual_weights(kernel, np.any(values[i] != 0.0, axis=-1))
-        es = _categorical(rng, np.cumsum(weights), n_ind)
-        centers = values[i, es]
         if isinstance(setting.concepts, DiscreteConcepts):
-            drawn = _discrete_gaussian(rng, centers, config.sigma_c, setting.concepts)
+            explore = _discrete_gaussian
         else:
-            drawn = _truncated_gaussian(rng, centers, config.sigma_c, setting.concepts)
-        e_idx[individual] = es
-        concepts[individual] = drawn
+            explore = _truncated_gaussian
 
-    if config.drop_zero_social and n_soc:
+    n_exp = setting.n_experiences
+    for r, (i, rng) in enumerate(zip(agents, rngs)):
+        ind = individual[r] = rng.random(m) < config.tau
+        n_ind = np.count_nonzero(ind)
+        soc = ~ind if n_ind else slice(None)
+        if n_ind < m:
+            sources[r, soc] = _categorical(rng, cumulative[r], m - n_ind)
+            e_idx[r, soc] = rng.integers(0, n_exp, size=m - n_ind)
+        if n_ind:
+            weights = _individual_weights(kernel, support[i])
+            es = _categorical(rng, np.cumsum(weights), n_ind)
+            e_idx[r, ind] = es
+            concepts[r, ind] = explore(rng, values[i, es], config.sigma_c, setting.concepts)
+
+    social = ~individual
+    concepts[social] = values[sources[social], e_idx[social]]
+    if config.drop_zero_social:
         keep = individual | np.any(concepts != 0.0, axis=-1)
-        return Sample(e_idx[keep], concepts[keep])
-    return Sample(e_idx, concepts)
+    else:
+        keep = np.ones(shape, dtype=bool)
+    return e_idx, concepts, keep
 
 
 def least_squares_update(k_prev: KnowledgeFunction, sample: Sample) -> KnowledgeFunction:
@@ -314,43 +330,59 @@ def least_squares_update(k_prev: KnowledgeFunction, sample: Sample) -> Knowledge
     """
     if len(sample) == 0:
         return k_prev
-    setting = k_prev.setting
-    n_exp, dim = k_prev.values.shape
-    idx = sample.experience_indices
-    counts = np.bincount(idx, minlength=n_exp).astype(float)
+    values = _refit(
+        k_prev.setting,
+        k_prev.values[None],
+        sample.experience_indices[None],
+        sample.concepts[None],
+        np.ones((1, len(sample)), dtype=bool),
+    )
+    return KnowledgeFunction._trusted(k_prev.setting, values[0])
+
+
+def _refit(setting, values, e_idx, concepts, keep) -> np.ndarray:
+    """:func:`least_squares_update` of every agent at once.
+
+    ``values`` is the (N, n_experiences, l) population, row a of the (N, m)
+    ``e_idx``, (N, m, l) ``concepts`` and (N, m) ``keep`` is agent a's
+    sample.  The samples are stacked with disjoint index offsets, so each
+    agent's sums run over its own observations in sample order.  Returns a
+    new value array.
+    """
+    n, n_exp, dim = values.shape
+    total = n * n_exp
+    gidx = (e_idx + n_exp * np.arange(n)[:, None])[keep]
+    gcon = concepts[keep]
+    counts = np.bincount(gidx, minlength=total).astype(float)
+    seen = counts > 0.0
     if dim == 1:
-        sums = np.bincount(idx, weights=sample.concepts[:, 0], minlength=n_exp)[:, None]
+        sums = np.bincount(gidx, weights=gcon[:, 0], minlength=total)[:, None]
     else:
         sums = np.stack(
-            [
-                np.bincount(idx, weights=sample.concepts[:, d], minlength=n_exp)
-                for d in range(dim)
-            ],
+            [np.bincount(gidx, weights=gcon[:, d], minlength=total) for d in range(dim)],
             axis=1,
         )
-    seen = counts > 0.0
     means = sums[seen] / counts[seen, None]
     # identical observations must reproduce their value bit for bit, so that
     # a consensus population is exactly absorbing; summed means round
-    rep = np.zeros((n_exp, dim))
-    rep[idx] = sample.concepts
-    mismatch = np.any(sample.concepts != rep[idx], axis=-1)
-    divided = np.bincount(idx, weights=mismatch, minlength=n_exp) > 0.0
+    rep = np.zeros((total, dim))
+    rep[gidx] = gcon
+    mismatch = np.any(gcon != rep[gidx], axis=-1)
+    divided = np.bincount(gidx, weights=mismatch, minlength=total) > 0.0
     unanimous = ~divided[seen]
     means[unanimous] = rep[seen][unanimous]
 
-    new_values = np.array(k_prev.values, copy=True)
-    concepts = setting.concepts
-    if isinstance(concepts, DiscreteConcepts):
-        d2 = np.sum(
-            (means[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1
-        )
-        new_values[seen] = concepts.points[np.argmin(d2, axis=1)]
+    new_values = np.array(values, copy=True)
+    flat = new_values.reshape(total, dim)
+    space = setting.concepts
+    if isinstance(space, DiscreteConcepts):
+        d2 = np.sum((means[:, None, :] - space.points[None, :, :]) ** 2, axis=-1)
+        flat[seen] = space.points[np.argmin(d2, axis=1)]
     else:
         # componentwise means of box points stay inside; clip is numerical
-        # safety only, so the trusted constructor applies
-        new_values[seen] = concepts.clip(means)
-    return KnowledgeFunction._trusted(setting, new_values)
+        # safety only
+        flat[seen] = space.clip(means)
+    return new_values
 
 
 def step(
@@ -376,68 +408,9 @@ def step(
         state.setting, state.values, landscape, config.c_min
     )
     learning = compute_social_learning(G, cred)
-    if kernel is None and config.tau > 0.0:
-        kernel = experience_kernel(state.setting, config.sigma_e)
-    samples = [
-        draw_sample(i, state, config, learning, rngs[i], kernel=kernel)
-        for i in range(n)
-    ]
-    return _refit_population(state, samples)
-
-
-def _refit_population(state: PopulationState, samples) -> PopulationState:
-    """Batched equivalent of applying :func:`least_squares_update` to every
-    agent; one pass of array ops over the agents' samples stacked with
-    disjoint index offsets."""
-    setting = state.setting
-    n, n_exp, dim = state.values.shape
-    new_values = np.array(state.values, copy=True)
-
-    idx_parts = []
-    con_parts = []
-    for a, sample in enumerate(samples):
-        if len(sample):
-            idx_parts.append(sample.experience_indices + a * n_exp)
-            con_parts.append(sample.concepts)
-    if idx_parts:
-        gidx = np.concatenate(idx_parts)
-        gcon = np.concatenate(con_parts)
-        total = n * n_exp
-        counts = np.bincount(gidx, minlength=total).astype(float)
-        seen = counts > 0.0
-        if dim == 1:
-            sums = np.bincount(gidx, weights=gcon[:, 0], minlength=total)[:, None]
-        else:
-            sums = np.stack(
-                [
-                    np.bincount(gidx, weights=gcon[:, d], minlength=total)
-                    for d in range(dim)
-                ],
-                axis=1,
-            )
-        means = sums[seen] / counts[seen, None]
-        rep = np.zeros((total, dim))
-        rep[gidx] = gcon
-        mismatch = np.any(gcon != rep[gidx], axis=-1)
-        divided = np.bincount(gidx, weights=mismatch, minlength=total) > 0.0
-        unanimous = ~divided[seen]
-        means[unanimous] = rep[seen][unanimous]
-
-        flat = new_values.reshape(total, dim)
-        concepts = setting.concepts
-        if isinstance(concepts, DiscreteConcepts):
-            d2 = np.sum(
-                (means[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1
-            )
-            flat[seen] = concepts.points[np.argmin(d2, axis=1)]
-        else:
-            flat[seen] = concepts.clip(means)
-
-    new_values.setflags(write=False)
-    updated = [KnowledgeFunction._trusted(setting, v) for v in new_values]
-    out = PopulationState(updated, state.t + 1)
-    object.__setattr__(out, "_values", new_values)
-    return out
+    e_idx, concepts, keep = _draw_rows(state, config, learning, rngs, np.arange(n), kernel)
+    new_values = _refit(state.setting, state.values, e_idx, concepts, keep)
+    return PopulationState._trusted(state.setting, new_values, state.t + 1)
 
 
 def run(

@@ -98,27 +98,42 @@ def credibility_from_values(setting, values: np.ndarray, landscape, c_min: float
 
 def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Penalty of agent j as seen by agent i: variety of j's nonzero concepts
-    over the experiences i has conceptualized.  Diagonal is zero."""
-    n = len(values)
-    pen = np.zeros((n, n))
+    over the experiences i has conceptualized.  Diagonal is zero.
+
+    Row i depends on i only through its support mask, so each distinct mask
+    is evaluated once and its row copied to the agents that share it.
+    """
+    keys = {}
+    owner = [keys.setdefault(row.tobytes(), len(keys)) for row in support]
+    masks = np.frombuffer(b"".join(keys), dtype=bool).reshape(len(keys), -1)
+
     concepts = setting.concepts
-    if not isinstance(concepts, DiscreteConcepts) and concepts.dim == 1:
+    if isinstance(concepts, DiscreteConcepts):
+        # distinct nonzero concepts of j over the mask, from a presence count
+        n, n_exp, dim = values.shape
+        idx = concepts.index_of(values.reshape(-1, dim)).reshape(n, n_exp)
+        onehot = (idx[:, :, None] == np.arange(1, len(concepts))).astype(float)
+        used = np.einsum("ke,jec->kjc", masks.astype(float), onehot) > 0.0
+        pen = np.maximum(used.sum(axis=-1) - 1, 0).astype(float)
+    elif concepts.dim == 1:
         v1 = values[:, :, 0]
-        hidden = ~support
-        lows = np.where(hidden, np.inf, v1)
-        highs = np.where(hidden, -np.inf, v1)
-        sel = support[:, None, :]
-        hi = np.where(sel, highs[None, :, :], -np.inf).max(axis=2)
-        lo = np.where(sel, lows[None, :, :], np.inf).min(axis=2)
-        span = hi - lo
-        pen = np.where(np.isfinite(span), np.maximum(span, 0.0), 0.0)
+        highs = np.where(support, v1, -np.inf)
+        lows = np.where(support, v1, np.inf)
+        # masks in blocks, so the (masks, N, E) slab stays near one megabyte
+        block = max(1, (1 << 17) // highs.size)
+        pen = np.empty((len(masks), len(values)))
+        for s in range(0, len(masks), block):
+            sel = masks[s : s + block, None, :]
+            span = (
+                np.where(sel, highs, -np.inf).max(axis=2)
+                - np.where(sel, lows, np.inf).min(axis=2)
+            )
+            pen[s : s + block] = np.where(np.isfinite(span), np.maximum(span, 0.0), 0.0)
     else:
-        for i in range(n):
-            sel = support[i]
-            for j in range(n):
-                if i == j or not sel.any():
-                    continue
-                pen[i, j] = usage_penalty(values[j][sel], concepts)
+        pen = np.array(
+            [[usage_penalty(v[m], concepts) if m.any() else 0.0 for v in values] for m in masks]
+        )
+    pen = pen[owner]
     np.fill_diagonal(pen, 0.0)
     return pen
 

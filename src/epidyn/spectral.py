@@ -185,9 +185,13 @@ class SpectralReport:
 
 
 def analyze(A) -> SpectralReport:
-    """Spectral report for a row-stochastic matrix."""
+    """Spectral report for a row-stochastic matrix.
+
+    Validation admits entries down to -tol; primitivity reads them as the
+    zero edges they round from.
+    """
     M = validate_stochastic(A)
-    prim, k = is_primitive(M)
+    prim, k = is_primitive(np.maximum(M, 0.0))
     return SpectralReport(
         is_primitive=prim,
         primitivity_exponent=k,

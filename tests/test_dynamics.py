@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidyn import (
+    BoxConcepts,
     ConfigError,
     ConstantLikelihood,
     DiscreteConcepts,
@@ -13,7 +16,10 @@ from epidyn import (
     PopulationState,
     Sample,
     SimulationConfig,
+    TabularLikelihood,
     agent_streams,
+    compute_credibility,
+    compute_social_learning,
     draw_individual,
     draw_sample,
     draw_social,
@@ -327,6 +333,57 @@ class TestStep:
             sample = draw_sample(i, state, cfg, learning, rngs[i], kernel=kernel)
             expected = least_squares_update(state.functions[i], sample)
             assert np.array_equal(out.functions[i].values, expected.values)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["box1", "box2", "discrete"]),
+        n=st.integers(1, 6),
+        n_exp=st.integers(1, 5),
+        m=st.integers(1, 12),
+        tau=st.sampled_from([0.0, 0.3, 1.0]),
+        drop_zero_social=st.booleans(),
+        c_min=st.sampled_from([0.0, 0.05]),
+        newborn=st.lists(st.booleans(), min_size=6, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_equals_per_agent_draws_property(
+        self, kind, n, n_exp, m, tau, drop_zero_social, c_min, newborn, seed
+    ):
+        # the population step must match drawing each agent's sample from a
+        # cloned stream and refitting it alone, for every concept space
+        rng = np.random.default_rng(seed)
+        experiences = np.arange(n_exp)[:, None]
+        if kind == "discrete":
+            points = np.array([[0.0], [1.0], [2.5], [4.0]])
+            setting = KnowledgeSetting(experiences, DiscreteConcepts(points))
+            values = points[rng.integers(0, 4, size=(n, n_exp))]
+            landscape = TabularLikelihood(rng.uniform(0.0, 1.0, size=(n_exp, 4)))
+        else:
+            dim = 1 if kind == "box1" else 2
+            setting = KnowledgeSetting(experiences, BoxConcepts([-2.0] * dim, [2.0] * dim))
+            values = rng.uniform(-2.0, 2.0, size=(n, n_exp, dim))
+            values[rng.random((n, n_exp)) < 0.3] = 0.0
+            landscape = GaussianPeakLikelihood([0.5] * dim, 2.0)
+        values[np.asarray(newborn[:n])] = 0.0
+        state = PopulationState.from_values(setting, values)
+        gamma = rng.uniform(0.0, 1.0, size=(n, n))
+        cfg = SimulationConfig(
+            tau=tau, sample_size=m, sigma_c=0.7, c_min=c_min, drop_zero_social=drop_zero_social
+        )
+
+        out = step(state, cfg, gamma, landscape, agent_streams(seed, 1, n))
+
+        learning = compute_social_learning(
+            gamma, compute_credibility(state.functions, landscape, cfg.c_min)
+        )
+        assert np.all(learning >= 0.0)
+        assert np.all(np.abs(learning.sum(axis=1) - 1.0) <= 1e-12)
+        rngs = agent_streams(seed, 1, n)
+        for i in range(n):
+            sample = draw_sample(i, state, cfg, learning, rngs[i])
+            expected = least_squares_update(state.functions[i], sample)
+            assert np.array_equal(out.values[i], expected.values)
+        assert setting.concepts.contains(out.values.reshape(-1, setting.concept_dim)).all()
 
     def test_rejects_mismatched_shapes(self):
         state = two_agent_state()

@@ -1,10 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from epidyn import (
     BoundInapplicableError,
+    BoxConcepts,
     ConstantLikelihood,
+    DiscreteConcepts,
+    GaussianPeakLikelihood,
     KnowledgeFunction,
+    KnowledgeSetting,
     MatrixError,
     compute_credibility,
     compute_social_learning,
@@ -12,11 +18,65 @@ from epidyn import (
     grid_setting,
     normalize_rows,
     read_matrix_csv,
+    usage_penalty,
     write_matrix_csv,
 )
+from epidyn.influence import _pairwise_penalty, credibility_from_values
 from epidyn.knowledge import TabularLikelihood
 
 from conftest import FLAT_ROUND_PRINTED
+
+
+def tensor_penalty(values, support):
+    """The (N, N, E) tensor form of the 1-D box penalty, kept as a reference."""
+    v1 = values[:, :, 0]
+    hidden = ~support
+    lows = np.where(hidden, np.inf, v1)
+    highs = np.where(hidden, -np.inf, v1)
+    sel = support[:, None, :]
+    hi = np.where(sel, highs[None, :, :], -np.inf).max(axis=2)
+    lo = np.where(sel, lows[None, :, :], np.inf).min(axis=2)
+    span = hi - lo
+    pen = np.where(np.isfinite(span), np.maximum(span, 0.0), 0.0)
+    np.fill_diagonal(pen, 0.0)
+    return pen
+
+
+def pairwise_loop_penalty(values, support, concepts):
+    """One usage_penalty call per ordered pair of agents, kept as a reference."""
+    n = len(values)
+    pen = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j and support[i].any():
+                pen[i, j] = usage_penalty(values[j][support[i]], concepts)
+    return pen
+
+
+PENALTY_SPACES = {
+    "box1": BoxConcepts([-10.0], [10.0]),
+    "box2": BoxConcepts([-2.0, -2.0], [2.0, 2.0]),
+    "discrete": DiscreteConcepts([[0.0], [1.0], [2.5], [4.0], [7.0]]),
+}
+
+
+def mixed_population(rng, kind, n, n_exp, newborn_share=0.25):
+    """Random tables whose support masks mix a few shared masks, private
+    masks and newborn (all-zero) rows; box values are rounded so that
+    agents repeat concepts."""
+    concepts = PENALTY_SPACES[kind]
+    setting = KnowledgeSetting(np.arange(n_exp)[:, None], concepts)
+    if kind == "discrete":
+        values = concepts.points[rng.integers(1, len(concepts), size=(n, n_exp))]
+    else:
+        values = rng.uniform(concepts.lo, concepts.hi, size=(n, n_exp, concepts.dim))
+        values = np.round(values, 1)
+    shared = (rng.random((3, n_exp)) < 0.6)[rng.integers(0, 3, size=n)]
+    private = rng.random((n, n_exp)) < 0.6
+    masks = np.where(rng.random(n)[:, None] < 0.5, shared, private)
+    masks[rng.random(n) < newborn_share] = False
+    values[~masks] = 0.0
+    return setting, values
 
 
 class TestCredibility:
@@ -88,6 +148,59 @@ class TestCredibility:
         ]
         C = compute_credibility(population, ConstantLikelihood(0.5), c_min=0.0)
         assert C[0, 1] == pytest.approx(np.exp(2000 * np.log(0.5)))
+
+
+class TestPairwisePenalty:
+    @pytest.mark.parametrize("kind", sorted(PENALTY_SPACES))
+    @pytest.mark.parametrize("n", [1, 2, 9, 24])
+    def test_equals_pairwise_references(self, kind, n):
+        rng = np.random.default_rng([n, sorted(PENALTY_SPACES).index(kind)])
+        for newborn_share in (0.0, 0.25, 1.0):
+            setting, values = mixed_population(rng, kind, n, 6, newborn_share)
+            support = np.any(values != 0.0, axis=-1)
+            got = _pairwise_penalty(setting, values, support)
+            assert (got == pairwise_loop_penalty(values, support, setting.concepts)).all()
+            if kind == "box1":
+                assert (got == tensor_penalty(values, support)).all()
+
+    def test_newborn_rows_and_all_newborn_population(self):
+        setting, values = mixed_population(np.random.default_rng(3), "box1", 8, 5, 0.0)
+        values[[2, 5]] = 0.0
+        support = np.any(values != 0.0, axis=-1)
+        pen = _pairwise_penalty(setting, values, support)
+        assert np.all(pen[[2, 5]] == 0.0)
+        zero = np.zeros_like(values)
+        assert np.all(_pairwise_penalty(setting, zero, np.zeros((8, 5), bool)) == 0.0)
+
+    def test_single_agent_has_zero_penalty(self):
+        setting, values = mixed_population(np.random.default_rng(4), "discrete", 1, 5, 0.0)
+        support = np.any(values != 0.0, axis=-1)
+        assert np.array_equal(_pairwise_penalty(setting, values, support), [[0.0]])
+
+    def test_many_distinct_masks_span_several_blocks(self):
+        # 150 private masks over 40 experiences exceed one block of masks
+        rng = np.random.default_rng(5)
+        setting = grid_setting(40)
+        values = np.round(rng.uniform(-10, 10, size=(150, 40, 1)), 1)
+        values[rng.random((150, 40)) < 0.4] = 0.0
+        support = np.any(values != 0.0, axis=-1)
+        assert len({row.tobytes() for row in support}) == 150
+        got = _pairwise_penalty(setting, values, support)
+        assert (got == tensor_penalty(values, support)).all()
+
+    def test_credibility_peak_memory_at_400_agents(self):
+        # The (N, N, E) penalty tensors alone took about 39 MB at this size.
+        rng = np.random.default_rng(71)
+        values = rng.uniform(-10, 10, size=(400, 25, 1))
+        values[rng.random((400, 25)) < 0.3] = 0.0
+        landscape = GaussianPeakLikelihood([1.0], 1.0)
+        tracemalloc.start()
+        try:
+            credibility_from_values(grid_setting(25), values, landscape, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
 
 
 class TestSocialLearning:

@@ -439,6 +439,15 @@ class TestReport:
         assert report.is_primitive
         assert peak < 64 * 2**20
 
+    def test_report_accepts_rounding_negatives_that_validation_admits(self):
+        # validate_stochastic admits entries down to -1e-9; primitivity
+        # reads them as zero edges instead of rejecting the matrix
+        A = [[1 + 5e-10, -5e-10], [0.5, 0.5]]
+        report = analyze(A)
+        assert report.is_primitive is False
+        assert report.primitivity_exponent is None
+        assert report.min_entry == -5e-10
+
     def test_report_serializes(self, banded_primitive):
         from epidyn import normalize_rows
 
