@@ -230,10 +230,9 @@ def _discrete_gaussian(rng, centers: np.ndarray, sigma_c: float, concepts: Discr
     w = np.exp(logits)
     cum = np.cumsum(w, axis=1)
     u = rng.random(len(centers)) * cum[:, -1]
-    picks = np.array(
-        [np.searchsorted(cum[k], u[k], side="right") for k in range(len(centers))]
-    )
-    picks = np.minimum(picks, len(concepts) - 1)
+    # Rows of cum are nondecreasing, so the count of entries <= u is the
+    # right-side searchsorted position.
+    picks = np.minimum((cum <= u[:, None]).sum(axis=1), len(concepts) - 1)
     return concepts.points[picks]
 
 

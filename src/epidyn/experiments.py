@@ -23,6 +23,7 @@ import datetime
 import hashlib
 import json
 import os
+import traceback
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .dynamics import (
     SimulationConfig,
     run,
 )
-from .influence import compute_credibility, compute_social_learning
+from .influence import compute_social_learning, credibility_from_values
 from .knowledge import (
     ConstantLikelihood,
     GaussianPeakLikelihood,
@@ -413,8 +414,8 @@ def build_manifest(setup: ExperimentSetup) -> dict:
     run-to-run varying field."""
     doc = setup.to_dict()
     payload = json.dumps(doc, sort_keys=True).encode()
-    cred = compute_credibility(
-        setup.initial.functions, setup.landscape, setup.config.c_min
+    cred = credibility_from_values(
+        setup.initial.setting, setup.initial.values, setup.landscape, setup.config.c_min
     )
     learning = compute_social_learning(setup.structure, cred)
     return {
@@ -493,9 +494,10 @@ def run_experiment(
     """Resolve, run and write out one experiment.
 
     ``target`` is a preset name, a config file path, or an ExperimentSetup.
-    Writes trace.csv, mean.csv, manifest.json and summary.txt into
-    ``out_dir``.  Returns 0 on success, 2 on validation failure, 3 on a
-    runtime failure.
+    Writes trace.csv, mean.csv, manifest.json (compact JSON, sorted keys)
+    and summary.txt into ``out_dir``.  Returns 0 on success, 2 on validation
+    failure, 3 on a runtime failure, whose traceback goes to error.txt in
+    ``out_dir`` when that can be written.
     """
     try:
         setup = resolve_target(target, overrides)
@@ -522,18 +524,30 @@ def run_experiment(
         result.trace.to_csv(os.path.join(out_dir, "trace.csv"))
         result.trace.mean_to_csv(os.path.join(out_dir, "mean.csv"))
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(build_manifest(setup), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            # One-shot compact dumps runs json's C encoder; json.dump with an
+            # indent encodes the embedded config value by value in Python.
+            fh.write(json.dumps(build_manifest(setup), sort_keys=True) + "\n")
         summary = summarize(setup, result)
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(summary)
     except Exception as err:  # runtime failure, distinct exit code
+        _write_error(out_dir, traceback.format_exc())
         if not quiet:
             print(f"runtime failure: {err}")
         return EXIT_RUNTIME
     if not quiet:
         print(summary, end="")
     return EXIT_OK
+
+
+def _write_error(out_dir, text: str) -> None:
+    # Best effort: the failure may be that out_dir cannot be created.
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(os.path.join(out_dir, "error.txt"), "w") as fh:
+            fh.write(text)
+    except OSError:
+        pass
 
 
 def worker_count(raw: Optional[str], replicates: int, cpus: Optional[int]) -> int:

@@ -38,9 +38,17 @@ def nearest_individual_distance(state) -> float:
     """Distance to the nearest constant tuple built from one agent's own
     function: min over j of sqrt(sum_i d(k_i, k_j)^2)."""
     V = _value_tensor(state)
-    diffs = V[:, None] - V[None, :]
-    totals = np.einsum("ijel,ijel->j", diffs, diffs)
-    return float(np.sqrt(totals.min()))
+    return _nearest_from_centred(V, V - V.mean(axis=0))
+
+
+def _nearest_from_centred(V: np.ndarray, centred: np.ndarray) -> float:
+    # Parallel-axis identity: sum_i |v_i - v_j|^2 = sum_i |v_i - mu|^2
+    # + N |v_j - mu|^2, so the nearest individual is the agent closest to the
+    # mean mu.  Its total is summed directly from its own differences, which
+    # are exactly zero at consensus (the identity's form would cancel).
+    j = np.argmin(np.einsum("iel,iel->i", centred, centred))
+    diffs = V - V[j]
+    return float(np.sqrt(np.einsum("iel,iel->", diffs, diffs)))
 
 
 def equilibrium_shift(initial: KnowledgeFunction, equilibrium: KnowledgeFunction) -> float:
@@ -138,16 +146,23 @@ def _write_csv(path, header, rows, int_cols=()) -> None:
 def trace_record(
     t: int, replicate: int, state, re_target: Optional[np.ndarray]
 ) -> list:
-    """One trace row for the current state."""
+    """One trace row for the current state.
+
+    The population is centred once; ``d_consensus`` is the norm of that
+    array, as in :func:`consensus_distance`, and the nearest individual is
+    found from it.
+    """
     re = (
         relative_entropy(state, re_target)
         if re_target is not None
         else float("nan")
     )
+    V = _value_tensor(state)
+    centred = V - V.mean(axis=0)
     return [
         float(t),
         float(replicate),
-        consensus_distance(state),
-        nearest_individual_distance(state),
+        float(np.linalg.norm(centred)),
+        _nearest_from_centred(V, centred),
         re,
     ]

@@ -29,6 +29,7 @@ from epidyn import (
     run,
     step,
 )
+from epidyn.dynamics import _discrete_gaussian
 
 
 def rng_for(seed=0):
@@ -514,3 +515,42 @@ class TestStreams:
         K = experience_kernel(grid_setting(6), 1.5)
         assert np.array_equal(K, K.T)
         assert np.all(np.diag(K) == 1.0)
+
+
+def searchsorted_discrete_gaussian(rng, centers, sigma_c, concepts):
+    # Per-row reference for the vectorized pick in _discrete_gaussian.
+    d2 = np.sum((centers[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1)
+    logits = -d2 / (2.0 * sigma_c**2)
+    logits -= logits.max(axis=1, keepdims=True)
+    cum = np.cumsum(np.exp(logits), axis=1)
+    u = rng.random(len(centers)) * cum[:, -1]
+    picks = np.array(
+        [np.searchsorted(cum[k], u[k], side="right") for k in range(len(centers))]
+    )
+    return concepts.points[np.minimum(picks, len(concepts) - 1)]
+
+
+class TestDiscreteExploration:
+    @pytest.mark.parametrize("sigma_c", [0.05, 0.7, 3.0, 50.0])
+    def test_equals_per_row_searchsorted(self, sigma_c):
+        # sigma_c = 0.05 underflows every weight but the centre's to 0, so
+        # cum has flat runs before and after the jump.
+        gen = np.random.default_rng(41)
+        concepts = DiscreteConcepts(
+            np.vstack([[0.0, 0.0], gen.uniform(-4, 4, size=(11, 2))])
+        )
+        for seed in range(20):
+            centers = concepts.points[gen.integers(0, len(concepts), size=37)]
+            centers = centers + gen.normal(0, 0.5, size=centers.shape) * (seed % 2)
+            got = _discrete_gaussian(rng_for(seed), centers, sigma_c, concepts)
+            want = searchsorted_discrete_gaussian(rng_for(seed), centers, sigma_c, concepts)
+            assert np.array_equal(got, want)
+
+    def test_underflowed_weights_pick_the_centre(self):
+        concepts = DiscreteConcepts([[0.0], [1.0], [2.0], [3.0], [40.0]])
+        centers = concepts.points[[0, 2, 4, 4, 1]]
+        got = _discrete_gaussian(rng_for(3), centers, 0.01, concepts)
+        assert np.array_equal(got, centers)
+        assert np.array_equal(
+            got, searchsorted_discrete_gaussian(rng_for(3), centers, 0.01, concepts)
+        )

@@ -5,10 +5,14 @@ import os
 import numpy as np
 import pytest
 
+from epidyn import experiments
 from epidyn import (
     ConfigError,
     ConstantLikelihood,
     GaussianPeakLikelihood,
+    analyze,
+    compute_credibility,
+    compute_social_learning,
     dump_config,
     fit_decay_rate,
     load_config,
@@ -196,6 +200,39 @@ class TestRunExperiment:
         )
         assert code == 3
 
+    def test_runtime_failure_leaves_traceback(self, tmp_path, monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise FloatingPointError("refit diverged")
+
+        monkeypatch.setattr(experiments, "run", failing_run)
+        out = tmp_path / "new" / "out"
+        code = run_experiment(
+            "test1-self-inertia", out, overrides=dict(replicates=1, horizon=3), quiet=True
+        )
+        assert code == 3
+        assert os.listdir(out) == ["error.txt"]
+        text = (out / "error.txt").read_text()
+        assert text.startswith("Traceback")
+        assert "FloatingPointError: refit diverged" in text
+        assert "in failing_run" in text
+
+    def test_runtime_failure_still_prints_its_line(self, tmp_path, monkeypatch, capsys):
+        def failing_run(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(experiments, "run", failing_run)
+        assert run_experiment("test1-self-inertia", tmp_path / "o") == 3
+        assert capsys.readouterr().out == "runtime failure: boom\n"
+
+    def test_manifest_is_compact_sorted_json(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_experiment(
+            "test1-self-inertia", out, overrides=dict(replicates=1, horizon=2), quiet=True
+        ) == 0
+        text = (out / "manifest.json").read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True) + "\n"
+
     def test_same_seed_byte_identical_outside_manifest(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -227,6 +264,15 @@ class TestRunExperiment:
         dump_config(s, cfg)
         with pytest.raises(ConfigError):
             resolve_target(str(cfg), dict(alpha=0.2))
+
+    @pytest.mark.parametrize("name", ["test2-professor", "test3-creation", "test4-language"])
+    def test_manifest_spectral_block_equals_per_agent_path(self, name):
+        setup = preset(name)
+        cred = compute_credibility(
+            setup.initial.functions, setup.landscape, setup.config.c_min
+        )
+        learning = compute_social_learning(setup.structure, cred)
+        assert build_manifest(setup)["spectral"] == analyze(learning).to_dict()
 
     def test_manifest_hash_tracks_content(self):
         m1 = build_manifest(preset("test1-self-inertia", alpha=0.5))

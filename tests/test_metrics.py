@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,27 @@ class TestConsensusDistance:
         )
 
 
+def tensor_nearest_distance(V):
+    # The (N, N, E, l) difference tensor form, kept as a reference.
+    diffs = V[:, None] - V[None, :]
+    return float(np.sqrt(np.einsum("ijel,ijel->j", diffs, diffs).min()))
+
+
+def random_population(kind, rng):
+    n = int(rng.integers(2, 40))
+    n_exp = int(rng.integers(1, 9))
+    if kind == "box1":
+        return rng.uniform(-10, 10, size=(n, n_exp, 1))
+    if kind == "box2":
+        return rng.uniform(-3, 7, size=(n, n_exp, 2))
+    if kind == "integer":
+        return rng.integers(-3, 4, size=(n, n_exp, 1)).astype(float)
+    if kind == "duplicated":
+        base = rng.uniform(0, 10, size=(int(rng.integers(1, 5)), n_exp, 1))
+        return base[rng.integers(0, len(base), size=n)]
+    return rng.uniform(-10, 10, size=(1, n_exp, int(rng.integers(1, 3))))
+
+
 class TestNearestIndividualDistance:
     def test_audience_initial_matches_published_start(self):
         d = nearest_individual_distance(state_of(5.0, 1.0, 1.0, 1.0, 1.0))
@@ -78,6 +100,50 @@ class TestNearestIndividualDistance:
         assert nearest_individual_distance(state) == pytest.approx(
             nearest_individual_distance(shuffled), abs=1e-12
         )
+
+
+    @pytest.mark.parametrize("kind", ["box1", "box2", "integer", "duplicated", "single"])
+    def test_equals_tensor_form(self, kind):
+        rng = np.random.default_rng(["box1", "box2", "integer", "duplicated", "single"].index(kind))
+        for _ in range(100):
+            V = random_population(kind, rng)
+            want = tensor_nearest_distance(V)
+            got = nearest_individual_distance(V)
+            if want == 0.0:
+                assert got == 0.0
+            else:
+                assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("level", [0.0, 0.1, 1.0 / 3.0, 7.77, -2.5e6])
+    @pytest.mark.parametrize("n", [1, 3, 10, 400])
+    def test_exactly_zero_at_consensus(self, level, n):
+        V = np.full((n, 6, 2), level)
+        V[:, 2] = level / 3.0
+        assert nearest_individual_distance(V) == 0.0
+        assert trace_record(0, 0, V, None)[3] == 0.0
+
+    def test_trace_record_matches_the_functionals(self):
+        rng = np.random.default_rng(23)
+        setting = grid_setting(7)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            state = PopulationState.from_values(setting, rng.uniform(-5, 5, size=(n, 7, 1)))
+            row = trace_record(4, 1, state, None)
+            assert row[2] == consensus_distance(state)
+            assert row[3] == nearest_individual_distance(state)
+
+    def test_trace_record_peak_memory_at_400_agents(self):
+        setting = grid_setting(25)
+        values = np.random.default_rng(5).uniform(0, 10, size=(400, 25, 1))
+        state = PopulationState.from_values(setting, values)
+        target = np.ones((25, 1))
+        tracemalloc.start()
+        try:
+            trace_record(1, 0, state, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestEquilibriumShift:
