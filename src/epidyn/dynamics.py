@@ -14,6 +14,7 @@ stream, draws are consumed in step order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -64,29 +65,35 @@ class SimulationConfig:
     drop_zero_social: bool = False
 
     def validate(self) -> "SimulationConfig":
-        problems = []
-        if not 0.0 <= self.tau <= 1.0:
-            problems.append(f"tau must lie in [0, 1], got {self.tau}")
-        if self.sample_size < 1:
-            problems.append(f"sample_size must be >= 1, got {self.sample_size}")
-        if self.sigma_e <= 0.0:
-            problems.append(f"sigma_e must be positive, got {self.sigma_e}")
-        if self.sigma_c <= 0.0:
-            problems.append(f"sigma_c must be positive, got {self.sigma_c}")
-        if self.c_min < 0.0:
-            problems.append(f"c_min must be nonnegative, got {self.c_min}")
-        if self.horizon < 1:
-            problems.append(f"horizon must be >= 1, got {self.horizon}")
-        if self.replicates < 1:
-            problems.append(f"replicates must be >= 1, got {self.replicates}")
-        if self.metric_variant not in METRIC_VARIANTS:
-            problems.append(
-                f"metric_variant must be one of {METRIC_VARIANTS}, "
-                f"got {self.metric_variant!r}"
-            )
+        # every rule is a comparison that holds, so NaN fails them all
+        rules = (
+            ("tau", _real(self.tau, 0.0, 1.0), "lie in [0, 1]"),
+            ("sample_size", _count(self.sample_size, 1), "be an integer >= 1"),
+            ("sigma_e", _real(self.sigma_e, 0.0) and self.sigma_e > 0.0, "be positive and finite"),
+            ("sigma_c", _real(self.sigma_c, 0.0) and self.sigma_c > 0.0, "be positive and finite"),
+            ("c_min", _real(self.c_min, 0.0), "be nonnegative and finite"),
+            ("horizon", _count(self.horizon, 1), "be an integer >= 1"),
+            ("seed", _count(self.seed, 0), "be an integer >= 0"),
+            ("replicates", _count(self.replicates, 1), "be an integer >= 1"),
+            ("metric_variant", self.metric_variant in METRIC_VARIANTS,
+             f"be one of {METRIC_VARIANTS}"),
+        )
+        problems = [
+            f"{name} must {rule}, got {getattr(self, name)!r}" for name, ok, rule in rules if not ok
+        ]
         if problems:
             raise ConfigError("; ".join(problems))
         return self
+
+
+def _real(x, lo: float, hi: float = np.inf) -> bool:
+    # a finite real in [lo, hi]; bool is not a number here
+    real = isinstance(x, numbers.Real) and not isinstance(x, bool)
+    return real and lo <= x <= hi and x < np.inf
+
+
+def _count(x, least: int) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +137,16 @@ class PopulationState:
 
     @classmethod
     def from_values(cls, setting, values, t: int = 0) -> "PopulationState":
-        values = np.asarray(values, dtype=float)
+        """Population of an (N, n_experiences[, l]) value array (copied)."""
+        values = np.array(values, dtype=float)
         if values.ndim == 2:
             values = values[:, :, None]
-        return cls([KnowledgeFunction(setting, v) for v in values], t)
+        if values.shape[:1] == (0,):
+            raise ConfigError("population must contain at least one agent")
+        setting.check_values(values, values.shape[:1])
+        if t < 0:
+            raise ConfigError("time index must be nonnegative")
+        return cls._trusted(setting, values, t)
 
     @classmethod
     def _trusted(cls, setting: KnowledgeSetting, values: np.ndarray, t: int) -> "PopulationState":
@@ -219,7 +232,7 @@ def _truncated_gaussian(rng, centers: np.ndarray, sigma_c: float, box: BoxConcep
         bad = ~box.contains(out)
         attempts += 1
     if bad.any():
-        out[bad] = box.clip(out[bad])
+        out[bad] = box.project(out[bad])
     return out
 
 
@@ -372,15 +385,9 @@ def _refit(setting, values, e_idx, concepts, keep) -> np.ndarray:
     means[unanimous] = rep[seen][unanimous]
 
     new_values = np.array(values, copy=True)
-    flat = new_values.reshape(total, dim)
-    space = setting.concepts
-    if isinstance(space, DiscreteConcepts):
-        d2 = np.sum((means[:, None, :] - space.points[None, :, :]) ** 2, axis=-1)
-        flat[seen] = space.points[np.argmin(d2, axis=1)]
-    else:
-        # componentwise means of box points stay inside; clip is numerical
-        # safety only
-        flat[seen] = space.clip(means)
+    # a box keeps componentwise means (the projection is numerical safety
+    # only); a discrete space takes the listed point nearest the mean
+    new_values.reshape(total, dim)[seen] = setting.concepts.project(means)
     return new_values
 
 

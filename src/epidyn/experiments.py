@@ -37,7 +37,11 @@ from .dynamics import (
     SimulationConfig,
     run,
 )
-from .influence import compute_social_learning, credibility_from_values
+from .influence import (
+    compute_social_learning,
+    credibility_from_values,
+    validate_structure,
+)
 from .knowledge import (
     ConstantLikelihood,
     GaussianPeakLikelihood,
@@ -157,15 +161,15 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         config = SimulationConfig(**config_kwargs).validate()
         setting = KnowledgeSetting(doc["experiences"], concepts_from_dict(doc["concepts"]))
         landscape = landscape_from_dict(doc["likelihood"])
-        initial = PopulationState.from_values(
-            setting, _value_table(doc["initial"], setting)
-        )
+        landscape.check_setting(setting)
+        initial = PopulationState.from_values(setting, doc["initial"])
         gamma = np.asarray(doc["gamma"], dtype=float)
         if gamma.shape != (initial.n_agents, initial.n_agents):
             raise ConfigError(
                 f"gamma must be {initial.n_agents}x{initial.n_agents}, "
                 f"got {gamma.shape}"
             )
+        validate_structure(gamma)
         re_target = None
         if "re_target" in doc:
             re_target = _target_table(doc["re_target"], setting)
@@ -180,17 +184,6 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         re_target=re_target,
         notes=tuple(doc.get("notes", ())),
     )
-
-
-def _value_table(raw, setting) -> np.ndarray:
-    arr = np.asarray(raw, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[:, :, None]
-    if arr.ndim != 3 or arr.shape[1:] != (setting.n_experiences, setting.concept_dim):
-        raise ConfigError(
-            "initial must be an (agents, experiences[, concept_dim]) table"
-        )
-    return arr
 
 
 def _target_table(raw, setting) -> np.ndarray:
@@ -468,20 +461,11 @@ def mean_equilibrium_shifts(setup: ExperimentSetup, result: RunResult) -> np.nda
     shifts = np.zeros(setup.initial.n_agents)
     equilibria = result.equilibria()
     for eq in equilibria:
-        k_eq = KnowledgeFunction(setting, _into_space(eq, setting))
+        # across-agent means can fall between the points of a discrete space
+        k_eq = KnowledgeFunction(setting, setting.concepts.project(eq))
         for i, k0 in enumerate(setup.initial.functions):
             shifts[i] += equilibrium_shift(k0, k_eq)
     return shifts / len(equilibria)
-
-
-def _into_space(values: np.ndarray, setting: KnowledgeSetting) -> np.ndarray:
-    # Across-agent means can fall marginally outside a discrete space; snap
-    # to the nearest listed point (boxes just clip).
-    concepts = setting.concepts
-    if hasattr(concepts, "clip"):
-        return concepts.clip(values)
-    d2 = np.sum((values[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1)
-    return concepts.points[np.argmin(d2, axis=1)]
 
 
 def run_experiment(

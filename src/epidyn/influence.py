@@ -38,8 +38,8 @@ def _square(A, name: str) -> np.ndarray:
 
 def validate_structure(gamma) -> np.ndarray:
     M = _square(gamma, "structure matrix")
-    if np.any(M < 0.0):
-        raise MatrixError("structure matrix entries must be nonnegative")
+    if not np.all((M >= 0.0) & (M < np.inf)):
+        raise MatrixError("structure matrix entries must be finite and nonnegative")
     return M
 
 
@@ -150,15 +150,9 @@ def compute_social_learning(gamma, credibility) -> np.ndarray:
         raise MatrixError(
             f"dimension mismatch: structure {G.shape} vs credibility {C.shape}"
         )
-    w = G * C
-    sums = w.sum(axis=1)
-    n = len(w)
-    out = np.empty_like(w)
-    dead = sums <= ZERO_ROW_GUARD
-    out[dead] = 1.0 / n
-    live = ~dead
-    out[live] = w[live] / sums[live, None]
-    return out
+    if not np.all((C >= 0.0) & (C < np.inf)):
+        raise MatrixError("credibility entries must be finite and nonnegative")
+    return _rows_or_uniform(G * C, ZERO_ROW_GUARD)
 
 
 def normalize_rows(M) -> np.ndarray:
@@ -166,13 +160,17 @@ def normalize_rows(M) -> np.ndarray:
     A = _square(M, "matrix")
     if np.any(A < 0.0):
         raise MatrixError("entries must be nonnegative")
-    sums = A.sum(axis=1)
-    n = len(A)
-    out = np.empty_like(A)
-    dead = sums == 0.0
-    out[dead] = 1.0 / n
+    return _rows_or_uniform(A, 0.0)
+
+
+def _rows_or_uniform(w: np.ndarray, guard: float) -> np.ndarray:
+    # each row over its sum; rows summing to at most ``guard`` become 1/N
+    sums = w.sum(axis=1)
+    out = np.empty_like(w)
+    dead = sums <= guard
+    out[dead] = 1.0 / len(w)
     live = ~dead
-    out[live] = A[live] / sums[live, None]
+    out[live] = w[live] / sums[live, None]
     return out
 
 

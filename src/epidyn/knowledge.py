@@ -61,7 +61,8 @@ class BoxConcepts:
         v = np.asarray(values, dtype=float)
         return np.all((v >= self.lo) & (v <= self.hi), axis=-1)
 
-    def clip(self, values: np.ndarray) -> np.ndarray:
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Nearest box point to each row of an (..., l) array: a clip."""
         return np.clip(values, self.lo, self.hi)
 
     def to_dict(self) -> dict:
@@ -96,26 +97,31 @@ class DiscreteConcepts:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def _matches(self, values: np.ndarray) -> np.ndarray:
+        # (n, n_concepts) exact equality of each row with each listed point
+        v = np.asarray(values, dtype=float)
+        if v.ndim == 1:
+            v = v[:, None]
+        return np.all(v[:, None, :] == self.points[None, :, :], axis=-1)
+
     def index_of(self, values: np.ndarray) -> np.ndarray:
         """Map an (n, l) array of concept points to concept indices.
 
         Every row must match one of the listed points exactly.
         """
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        eq = np.all(v[:, None, :] == self.points[None, :, :], axis=-1)
-        ok = eq.any(axis=1)
-        if not ok.all():
+        eq = self._matches(values)
+        if not eq.any(axis=1).all():
             raise KnowledgeError("value is not one of the listed concept points")
         return np.argmax(eq, axis=1)
 
     def contains(self, values: np.ndarray) -> np.ndarray:
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 1:
-            v = v[:, None]
-        eq = np.all(v[:, None, :] == self.points[None, :, :], axis=-1)
-        return eq.any(axis=1)
+        return self._matches(values).any(axis=1)
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Nearest listed point to each row of an (..., l) array; exact ties
+        go to the lowest concept index."""
+        d2 = np.sum((values[..., None, :] - self.points) ** 2, axis=-1)
+        return self.points[np.argmin(d2, axis=-1)]
 
     def to_dict(self) -> dict:
         doc = {"type": "discrete", "points": self.points.tolist()}
@@ -159,6 +165,15 @@ class KnowledgeSetting:
     def concept_dim(self) -> int:
         return self.concepts.dim
 
+    def check_values(self, values: np.ndarray, lead: tuple = ()) -> None:
+        """Raise KnowledgeError unless ``values`` is a ``lead`` + (n_experiences,
+        l) array of points in the concept space."""
+        shape = tuple(lead) + (self.n_experiences, self.concept_dim)
+        if values.shape != shape:
+            raise KnowledgeError(f"values must have shape {shape}, got {values.shape}")
+        if not self.concepts.contains(values.reshape(-1, self.concept_dim)).all():
+            raise KnowledgeError("values must lie in the concept space")
+
     def to_dict(self) -> dict:
         return {
             "experiences": self.experiences.tolist(),
@@ -188,13 +203,7 @@ class KnowledgeFunction:
         v = np.asarray(values, dtype=float)
         if v.ndim == 1:
             v = v[:, None]
-        if v.shape != (setting.n_experiences, setting.concept_dim):
-            raise KnowledgeError(
-                f"values must have shape ({setting.n_experiences}, "
-                f"{setting.concept_dim}), got {v.shape}"
-            )
-        if not setting.concepts.contains(v).all():
-            raise KnowledgeError("values must lie in the concept space")
+        setting.check_values(v)
         v.setflags(write=False)
         object.__setattr__(self, "setting", setting)
         object.__setattr__(self, "values", v)
@@ -308,30 +317,14 @@ def knowledge_distance(f: KnowledgeFunction, g: KnowledgeFunction) -> float:
 class LikelihoodLandscape:
     """How well a concept explains an experience, as a value in [0, 1].
 
-    Every landscape returns exactly 1/2 at the zero concept.
+    Each landscape defines one evaluation, ``per_population(setting,
+    values)``, mapping any (..., n_experiences, l) stack of value tables to
+    the (..., n_experiences) likelihoods L(e, values[..., e, :]).  Every
+    landscape returns exactly 1/2 at the zero concept.
     """
 
-    def evaluate(self, setting: KnowledgeSetting, e: int, concept) -> float:
-        c = np.atleast_1d(np.asarray(concept, dtype=float))
-        if not np.any(c != 0.0):
-            return 0.5
-        return self._value(setting, e, c)
-
-    def per_experience(self, setting: KnowledgeSetting, values: np.ndarray) -> np.ndarray:
-        """Vector of L(e, values[e]) over all experience indices."""
-        v = np.asarray(values, dtype=float)
-        out = np.array(
-            [self._value(setting, e, v[e]) for e in range(setting.n_experiences)]
-        )
-        out[~np.any(v != 0.0, axis=-1)] = 0.5
-        return out
-
-    def per_population(self, setting: KnowledgeSetting, values: np.ndarray) -> np.ndarray:
-        """(N, n_experiences) likelihood table for a stack of value tables."""
-        return np.stack([self.per_experience(setting, v) for v in values])
-
-    def _value(self, setting, e, concept) -> float:
-        raise NotImplementedError
+    def check_setting(self, setting: KnowledgeSetting) -> None:
+        """Raise KnowledgeError unless the landscape can score ``setting``."""
 
 
 class ConstantLikelihood(LikelihoodLandscape):
@@ -342,15 +335,9 @@ class ConstantLikelihood(LikelihoodLandscape):
             raise KnowledgeError("constant likelihood must lie in [0, 1]")
         self.value = float(value)
 
-    def _value(self, setting, e, concept) -> float:
-        return self.value
-
-    def per_experience(self, setting, values):
-        v = np.asarray(values, dtype=float)
-        nonzero = np.any(v != 0.0, axis=-1)
+    def per_population(self, setting, values):
+        nonzero = np.any(np.asarray(values, dtype=float) != 0.0, axis=-1)
         return np.where(nonzero, self.value, 0.5)
-
-    per_population = per_experience
 
     def to_dict(self) -> dict:
         return {"variant": "constant", "value": self.value}
@@ -360,23 +347,28 @@ class GaussianPeakLikelihood(LikelihoodLandscape):
     """L(e, c) = exp(-||c - center||^2 / width) for nonzero concepts."""
 
     def __init__(self, center, width: float):
-        if width <= 0.0:
-            raise KnowledgeError("peak width must be positive")
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.width = float(width)
+        width = float(width)
+        if not 0.0 < width < np.inf:
+            raise KnowledgeError("peak width must be positive and finite")
+        center = np.atleast_1d(np.asarray(center, dtype=float))
+        if not np.all(np.isfinite(center)):
+            raise KnowledgeError("peak center must be finite")
+        self.center = center
+        self.width = width
 
-    def _value(self, setting, e, concept) -> float:
-        d2 = float(np.sum((concept - self.center) ** 2))
-        return float(np.exp(-d2 / self.width))
+    def check_setting(self, setting):
+        if self.center.shape != (setting.concept_dim,):
+            raise KnowledgeError(
+                f"peak center has {len(self.center)} coordinates in a "
+                f"{setting.concept_dim}-dimensional concept space"
+            )
 
-    def per_experience(self, setting, values):
+    def per_population(self, setting, values):
         v = np.asarray(values, dtype=float)
         d2 = np.sum((v - self.center) ** 2, axis=-1)
         out = np.exp(-d2 / self.width)
         out[~np.any(v != 0.0, axis=-1)] = 0.5
         return out
-
-    per_population = per_experience
 
     def to_dict(self) -> dict:
         return {
@@ -393,25 +385,27 @@ class TabularLikelihood(LikelihoodLandscape):
         tab = np.asarray(table, dtype=float)
         if tab.ndim != 2:
             raise KnowledgeError("likelihood table must be 2d")
-        if np.any(tab < 0.0) or np.any(tab > 1.0):
+        if not np.all((tab >= 0.0) & (tab <= 1.0)):
             raise KnowledgeError("likelihood values must lie in [0, 1]")
         tab = tab.copy()
         tab[:, 0] = 0.5
         tab.setflags(write=False)
         self.table = tab
 
-    def _value(self, setting, e, concept) -> float:
-        idx = setting.concepts.index_of(concept[None, :])[0]
-        return float(self.table[e, idx])
-
-    def per_experience(self, setting, values):
-        idx = setting.concepts.index_of(values)
-        return self.table[np.arange(len(idx)), idx]
+    def check_setting(self, setting):
+        if not isinstance(setting.concepts, DiscreteConcepts):
+            raise KnowledgeError("a tabular likelihood needs a discrete concept space")
+        expected = (setting.n_experiences, len(setting.concepts))
+        if self.table.shape != expected:
+            raise KnowledgeError(
+                f"likelihood table must be {expected[0]}x{expected[1]} "
+                f"(experiences x concepts), got {self.table.shape}"
+            )
 
     def per_population(self, setting, values):
-        n, n_exp, dim = values.shape
-        idx = setting.concepts.index_of(values.reshape(-1, dim)).reshape(n, n_exp)
-        return self.table[np.arange(n_exp)[None, :], idx]
+        v = np.asarray(values, dtype=float)
+        idx = setting.concepts.index_of(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
+        return self.table[np.arange(v.shape[-2]), idx]
 
     def to_dict(self) -> dict:
         return {"variant": "tabular", "table": self.table.tolist()}

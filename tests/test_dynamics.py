@@ -11,6 +11,7 @@ from epidyn import (
     ConstantLikelihood,
     DiscreteConcepts,
     GaussianPeakLikelihood,
+    KnowledgeError,
     KnowledgeFunction,
     KnowledgeSetting,
     PopulationState,
@@ -492,11 +493,69 @@ class TestConfigValidation:
         msg = str(err.value)
         assert "tau" in msg and "sample_size" in msg and "horizon" in msg
 
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(tau=math.nan),
+            dict(sigma_e=math.nan),
+            dict(sigma_c=math.nan),
+            dict(sigma_c=math.inf),
+            dict(c_min=math.nan),
+            dict(c_min=math.inf),
+            dict(sample_size=2.5),
+            dict(horizon=2.5),
+            dict(replicates=2.5),
+            dict(horizon=True),
+            dict(seed=-1),
+            dict(seed=1.5),
+        ],
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_nan_and_nonintegral_fields_rejected(self, kw):
+        with pytest.raises(ConfigError, match=next(iter(kw))):
+            SimulationConfig(**kw).validate()
+
+    def test_integral_numpy_fields_accepted(self):
+        SimulationConfig(sample_size=np.int64(3), seed=np.uint32(7), c_min=np.float64(0.1)).validate()
+
     def test_population_requires_shared_setting(self):
         a = KnowledgeFunction.constant(grid_setting(3), 1.0)
         b = KnowledgeFunction.constant(grid_setting(3), 1.0)
         with pytest.raises(ConfigError):
             PopulationState([a, b])
+
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((2, 4, 1)), np.zeros((2, 3, 2)), np.zeros((2, 3, 1, 1)), np.zeros(3), 0.0],
+        ids=["experiences", "dim", "4d", "1d", "scalar"],
+    )
+    def test_from_values_rejects_wrong_shape(self, values):
+        with pytest.raises(KnowledgeError):
+            PopulationState.from_values(grid_setting(3), values)
+
+    def test_from_values_rejects_values_outside_the_space(self):
+        with pytest.raises(KnowledgeError):
+            PopulationState.from_values(grid_setting(3, -1.0, 1.0), [[0.0, 0.5, 1.5]])
+        discrete = KnowledgeSetting([[0.0], [1.0]], DiscreteConcepts([[0.0], [2.0]]))
+        with pytest.raises(KnowledgeError):
+            PopulationState.from_values(discrete, [[[2.0], [1.0]]])
+        with pytest.raises(KnowledgeError):
+            PopulationState.from_values(grid_setting(2), [[0.0, math.nan]])
+
+    def test_from_values_rejects_empty_population(self):
+        for empty in ([], np.zeros((0, 3)), np.zeros((0, 3, 1))):
+            with pytest.raises(ConfigError):
+                PopulationState.from_values(grid_setting(3), empty)
+        with pytest.raises(ConfigError):
+            PopulationState.from_values(grid_setting(3), np.zeros((2, 3)), t=-1)
+
+    def test_from_values_copies_and_freezes(self):
+        raw = np.ones((2, 3, 1))
+        state = PopulationState.from_values(grid_setting(3), raw)
+        raw[0, 0, 0] = 5.0
+        assert state.values[0, 0, 0] == 1.0
+        assert not state.values.flags.writeable
+        assert np.array_equal(state.functions[1].values, np.ones((3, 1)))
 
     def test_sample_shape_checked(self):
         with pytest.raises(ConfigError):

@@ -319,6 +319,51 @@ class TestFitDecayRate:
             fit_decay_rate([1e-9, 1e-9, 1e-9, 1e-9])
 
 
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _edit_likelihood(**fields):
+    def edit(doc):
+        doc["likelihood"].update(fields)
+    return edit
+
+
+def _discrete_with_table(rows, cols):
+    # test2's agents sit at 5 and 1; list those points in a discrete space
+    def edit(doc):
+        doc["concepts"] = {"type": "discrete", "points": [[0.0], [1.0], [5.0]]}
+        doc["likelihood"] = {"variant": "tabular", "table": [[0.5] * cols] * rows}
+    return edit
+
+
+def _gamma_entry(value):
+    def edit(doc):
+        doc["gamma"][1][2] = value
+    return edit
+
+
+# config-file edits that must each be refused with exit 2 before any run
+MALFORMED = {
+    "sigma_e-nan": _set("sigma_e", math.nan),
+    "sigma_c-nan": _set("sigma_c", math.nan),
+    "c_min-nan": _set("c_min", math.nan),
+    "sample_size-fraction": _set("sample_size", 2.5),
+    "horizon-fraction": _set("horizon", 2.5),
+    "replicates-fraction": _set("replicates", 2.5),
+    "seed-negative": _set("seed", -1),
+    "seed-fraction": _set("seed", 1.5),
+    "width-nan": _edit_likelihood(width=math.nan),
+    "center-length": _edit_likelihood(center=[1.0, 2.0]),
+    "tabular-on-box": _set("likelihood", {"variant": "tabular", "table": [[0.5, 1.0]] * 5}),
+    "tabular-shape": _discrete_with_table(5, 2),
+    "gamma-nan": _gamma_entry(math.nan),
+    "gamma-inf": _gamma_entry(math.inf),
+}
+
+
 class TestCli:
     def test_run_preset(self, tmp_path, capsys):
         code = cli_main(
@@ -377,6 +422,20 @@ class TestCli:
         assert cli_main(["run", "test1-self-inertia", "--out", str(out)]) == 2
         assert capsys.readouterr().out.startswith("error: EPIDYN_THREADS")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_config_is_validation_error(self, tmp_path, capsys, monkeypatch, case):
+        doc = preset("test2-professor", replicates=2, horizon=2).to_dict()
+        MALFORMED[case](doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))  # NaN is written as the JSON token NaN
+        calls = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: calls.append(a))
+        monkeypatch.setenv("EPIDYN_THREADS", "2")
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith("error: ")
+        assert calls == [] and not out.exists()
 
     def test_likelihood_flag(self, tmp_path):
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from epidyn import (
     usage_penalty,
     write_matrix_csv,
 )
-from epidyn.influence import _pairwise_penalty, credibility_from_values
+from epidyn.influence import _pairwise_penalty, credibility_from_values, validate_structure
 from epidyn.knowledge import TabularLikelihood
 
 from conftest import FLAT_ROUND_PRINTED
@@ -227,6 +228,20 @@ class TestSocialLearning:
     def test_negative_structure_rejected(self):
         with pytest.raises(MatrixError):
             compute_social_learning(-np.eye(2), np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_structure_rejected(self, bad):
+        gamma = np.ones((2, 2))
+        gamma[0, 1] = bad
+        with pytest.raises(MatrixError):
+            validate_structure(gamma)
+        with pytest.raises(MatrixError):
+            compute_social_learning(gamma, np.ones((2, 2)))
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+    def test_negative_or_nonfinite_credibility_rejected(self, bad):
+        with pytest.raises(MatrixError):
+            compute_social_learning(np.ones((2, 2)), [[1.0, bad], [1.0, 1.0]])
 
     def test_rows_stochastic_on_random_inputs(self):
         rng = np.random.default_rng(5)

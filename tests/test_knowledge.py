@@ -214,23 +214,83 @@ class TestLandscapes:
             )
         else:
             setting = grid_setting(4)
+        lik = landscape.per_population(setting, np.zeros((4, 1)))
         for e in range(4):
-            assert landscape.evaluate(setting, e, [0.0]) == 0.5
-        zeros = np.zeros((4, 1))
-        assert np.all(landscape.per_experience(setting, zeros) == 0.5)
+            assert lik[e] == 0.5
+        zeros = np.zeros((3, 4, 1))
+        assert np.all(landscape.per_population(setting, zeros) == 0.5)
 
     def test_gaussian_peak_value(self):
         setting = grid_setting(3)
         L = GaussianPeakLikelihood([6.0], 10.0)
-        assert L.evaluate(setting, 0, [5.0]) == pytest.approx(math.exp(-0.1))
-        assert L.evaluate(setting, 0, [6.0]) == 1.0
+        lik = L.per_population(setting, [[5.0], [6.0], [0.0]])
+        assert lik[0] == pytest.approx(math.exp(-0.1))
+        assert lik[1] == 1.0
+        assert lik[2] == 0.5
 
     def test_values_stay_in_unit_interval(self):
         setting = grid_setting(3)
         rng = np.random.default_rng(3)
         L = GaussianPeakLikelihood([2.0], 5.0)
-        for c in rng.uniform(-10, 10, size=50):
-            assert 0.0 <= L.evaluate(setting, 0, [c]) <= 1.0
+        lik = L.per_population(setting, rng.uniform(-10, 10, size=(50, 3, 1)))
+        assert lik.shape == (50, 3)
+        assert np.all((lik >= 0.0) & (lik <= 1.0))
+
+    @pytest.mark.parametrize("variant", ["constant", "gauss", "tabular"])
+    def test_population_stack_equals_each_table(self, variant):
+        rng = np.random.default_rng(8)
+        if variant == "tabular":
+            concepts = DiscreteConcepts([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 3.0]])
+            setting = KnowledgeSetting(np.arange(6.0)[:, None], concepts)
+            landscape = TabularLikelihood(rng.uniform(0.0, 1.0, size=(6, 4)))
+            values = concepts.points[rng.integers(0, 4, size=(7, 6))]
+        else:
+            setting = KnowledgeSetting(np.arange(6.0)[:, None], BoxConcepts([-5, -5], [5, 5]))
+            landscape = (
+                ConstantLikelihood(0.3)
+                if variant == "constant"
+                else GaussianPeakLikelihood([1.0, -2.0], 4.0)
+            )
+            values = rng.uniform(-5.0, 5.0, size=(7, 6, 2))
+            values[rng.random((7, 6)) < 0.4] = 0.0
+        values[2] = 0.0
+        lik = landscape.per_population(setting, values)
+        assert lik.shape == (7, 6)
+        for row, table in zip(lik, values):
+            assert np.array_equal(row, landscape.per_population(setting, table))
+        zero = ~np.any(values != 0.0, axis=-1)
+        assert zero.any() and np.all(lik[zero] == 0.5)
+        assert np.all(lik[2] == 0.5)
+
+    @pytest.mark.parametrize("width", [0.0, -1.0, math.nan, math.inf])
+    def test_gaussian_width_positive_and_finite(self, width):
+        with pytest.raises(KnowledgeError):
+            GaussianPeakLikelihood([1.0], width)
+
+    def test_gaussian_center_finite(self):
+        with pytest.raises(KnowledgeError):
+            GaussianPeakLikelihood([math.nan], 1.0)
+
+    def test_tabular_rejects_nan(self):
+        with pytest.raises(KnowledgeError):
+            TabularLikelihood([[0.5, math.nan]])
+
+    def test_check_setting(self):
+        box = grid_setting(2)
+        discrete = KnowledgeSetting([[0.0], [1.0]], DiscreteConcepts([[0.0], [1.0], [2.0]]))
+        ConstantLikelihood(1.0).check_setting(box)
+        ConstantLikelihood(1.0).check_setting(discrete)
+        GaussianPeakLikelihood([1.0], 1.0).check_setting(box)
+        TabularLikelihood(np.full((2, 3), 0.7)).check_setting(discrete)
+        bad = [
+            (GaussianPeakLikelihood([1.0, 2.0], 1.0), box),
+            (TabularLikelihood(np.full((2, 3), 0.7)), box),
+            (TabularLikelihood(np.full((2, 2), 0.7)), discrete),
+            (TabularLikelihood(np.full((3, 3), 0.7)), discrete),
+        ]
+        for landscape, setting in bad:
+            with pytest.raises(KnowledgeError):
+                landscape.check_setting(setting)
 
     def test_constant_bounds_checked(self):
         with pytest.raises(KnowledgeError):
@@ -252,6 +312,31 @@ class TestLandscapes:
         ):
             L2 = landscape_from_dict(L.to_dict())
             assert L.to_dict() == L2.to_dict()
+
+
+class TestProject:
+    def test_discrete_exact_tie_goes_to_lowest_index(self):
+        concepts = DiscreteConcepts([[0.0], [2.0], [-2.0], [4.0]])
+        # 1 is equidistant from 0 and 2, -1 from 0 and -2, 3 from 2 and 4
+        out = concepts.project(np.array([[1.0], [-1.0], [3.0], [-3.0], [9.0]]))
+        assert np.array_equal(out, [[0.0], [0.0], [2.0], [-2.0], [4.0]])
+
+    def test_discrete_listed_points_are_fixed(self):
+        concepts = DiscreteConcepts([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        assert np.array_equal(concepts.project(concepts.points), concepts.points)
+        stack = np.array([[[0.6, 0.5], [0.2, 0.1]], [[0.5, 0.6], [0.5, 0.5]]])
+        out = concepts.project(stack)
+        assert out.shape == stack.shape
+        # (0.5, 0.5) ties all three points
+        assert np.array_equal(out, [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]])
+
+    def test_box_projection_is_clip(self):
+        box = BoxConcepts([-1.0, 0.0], [2.0, 3.0])
+        rng = np.random.default_rng(4)
+        values = rng.uniform(-5.0, 5.0, size=(40, 2))
+        out = box.project(values)
+        assert np.array_equal(out, np.clip(values, box.lo, box.hi))
+        assert box.contains(out).all()
 
 
 class TestSerialization:
