@@ -8,12 +8,14 @@ fit of its sample.  All agents update synchronously from the time-t snapshot.
 
 Randomness is drawn from counter-based Philox streams derived as
 SeedSequence(seed, spawn_key=(replicate, agent)), so each agent's stream is
-independent of every other agent's and of the replicate count; within one
-stream, draws are consumed in step order.
+independent of every other agent's and of the replicate count.  Every step
+reads one block of the same size from every stream, whatever the draws turn
+out to be.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -35,9 +37,6 @@ from .knowledge import (
 from .metrics import MetricTrace, trace_record
 
 METRIC_VARIANTS = ("consensus-projection", "nearest-individual")
-
-# Rejection rounds for box-truncated Gaussian concept draws before clamping.
-MAX_TRUNCATION_ATTEMPTS = 64
 
 
 class ConfigError(ValueError):
@@ -200,9 +199,97 @@ def experience_kernel(setting: KnowledgeSetting, sigma_e: float) -> np.ndarray:
     return np.exp(-d2 / (2.0 * sigma_e**2))
 
 
-def _categorical(rng, cumulative: np.ndarray, size: int) -> np.ndarray:
-    u = rng.random(size)
-    return np.minimum(cumulative.searchsorted(u, side="right"), len(cumulative) - 1)
+# Wichura's algorithm AS241 (Applied Statistics 37, 1988): the normal
+# quantile as a ratio of two degree-7 polynomials in r >= 0 on each of
+# three ranges.  Each range lists its numerator and denominator
+# coefficients, highest degree first; all are positive, so no evaluation
+# cancels.
+_AS241 = np.array([
+    [  # central range
+        [2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+         4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+         1.3314166789178437745e+2, 3.3871328727963666080e+0],
+        [5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+         2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+         4.2313330701600911252e+1, 1.0],
+    ],
+    [  # near tail
+        [7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+         1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
+         4.63033784615654529590e+0, 1.42343711074968357734e+0],
+        [1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+         1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
+         2.05319162663775882187e+0, 1.0],
+    ],
+    [  # far tail
+        [2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+         2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
+         5.46378491116411436990e+0, 6.65790464350110377720e+0],
+        [2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+         7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+         5.99832206555887937690e-1, 1.0],
+    ],
+])
+
+_POWERS = np.arange(7.0, -1.0, -1.0)
+_SQRT2 = math.sqrt(2.0)
+_TINY = np.finfo(float).tiny
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _normal_cdf(x) -> np.ndarray:
+    """Standard normal CDF of each entry, 0.5 erfc(-x / sqrt 2), accurate
+    to the last bits in both tails."""
+    return 0.5 * np.asarray(_erfc(np.divide(x, -_SQRT2)), dtype=float)
+
+
+def _normal_ppf(p) -> np.ndarray:
+    """Standard normal quantile of each entry of ``p``, in (0, 1), by AS241.
+    p = 0 and p = 1 give a finite -37.5 and 37.5 instead of infinities."""
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    s = np.sqrt(-np.log(np.maximum(np.minimum(p, 1.0 - p), _TINY)))
+    central, far = np.abs(q) <= 0.425, s > 5.0
+    r = np.where(central, 0.180625 - q * q, s - np.where(far, 5.0, 1.6))
+    # each entry's numerator and denominator as power sums along the last
+    # axis, so an entry rounds alike whatever the array's shape
+    terms = _AS241[np.where(central, 0, 1 + far)] * r[..., None, None] ** _POWERS
+    sums = terms.sum(axis=-1)
+    ratio = sums[..., 0] / sums[..., 1]
+    return np.where(central, q * ratio, np.copysign(ratio, q))
+
+
+def _truncated_gaussian(u, centers: np.ndarray, sigma_c: float, box: BoxConcepts) -> np.ndarray:
+    """Gaussian concepts about ``centers`` truncated to the box, one uniform
+    of ``u`` per component, by inverse CDF: c + sigma Phi^-1(p) with
+    p = Phi(a) + u (Phi(b) - Phi(a)), a = (lo - c) / sigma and
+    b = (hi - c) / sigma.
+
+    The tail masses Phi(a) and 1 - Phi(b) = Phi(-b) are computed without
+    cancellation, and the smaller of p and 1 - p is inverted, so far tails
+    keep their precision; the final projection only absorbs rounding.
+    """
+    below = _normal_cdf((box.lo - centers) / sigma_c)
+    above = _normal_cdf((centers - box.hi) / sigma_c)
+    inside = 1.0 - below - above
+    p = below + u * inside
+    q = above + (1.0 - u) * inside
+    z = _normal_ppf(np.minimum(p, q))
+    return box.project(centers + sigma_c * np.where(p <= q, z, -z))
+
+
+def _discrete_gaussian(u, centers: np.ndarray, sigma_c: float, concepts: DiscreteConcepts) -> np.ndarray:
+    """Listed concepts drawn with weight exp(-|x - c|^2 / (2 sigma^2)),
+    one uniform of ``u`` per center."""
+    d2 = np.sum((centers[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1)
+    logits = -d2 / (2.0 * sigma_c**2)
+    logits -= logits.max(axis=1, keepdims=True)
+    cum = np.cumsum(np.exp(logits), axis=1)
+    u = np.reshape(u, len(centers)) * cum[:, -1]
+    # Rows of cum are nondecreasing, so the count of entries <= u is the
+    # right-side searchsorted position.
+    picks = np.minimum((cum <= u[:, None]).sum(axis=1), len(concepts) - 1)
+    return concepts.points[picks]
 
 
 def draw_social(i: int, state: PopulationState, learning, rng) -> Tuple[int, np.ndarray]:
@@ -211,42 +298,6 @@ def draw_social(i: int, state: PopulationState, learning, rng) -> Tuple[int, np.
     agent's concept there (including the zero concept)."""
     sample = draw_sample(i, state, SimulationConfig(tau=0.0, sample_size=1), learning, rng)
     return int(sample.experience_indices[0]), sample.concepts[0]
-
-
-def _individual_weights(kernel: np.ndarray, support: np.ndarray) -> np.ndarray:
-    w = kernel @ support.astype(float)
-    total = w.sum()
-    if total <= 0.0:
-        # Newborn fallback: nothing conceptualized yet, explore uniformly.
-        return np.full(len(w), 1.0 / len(w))
-    return w / total
-
-
-def _truncated_gaussian(rng, centers: np.ndarray, sigma_c: float, box: BoxConcepts) -> np.ndarray:
-    out = centers + sigma_c * rng.standard_normal(centers.shape)
-    bad = ~box.contains(out)
-    attempts = 1
-    while bad.any() and attempts < MAX_TRUNCATION_ATTEMPTS:
-        redraw = centers[bad] + sigma_c * rng.standard_normal((bad.sum(), centers.shape[1]))
-        out[bad] = redraw
-        bad = ~box.contains(out)
-        attempts += 1
-    if bad.any():
-        out[bad] = box.project(out[bad])
-    return out
-
-
-def _discrete_gaussian(rng, centers: np.ndarray, sigma_c: float, concepts: DiscreteConcepts) -> np.ndarray:
-    d2 = np.sum((centers[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1)
-    logits = -d2 / (2.0 * sigma_c**2)
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    cum = np.cumsum(w, axis=1)
-    u = rng.random(len(centers)) * cum[:, -1]
-    # Rows of cum are nondecreasing, so the count of entries <= u is the
-    # right-side searchsorted position.
-    picks = np.minimum((cum <= u[:, None]).sum(axis=1), len(concepts) - 1)
-    return concepts.points[picks]
 
 
 def draw_individual(
@@ -283,50 +334,56 @@ def _draw_rows(state, config, learning, rngs, agents, kernel=None):
     """Samples of the listed agents, agent ``agents[r]`` drawing from
     ``rngs[r]``.
 
-    Each stream is consumed in a fixed order: m uniforms that split
-    individual from social draws, then the social source agents and
-    experiences, then the individual experiences and concepts.  Returns
-    (k, m) experience indices, (k, m, l) concepts and the (k, m) mask of
-    the observations kept.
+    Each stream gives exactly one block of (2 + w) * m uniforms, w = l for
+    a box and 1 for a discrete space, read as 2 + w rows of m slots:
+    ``split`` (the slot is individual when below tau), ``pick`` (the source
+    agent of a social slot, the experience of an individual one) and
+    ``rest`` (the experience of a social slot, the concept of an individual
+    one).  Returns (k, m) experience indices, (k, m, l) concepts and the
+    (k, m) mask of the observations kept.
     """
     setting = state.setting
     values = state.values
     m = config.sample_size
-    shape = (len(agents), m)
-    cumulative = np.cumsum(np.asarray(learning, dtype=float)[agents], axis=1)
-    individual = np.empty(shape, dtype=bool)
-    sources = np.empty(shape, dtype=np.intp)
-    e_idx = np.empty(shape, dtype=np.intp)
-    concepts = np.empty(shape + (setting.concept_dim,))
-    if config.tau > 0.0:
-        support = np.any(values != 0.0, axis=-1)
+    n_exp = setting.n_experiences
+    box = isinstance(setting.concepts, BoxConcepts)
+    width = 2 + (setting.concept_dim if box else 1)
+    agents = np.asarray(agents)
+    cumulative = np.asarray(learning, dtype=float)[agents].cumsum(axis=1)
+    block = np.empty((len(agents), width * m))
+    sources = np.empty((len(agents), m), dtype=np.intp)
+    for r, rng in enumerate(rngs):
+        rng.random(out=block[r])
+        sources[r] = cumulative[r].searchsorted(block[r, m : 2 * m], side="right")
+    np.minimum(sources, cumulative.shape[1] - 1, out=sources)
+    u = block.reshape(len(agents), width, m)
+
+    individual = u[:, 0] < config.tau
+    e_idx = np.minimum((u[:, 2] * n_exp).astype(np.intp), n_exp - 1)
+    concepts = values[sources, e_idx]
+    rows, slots = individual.nonzero()
+    if len(rows):
         if kernel is None:
             kernel = experience_kernel(setting, config.sigma_e)
-        if isinstance(setting.concepts, DiscreteConcepts):
-            explore = _discrete_gaussian
-        else:
-            explore = _truncated_gaussian
-
-    n_exp = setting.n_experiences
-    for r, (i, rng) in enumerate(zip(agents, rngs)):
-        ind = individual[r] = rng.random(m) < config.tau
-        n_ind = np.count_nonzero(ind)
-        soc = ~ind if n_ind else slice(None)
-        if n_ind < m:
-            sources[r, soc] = _categorical(rng, cumulative[r], m - n_ind)
-            e_idx[r, soc] = rng.integers(0, n_exp, size=m - n_ind)
-        if n_ind:
-            weights = _individual_weights(kernel, support[i])
-            es = _categorical(rng, np.cumsum(weights), n_ind)
-            e_idx[r, ind] = es
-            concepts[r, ind] = explore(rng, values[i, es], config.sigma_c, setting.concepts)
-
-    social = ~individual
-    concepts[social] = values[sources[social], e_idx[social]]
+        # experiences weighted by their affinity to the agent's support, an
+        # agent that conceptualizes nothing yet weighing them all 1; one
+        # product for the whole population, so a row rounds alike whichever
+        # agents are drawing
+        support = values.any(axis=-1)
+        weights = support @ kernel + ~support.any(axis=1, keepdims=True)
+        cum = weights.cumsum(axis=1)[agents[rows]]
+        # rows of cum are nondecreasing, so the count of entries <= u is the
+        # right-side searchsorted position
+        below = cum <= (u[rows, 1, slots] * cum[:, -1])[:, None]
+        picked = np.minimum(below.sum(axis=1), n_exp - 1)
+        e_idx[rows, slots] = picked
+        explore = _truncated_gaussian if box else _discrete_gaussian
+        centers = values[agents[rows], picked]
+        concepts[rows, slots] = explore(u[rows, 2:, slots], centers, config.sigma_c, setting.concepts)
     if config.drop_zero_social:
-        keep = individual | np.any(concepts != 0.0, axis=-1)
+        keep = individual | concepts.any(axis=-1)
     else:
-        keep = np.ones(shape, dtype=bool)
+        keep = np.ones(individual.shape, dtype=bool)
     return e_idx, concepts, keep
 
 
@@ -402,17 +459,16 @@ def step(
     """One synchronous update of the whole population from its time-t
     snapshot: rebuild credibility and the learning matrix, then resample and
     refit every agent."""
-    G = validate_structure(structure)
     n = state.n_agents
-    if G.shape[0] != n:
-        raise ConfigError(
-            f"structure matrix is {G.shape[0]}x{G.shape[0]} for {n} agents"
-        )
+    G = np.asarray(structure, dtype=float)
+    if G.shape != (n, n):
+        raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
     if len(rngs) != n:
         raise ConfigError("one random stream per agent required")
     cred = credibility_from_values(
         state.setting, state.values, landscape, config.c_min
     )
+    # validates the structure's entries (MatrixError) once per step
     learning = compute_social_learning(G, cred)
     e_idx, concepts, keep = _draw_rows(state, config, learning, rngs, np.arange(n), kernel)
     new_values = _refit(state.setting, state.values, e_idx, concepts, keep)

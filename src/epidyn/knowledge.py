@@ -133,12 +133,28 @@ class DiscreteConcepts:
 ConceptSpace = Union[BoxConcepts, DiscreteConcepts]
 
 
+def _entry(doc, key: str, what: str, convert=lambda v: np.asarray(v, dtype=float)):
+    # doc[key] converted; a missing key or a value of the wrong type is a
+    # KnowledgeError that names the key
+    if not isinstance(doc, dict):
+        raise KnowledgeError(f"{what} must be a mapping, got {type(doc).__name__}")
+    if key not in doc:
+        raise KnowledgeError(f"{what} needs the key {key!r}")
+    try:
+        return convert(doc[key])
+    except (TypeError, ValueError) as err:
+        raise KnowledgeError(f"{what} key {key!r}: {err}") from None
+
+
 def concepts_from_dict(doc: dict) -> ConceptSpace:
-    kind = doc.get("type")
+    kind = _entry(doc, "type", "concepts", str)
     if kind == "box":
-        return BoxConcepts(doc["lo"], doc["hi"])
+        return BoxConcepts(_entry(doc, "lo", "box concepts"), _entry(doc, "hi", "box concepts"))
     if kind == "discrete":
-        return DiscreteConcepts(doc["points"], doc.get("labels"))
+        labels = doc.get("labels")
+        if labels is not None:
+            labels = _entry(doc, "labels", "discrete concepts", tuple)
+        return DiscreteConcepts(_entry(doc, "points", "discrete concepts"), labels)
     raise KnowledgeError(f"unknown concept space type: {kind!r}")
 
 
@@ -412,11 +428,12 @@ class TabularLikelihood(LikelihoodLandscape):
 
 
 def landscape_from_dict(doc: dict) -> LikelihoodLandscape:
-    variant = doc.get("variant")
+    variant = _entry(doc, "variant", "likelihood", str)
+    what = f"{variant} likelihood"
     if variant == "constant":
-        return ConstantLikelihood(doc.get("value", 1.0))
+        return ConstantLikelihood(_entry(doc, "value", what, float) if "value" in doc else 1.0)
     if variant == "gaussian-peak":
-        return GaussianPeakLikelihood(doc["center"], doc["width"])
+        return GaussianPeakLikelihood(_entry(doc, "center", what), _entry(doc, "width", what, float))
     if variant == "tabular":
-        return TabularLikelihood(doc["table"])
+        return TabularLikelihood(_entry(doc, "table", what))
     raise KnowledgeError(f"unknown likelihood variant: {variant!r}")

@@ -133,14 +133,11 @@ class MetricTrace:
 
 
 def _write_csv(path, header, rows, int_cols=()) -> None:
+    # one format per row: %d truncates like int(), %.17g round-trips a float
+    line = ",".join("%d" if k in int_cols else "%.17g" for k in range(len(header))) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [
-                str(int(x)) if k in int_cols else f"{x:.17g}"
-                for k, x in enumerate(row)
-            ]
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
 
 
 def trace_record(

@@ -14,6 +14,7 @@ from epidyn import (
     KnowledgeError,
     KnowledgeFunction,
     KnowledgeSetting,
+    MatrixError,
     PopulationState,
     Sample,
     SimulationConfig,
@@ -30,7 +31,7 @@ from epidyn import (
     run,
     step,
 )
-from epidyn.dynamics import _discrete_gaussian
+from epidyn.dynamics import _discrete_gaussian, _normal_cdf, _normal_ppf
 
 
 def rng_for(seed=0):
@@ -395,6 +396,26 @@ class TestStep:
         with pytest.raises(ConfigError):
             step(state, cfg, np.ones((2, 2)), ConstantLikelihood(1.0), agent_streams(0, 0, 3))
 
+    @pytest.mark.parametrize("entry", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_structure_entries(self, entry):
+        gamma = np.ones((2, 2))
+        gamma[0, 1] = entry
+        with pytest.raises(MatrixError):
+            step(two_agent_state(), SimulationConfig(), gamma, ConstantLikelihood(1.0),
+                 agent_streams(0, 0, 2))
+
+    def test_structure_validated_once_per_step(self, monkeypatch):
+        import epidyn.dynamics as dynamics
+        import epidyn.influence as influence
+
+        calls = []
+        check = influence.validate_structure
+        for module in (dynamics, influence):
+            monkeypatch.setattr(module, "validate_structure", lambda g: calls.append(1) or check(g))
+        step(two_agent_state(), SimulationConfig(), np.ones((2, 2)), ConstantLikelihood(1.0),
+             agent_streams(0, 0, 2))
+        assert len(calls) == 1
+
 
 class TestRun:
     def small_cfg(self, **kw):
@@ -576,13 +597,13 @@ class TestStreams:
         assert np.all(np.diag(K) == 1.0)
 
 
-def searchsorted_discrete_gaussian(rng, centers, sigma_c, concepts):
+def searchsorted_discrete_gaussian(u, centers, sigma_c, concepts):
     # Per-row reference for the vectorized pick in _discrete_gaussian.
     d2 = np.sum((centers[:, None, :] - concepts.points[None, :, :]) ** 2, axis=-1)
     logits = -d2 / (2.0 * sigma_c**2)
     logits -= logits.max(axis=1, keepdims=True)
     cum = np.cumsum(np.exp(logits), axis=1)
-    u = rng.random(len(centers)) * cum[:, -1]
+    u = u * cum[:, -1]
     picks = np.array(
         [np.searchsorted(cum[k], u[k], side="right") for k in range(len(centers))]
     )
@@ -601,15 +622,106 @@ class TestDiscreteExploration:
         for seed in range(20):
             centers = concepts.points[gen.integers(0, len(concepts), size=37)]
             centers = centers + gen.normal(0, 0.5, size=centers.shape) * (seed % 2)
-            got = _discrete_gaussian(rng_for(seed), centers, sigma_c, concepts)
-            want = searchsorted_discrete_gaussian(rng_for(seed), centers, sigma_c, concepts)
+            u = rng_for(seed).random(len(centers))
+            got = _discrete_gaussian(u, centers, sigma_c, concepts)
+            want = searchsorted_discrete_gaussian(u, centers, sigma_c, concepts)
             assert np.array_equal(got, want)
 
     def test_underflowed_weights_pick_the_centre(self):
         concepts = DiscreteConcepts([[0.0], [1.0], [2.0], [3.0], [40.0]])
         centers = concepts.points[[0, 2, 4, 4, 1]]
-        got = _discrete_gaussian(rng_for(3), centers, 0.01, concepts)
+        u = rng_for(3).random(len(centers))
+        got = _discrete_gaussian(u, centers, 0.01, concepts)
         assert np.array_equal(got, centers)
-        assert np.array_equal(
-            got, searchsorted_discrete_gaussian(rng_for(3), centers, 0.01, concepts)
-        )
+        assert np.array_equal(got, searchsorted_discrete_gaussian(u, centers, 0.01, concepts))
+
+
+class TestFixedCountDraws:
+    def test_normal_helpers_match_statistics(self):
+        # statistics.NormalDist is the oracle.  Its cdf is 0.5 (1 + erf),
+        # which cancels below z = -2, so there the CDF is checked through
+        # the oracle's quantile (AS241, accurate in both tails) instead.
+        from statistics import NormalDist
+
+        nd = NormalDist()
+        z = np.linspace(-8.0, 8.0, 1601)
+        cdf = _normal_cdf(z)
+        want = np.array([nd.cdf(x) for x in z])
+        upper = z >= -2.0
+        assert np.allclose(cdf[upper], want[upper], rtol=1e-14, atol=0.0)
+        assert np.allclose(cdf, want, rtol=0.0, atol=2.3e-16)
+        lower = z <= 0.0
+        back = np.array([nd.inv_cdf(p) for p in cdf[lower]])
+        assert np.allclose(back, z[lower], rtol=1e-14, atol=1e-15)
+
+        p = np.array([nd.cdf(x) for x in z])
+        p = np.concatenate([p[(p > 0.0) & (p < 1.0)], np.logspace(-300, -1, 300)])
+        want = np.array([nd.inv_cdf(x) for x in p])
+        assert np.allclose(_normal_ppf(p), want, rtol=1e-14, atol=0.0)
+        assert np.allclose(_normal_ppf(p.reshape(-1, 1))[:, 0], want, rtol=1e-14, atol=0.0)
+
+    def test_quantile_is_finite_at_zero_and_one(self):
+        with np.errstate(all="raise"):
+            out = _normal_ppf(np.array([0.0, 0.5, 1.0]))
+        assert np.all(np.isfinite(out)) and out[0] == -out[2] < -37.0 and out[1] == 0.0
+
+    @pytest.mark.parametrize("edge", ["lo", "hi"])
+    def test_truncated_gaussian_ks(self, edge):
+        # 20,000 draws about a centre 0.05 inside one edge of [-1, 1] with
+        # sigma 0.5 against the exact truncated-normal CDF; the bound is the
+        # 0.1% critical value of the KS distance, 1.95 / sqrt(n)
+        lo, hi, sigma, n = -1.0, 1.0, 0.5, 20_000
+        centre = lo + 0.05 if edge == "lo" else hi - 0.05
+        setting = grid_setting(3, lo=lo, hi=hi)
+        state = PopulationState([KnowledgeFunction.constant(setting, centre)])
+        cfg = SimulationConfig(tau=1.0, sample_size=n, sigma_c=sigma)
+        draws = np.sort(draw_sample(0, state, cfg, np.eye(1), rng_for(31)).concepts[:, 0])
+
+        def phi(x):
+            return 0.5 * (1.0 + math.erf((x - centre) / (sigma * math.sqrt(2.0))))
+
+        mass = phi(hi) - phi(lo)
+        cdf = np.array([(phi(x) - phi(lo)) / mass for x in draws])
+        k = np.arange(1, n + 1)
+        distance = max(np.max(k / n - cdf), np.max(cdf - (k - 1) / n))
+        assert distance < 1.95 / math.sqrt(n)
+        assert lo <= draws[0] and draws[-1] <= hi
+
+    @pytest.mark.parametrize("centre", [-1.0, 1.0, 0.3])
+    @pytest.mark.parametrize("sigma", [0.5, 1e6])
+    def test_draws_stay_in_the_box(self, centre, sigma):
+        setting = grid_setting(3, lo=-1.0, hi=1.0)
+        state = PopulationState([KnowledgeFunction.constant(setting, centre)])
+        cfg = SimulationConfig(tau=1.0, sample_size=5000, sigma_c=sigma)
+        with np.errstate(all="raise"):
+            draws = draw_sample(0, state, cfg, np.eye(1), rng_for(32)).concepts
+        assert np.all((draws >= -1.0) & (draws <= 1.0))
+        if sigma > 1.0:  # nearly uniform over the box
+            assert abs(draws.mean()) < 0.05
+
+    @pytest.mark.parametrize("kind", ["box1", "box2", "discrete"])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    def test_each_stream_read_once_per_step(self, kind, tau):
+        # one block of (2 + w) * m uniforms per agent and step, w = l for a
+        # box and 1 for a discrete space, whatever tau and the draws are
+        rng = np.random.default_rng(61)
+        if kind == "discrete":
+            points = np.array([[0.0], [1.0], [2.5], [4.0]])
+            setting = KnowledgeSetting(np.arange(5)[:, None], DiscreteConcepts(points))
+            values = points[rng.integers(0, 4, size=(4, 5))]
+        else:
+            dim = 1 if kind == "box1" else 2
+            setting = KnowledgeSetting(np.arange(5)[:, None], BoxConcepts([-2.0] * dim, [2.0] * dim))
+            values = rng.uniform(-2.0, 2.0, size=(4, 5, dim))
+        values[1] = 0.0  # a newborn
+        state = PopulationState.from_values(setting, values)
+        n, m = state.n_agents, 7
+        width = 2 + (1 if kind == "discrete" else setting.concept_dim)
+        cfg = SimulationConfig(tau=tau, sample_size=m, sigma_c=0.7)
+        rngs, clones = agent_streams(8, 2, n), agent_streams(8, 2, n)
+        for _ in range(2):
+            state = step(state, cfg, rng.uniform(0.1, 1.0, (n, n)), ConstantLikelihood(0.9), rngs)
+            for clone in clones:
+                clone.random(width * m)
+            for got, want in zip(rngs, clones):
+                np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)

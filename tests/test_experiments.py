@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +367,31 @@ MALFORMED = {
 }
 
 
+def _drop(section, key):
+    def edit(doc):
+        del doc[section][key]
+    return edit
+
+
+# likelihood/concepts mappings with a key missing or of the wrong type, and
+# the key the error line must name
+MISSING_OR_MISTYPED = {
+    "width-missing": (_drop("likelihood", "width"), "width"),
+    "width-list": (_edit_likelihood(width=[1]), "width"),
+    "center-missing": (_drop("likelihood", "center"), "center"),
+    "center-mapping": (_edit_likelihood(center={"x": 1.0}), "center"),
+    "variant-missing": (_drop("likelihood", "variant"), "variant"),
+    "box-lo-missing": (_drop("concepts", "lo"), "lo"),
+    "box-hi-text": (_set("concepts", {"type": "box", "lo": [-10.0], "hi": "ten"}), "hi"),
+    "points-missing": (_set("concepts", {"type": "discrete"}), "points"),
+    "labels-number": (
+        _set("concepts", {"type": "discrete", "points": [[0.0], [1.0], [5.0]], "labels": 5}),
+        "labels",
+    ),
+    "likelihood-list": (_set("likelihood", [1.0]), "likelihood"),
+}
+
+
 class TestCli:
     def test_run_preset(self, tmp_path, capsys):
         code = cli_main(
@@ -437,6 +465,21 @@ class TestCli:
         assert capsys.readouterr().out.startswith("error: ")
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("case", sorted(MISSING_OR_MISTYPED))
+    def test_missing_or_mistyped_key_is_validation_error(self, tmp_path, capsys, monkeypatch, case):
+        edit, key = MISSING_OR_MISTYPED[case]
+        doc = preset("test2-professor", replicates=2, horizon=2).to_dict()
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(experiments, "run", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        line = capsys.readouterr().out
+        assert line.startswith("error: ") and key in line
+        assert calls == [] and not out.exists()
+
     def test_likelihood_flag(self, tmp_path):
         out = tmp_path / "out"
         code = cli_main(
@@ -493,3 +536,38 @@ class TestAudienceShifts:
         shifts = mean_equilibrium_shifts(s, result)
         assert shifts[0] < 1.0
         assert np.all(shifts[1:] > 8.0)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Loads the benchmark's creation workload config, runs it through the API and
+# reports which of the heavy optional modules got imported.
+RUN_CREATION = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+import epidyn
+with open(sys.argv[2], "w") as fh:
+    json.dump(workloads.creation(5), fh)
+setup = epidyn.load_config(sys.argv[2])
+epidyn.run(setup.config, setup.structure, setup.landscape, setup.initial,
+           re_target=setup.re_target)
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "statistics")))
+"""
+
+
+def test_creation_run_is_silent_and_imports_no_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_CREATION, str(ROOT / "perfbench"), str(tmp_path / "c.json")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout == "[]\n"

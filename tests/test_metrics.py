@@ -299,6 +299,39 @@ class TestMetricTrace:
         trace.mean_to_csv(mean_path)
         assert mean_path.read_text().splitlines()[0] == "t,d_consensus,d_nearest,relative_entropy"
 
+    def test_csv_bytes_equal_per_cell_reference(self, tmp_path):
+        # the per-cell writer the row format replaced, as the reference
+        def reference(path, header, rows, int_cols):
+            with open(path, "w") as fh:
+                fh.write(",".join(header) + "\n")
+                for row in rows:
+                    cells = [
+                        str(int(x)) if k in int_cols else f"{x:.17g}"
+                        for k, x in enumerate(row)
+                    ]
+                    fh.write(",".join(cells) + "\n")
+
+        gen = np.random.default_rng(5)
+        T = 25_000
+        spread = 10.0 ** gen.integers(-300, 300, size=(T + 1, 3))
+        rows = np.column_stack(
+            [np.arange(T + 1.0), np.zeros(T + 1), gen.normal(size=(T + 1, 3)) * spread]
+        )
+        rows[1::7, 4] = math.nan
+        rows[2::11, 2] = -0.0
+        rows[3::13, 3] = math.inf
+        rows[4::17, 3] = -math.inf
+        rows[5, 1] = -0.0
+        trace = MetricTrace(rows)
+        trace.to_csv(tmp_path / "trace.csv")
+        reference(tmp_path / "want.csv", TRACE_COLUMNS, rows, (0, 1))
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+        trace.mean_to_csv(tmp_path / "mean.csv")
+        header = ("t", "d_consensus", "d_nearest", "relative_entropy")
+        reference(tmp_path / "want.csv", header, trace.mean_rows(), (0,))
+        assert (tmp_path / "mean.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_trace_record_without_target_is_nan(self):
         state = state_of(1.0, 2.0)
         row = trace_record(3, 1, state, None)
