@@ -31,8 +31,6 @@ from .influence import (
     compute_credibility,
     compute_social_learning,
     normalize_rows,
-    read_matrix_csv,
-    write_matrix_csv,
 )
 from .spectral import (
     BoundInapplicableError,
@@ -53,11 +51,8 @@ from .dynamics import (
     Sample,
     SimulationConfig,
     agent_streams,
-    draw_individual,
     draw_sample,
-    draw_social,
     experience_kernel,
-    least_squares_update,
     run,
     step,
 )

@@ -10,7 +10,8 @@ Randomness is drawn from counter-based Philox streams derived as
 SeedSequence(seed, spawn_key=(replicate, agent)), so each agent's stream is
 independent of every other agent's and of the replicate count.  Every step
 reads one block of the same size from every stream, whatever the draws turn
-out to be.
+out to be.  Replicates are stepped together as one (R, N, E, l) stack, and
+each population of the stack rounds as it would alone.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .knowledge import (
     KnowledgeSetting,
     LikelihoodLandscape,
 )
-from .metrics import MetricTrace, trace_record
+from .metrics import TRACE_COLUMNS, MetricTrace, trace_record
 
 METRIC_VARIANTS = ("consensus-projection", "nearest-individual")
 
@@ -99,7 +100,8 @@ def _count(x, least: int) -> bool:
 class PopulationState:
     """N knowledge functions held as one read-only (N, n_experiences, l)
     value array, plus the time index.  ``functions`` views the rows as
-    :class:`KnowledgeFunction` objects."""
+    :class:`KnowledgeFunction` objects.  ``run`` steps (R, N, E, l) stacks
+    of R populations, for which ``functions`` does not apply."""
 
     setting: KnowledgeSetting
     values: np.ndarray
@@ -124,7 +126,7 @@ class PopulationState:
 
     @property
     def n_agents(self) -> int:
-        return len(self.values)
+        return self.values.shape[-3]
 
     @property
     def functions(self) -> Tuple[KnowledgeFunction, ...]:
@@ -175,10 +177,6 @@ class Sample:
 
     def __len__(self) -> int:
         return len(self.experience_indices)
-
-    def pairs(self):
-        for e, c in zip(self.experience_indices, self.concepts):
-            yield int(e), c
 
 
 def agent_streams(seed: int, replicate: int, n_agents: int) -> list:
@@ -292,29 +290,6 @@ def _discrete_gaussian(u, centers: np.ndarray, sigma_c: float, concepts: Discret
     return concepts.points[picks]
 
 
-def draw_social(i: int, state: PopulationState, learning, rng) -> Tuple[int, np.ndarray]:
-    """One social observation for agent i: pick a source agent from row i of
-    the learning matrix, pick an experience uniformly, and report that
-    agent's concept there (including the zero concept)."""
-    sample = draw_sample(i, state, SimulationConfig(tau=0.0, sample_size=1), learning, rng)
-    return int(sample.experience_indices[0]), sample.concepts[0]
-
-
-def draw_individual(
-    i: int, state: PopulationState, sigma_e: float, sigma_c: float, rng
-) -> Tuple[int, np.ndarray]:
-    """One self-exploration observation for agent i.
-
-    The experience is drawn with weight proportional to its Gaussian
-    affinity to the experiences the agent already conceptualizes (uniform
-    for a newborn); the concept is a Gaussian perturbation of the agent's
-    current concept there, confined to the concept space.
-    """
-    config = SimulationConfig(tau=1.0, sample_size=1, sigma_e=sigma_e, sigma_c=sigma_c)
-    sample = draw_sample(i, state, config, np.eye(state.n_agents), rng)
-    return int(sample.experience_indices[0]), sample.concepts[0]
-
-
 def draw_sample(
     i: int,
     state: PopulationState,
@@ -326,13 +301,17 @@ def draw_sample(
     """m observations for agent i; each is individual with probability tau,
     social otherwise.  Zero-concept social observations are kept unless the
     configuration drops them."""
-    e_idx, concepts, keep = _draw_rows(state, config, learning, [rng], [i], kernel)
+    e_idx, concepts, keep = _draw_rows(
+        state.setting, state.values[None], config, np.asarray(learning)[None], [rng], [i], kernel
+    )
     return Sample(e_idx[0, keep[0]], concepts[0, keep[0]])
 
 
-def _draw_rows(state, config, learning, rngs, agents, kernel=None):
-    """Samples of the listed agents, agent ``agents[r]`` drawing from
-    ``rngs[r]``.
+def _draw_rows(setting, values, config, learning, rngs, agents, kernel=None):
+    """Samples of the listed agents of an (R, N, n_experiences, l) stack of
+    populations under its (R, N, N) learning matrices.  ``agents`` holds
+    flat indices r * N + a; agent ``agents[k]`` draws from ``rngs[k]`` and
+    sources only agents of its own population.
 
     Each stream gives exactly one block of (2 + w) * m uniforms, w = l for
     a box and 1 for a discrete space, read as 2 + w rows of m slots:
@@ -342,43 +321,37 @@ def _draw_rows(state, config, learning, rngs, agents, kernel=None):
     one).  Returns (k, m) experience indices, (k, m, l) concepts and the
     (k, m) mask of the observations kept.
     """
-    setting = state.setting
-    values = state.values
+    n, n_exp, dim = values.shape[1:]
+    flat = values.reshape(-1, n_exp, dim)
     m = config.sample_size
-    n_exp = setting.n_experiences
     box = isinstance(setting.concepts, BoxConcepts)
-    width = 2 + (setting.concept_dim if box else 1)
+    width = 2 + (dim if box else 1)
     agents = np.asarray(agents)
-    cumulative = np.asarray(learning, dtype=float)[agents].cumsum(axis=1)
+    cumulative = np.asarray(learning, dtype=float).reshape(-1, n)[agents].cumsum(axis=1)
     block = np.empty((len(agents), width * m))
     sources = np.empty((len(agents), m), dtype=np.intp)
     for r, rng in enumerate(rngs):
         rng.random(out=block[r])
         sources[r] = cumulative[r].searchsorted(block[r, m : 2 * m], side="right")
-    np.minimum(sources, cumulative.shape[1] - 1, out=sources)
+    np.minimum(sources, n - 1, out=sources)
+    sources += (agents - agents % n)[:, None]
     u = block.reshape(len(agents), width, m)
 
     individual = u[:, 0] < config.tau
     e_idx = np.minimum((u[:, 2] * n_exp).astype(np.intp), n_exp - 1)
-    concepts = values[sources, e_idx]
+    concepts = flat[sources, e_idx]
     rows, slots = individual.nonzero()
     if len(rows):
         if kernel is None:
             kernel = experience_kernel(setting, config.sigma_e)
-        # experiences weighted by their affinity to the agent's support, an
-        # agent that conceptualizes nothing yet weighing them all 1; one
-        # product for the whole population, so a row rounds alike whichever
-        # agents are drawing
-        support = values.any(axis=-1)
-        weights = support @ kernel + ~support.any(axis=1, keepdims=True)
-        cum = weights.cumsum(axis=1)[agents[rows]]
+        cum = _exploration_weights(values, kernel)[agents[rows]].cumsum(axis=1)
         # rows of cum are nondecreasing, so the count of entries <= u is the
         # right-side searchsorted position
         below = cum <= (u[rows, 1, slots] * cum[:, -1])[:, None]
         picked = np.minimum(below.sum(axis=1), n_exp - 1)
         e_idx[rows, slots] = picked
         explore = _truncated_gaussian if box else _discrete_gaussian
-        centers = values[agents[rows], picked]
+        centers = flat[agents[rows], picked]
         concepts[rows, slots] = explore(u[rows, 2:, slots], centers, config.sigma_c, setting.concepts)
     if config.drop_zero_social:
         keep = individual | concepts.any(axis=-1)
@@ -387,36 +360,29 @@ def _draw_rows(state, config, learning, rngs, agents, kernel=None):
     return e_idx, concepts, keep
 
 
-def least_squares_update(k_prev: KnowledgeFunction, sample: Sample) -> KnowledgeFunction:
-    """Per-experience least-squares fit of the sample.
-
-    Experiences present in the sample take the minimizer of the summed
-    squared distance to their observations: the observation mean for a box
-    space (clamped as a numerical safety), the listed point nearest the mean
-    for a discrete space (exact ties resolved to the lowest concept index).
-    Experiences absent from the sample keep their previous value, the
-    minimizer closest to the old table.
+def _exploration_weights(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """(R * N, E) experience weights of every agent of an (R, N, E, l)
+    stack: each experience weighs its kernel affinity to the agent's
+    support, and all weigh 1 for an agent that conceptualizes nothing yet.
+    The products stay stacked, one per population, so a row rounds alike
+    whatever the stack; one (R * N, E) @ (E, E) product would not.
     """
-    if len(sample) == 0:
-        return k_prev
-    values = _refit(
-        k_prev.setting,
-        k_prev.values[None],
-        sample.experience_indices[None],
-        sample.concepts[None],
-        np.ones((1, len(sample)), dtype=bool),
-    )
-    return KnowledgeFunction._trusted(k_prev.setting, values[0])
+    support = values.any(axis=-1)
+    weights = support @ kernel + ~support.any(axis=-1, keepdims=True)
+    return weights.reshape(-1, kernel.shape[0])
 
 
 def _refit(setting, values, e_idx, concepts, keep) -> np.ndarray:
-    """:func:`least_squares_update` of every agent at once.
+    """Per-experience least-squares fit of K agents' samples at once.
 
-    ``values`` is the (N, n_experiences, l) population, row a of the (N, m)
-    ``e_idx``, (N, m, l) ``concepts`` and (N, m) ``keep`` is agent a's
-    sample.  The samples are stacked with disjoint index offsets, so each
-    agent's sums run over its own observations in sample order.  Returns a
-    new value array.
+    Row a of the (K, m) ``e_idx``, (K, m, l) ``concepts`` and (K, m)
+    ``keep`` is the sample of agent a, whose table is ``values[a]``.  A
+    sampled experience takes the minimizer of the summed squared distance
+    to its observations: their mean for a box space (clamped as a numerical
+    safety), the listed point nearest the mean for a discrete space (exact
+    ties to the lowest concept index).  The others keep their value.  The
+    samples are stacked with disjoint index offsets, so each agent's sums
+    run over its own observations in sample order.  Returns a new array.
     """
     n, n_exp, dim = values.shape
     total = n * n_exp
@@ -456,23 +422,36 @@ def step(
     rngs: Sequence[np.random.Generator],
     kernel: Optional[np.ndarray] = None,
 ) -> PopulationState:
-    """One synchronous update of the whole population from its time-t
-    snapshot: rebuild credibility and the learning matrix, then resample and
-    refit every agent."""
-    n = state.n_agents
+    """One synchronous update from the time-t snapshot: rebuild credibility
+    and the learning matrix, then resample and refit every agent.
+
+    ``state.values`` is one (N, E, l) population, the R = 1 case, or an
+    (R, N, E, l) stack of R populations under the same structure; agent a
+    of population r draws from ``rngs[r * N + a]``.
+    """
+    values = state.values
+    stack = values.reshape((-1,) + values.shape[-3:])
+    n_pops, n = stack.shape[:2]
     G = np.asarray(structure, dtype=float)
     if G.shape != (n, n):
         raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
-    if len(rngs) != n:
+    if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
-    cred = credibility_from_values(
-        state.setting, state.values, landscape, config.c_min
-    )
+    cred = credibility_from_values(state.setting, stack, landscape, config.c_min)
     # validates the structure's entries (MatrixError) once per step
     learning = compute_social_learning(G, cred)
-    e_idx, concepts, keep = _draw_rows(state, config, learning, rngs, np.arange(n), kernel)
-    new_values = _refit(state.setting, state.values, e_idx, concepts, keep)
-    return PopulationState._trusted(state.setting, new_values, state.t + 1)
+    e_idx, concepts, keep = _draw_rows(
+        state.setting, stack, config, learning, rngs, np.arange(n_pops * n), kernel
+    )
+    new_values = _refit(
+        state.setting, stack.reshape((-1,) + values.shape[-2:]), e_idx, concepts, keep
+    )
+    return PopulationState._trusted(state.setting, new_values.reshape(values.shape), state.t + 1)
+
+
+# Cap on R * N * N for one chunk of replicates, so that each of its stacked
+# (R, N, N) matrices stays within 8 MB.
+CHUNK_FLOATS = 1 << 20
 
 
 def run(
@@ -488,25 +467,33 @@ def run(
 
     Each replicate runs the dynamic for ``config.horizon`` steps from the
     initial state and records the metrics at t = 0 and after every step.
-    Replicate streams are derived independently from (seed, replicate), so
-    the trace is identical for a given configuration regardless of how many
-    replicates run or in what order.  ``observer`` is called as
-    observer(replicate, state) at every recorded point and forces
-    single-process execution.
+    Contiguous chunks of replicates step as one (R, N, E, l) stack: one
+    chunk, or one per worker when ``n_jobs`` > 1, cut to R * N * N <=
+    ``CHUNK_FLOATS``.  Streams derive from (seed, replicate) and each
+    population of a stack rounds as it would alone, so the trace does not
+    depend on the replicate count, the chunks or their order.
+    ``observer(replicate, state)`` is called at every recorded point,
+    replicate by replicate (chunks of one), and forces a single process.
     """
     config.validate()
-    validate_structure(structure)
-    args = (config, np.asarray(structure, dtype=float), landscape, initial, re_target)
-    reps = range(config.replicates)
-    if n_jobs > 1 and observer is None:
+    args = (config, validate_structure(structure), landscape, initial, re_target)
+    reps = config.replicates
+    parallel = n_jobs > 1 and observer is None
+    if observer is not None:
+        size = 1
+    else:
+        size = -(-reps // n_jobs) if parallel else reps
+    size = max(1, min(size, CHUNK_FLOATS // initial.n_agents**2))
+    chunks = [range(s, min(s + size, reps)) for s in range(0, reps, size)]
+    if parallel:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_replicate, [(r, *args) for r in reps]))
+            results = list(pool.map(_run_chunk, [(c, *args) for c in chunks]))
     else:
-        results = [_run_replicate((r, *args), observer) for r in reps]
+        results = [_run_chunk((c, *args), observer) for c in chunks]
     rows = np.concatenate([rows for rows, _ in results])
-    finals = np.stack([final for _, final in results])
+    finals = np.concatenate([final for _, final in results])
     return RunResult(MetricTrace(rows), finals)
 
 
@@ -523,19 +510,24 @@ class RunResult:
         return self.final_values.mean(axis=1)
 
 
-def _run_replicate(packed, observer=None):
-    r, config, structure, landscape, initial, re_target = packed
-    state = initial
-    rngs = agent_streams(config.seed, r, state.n_agents)
-    kernel = (
-        experience_kernel(state.setting, config.sigma_e) if config.tau > 0.0 else None
-    )
-    rows = [trace_record(0, r, state, re_target)]
-    if observer is not None:
-        observer(r, state)
-    for _ in range(config.horizon):
-        state = step(state, config, structure, landscape, rngs, kernel=kernel)
-        rows.append(trace_record(state.t, r, state, re_target))
+def _run_chunk(packed, observer=None):
+    # the replicates of range ``reps`` as one stack; rows replicate-major
+    reps, config, structure, landscape, initial, re_target = packed
+    setting = initial.setting
+    rngs = [g for r in reps for g in agent_streams(config.seed, r, initial.n_agents)]
+    kernel = experience_kernel(setting, config.sigma_e) if config.tau > 0.0 else None
+    stack = np.repeat(initial.values[None], len(reps), axis=0)
+    state = PopulationState._trusted(setting, stack, initial.t)
+    rows = np.empty((len(reps), config.horizon + 1, len(TRACE_COLUMNS)))
+
+    def record(k, t, state):
+        rows[:, k] = trace_record(t, reps, state.values, re_target)
         if observer is not None:
-            observer(r, state)
-    return np.asarray(rows, dtype=float), state.values
+            for r, values in zip(reps, state.values):
+                observer(r, PopulationState._trusted(setting, values, state.t))
+
+    record(0, 0, state)
+    for k in range(1, config.horizon + 1):
+        state = step(state, config, structure, landscape, rngs, kernel=kernel)
+        record(k, state.t, state)
+    return rows.reshape(-1, len(TRACE_COLUMNS)), state.values

@@ -173,6 +173,9 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         re_target = None
         if "re_target" in doc:
             re_target = _target_table(doc["re_target"], setting)
+        notes = doc.get("notes", [])
+        if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
+            raise ConfigError(f"notes must be a list of strings, got {notes!r}")
     except (ConfigError, KnowledgeError, ValueError) as err:
         raise ConfigError(str(err)) from err
     return ExperimentSetup(
@@ -182,7 +185,7 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         landscape=landscape,
         initial=initial,
         re_target=re_target,
-        notes=tuple(doc.get("notes", ())),
+        notes=tuple(notes),
     )
 
 
@@ -401,23 +404,35 @@ def _git_blob_sha1(payload: bytes) -> str:
     return h.hexdigest()
 
 
+class _Manifest(dict):
+    """A run manifest that keeps the JSON encoding of its config."""
+
+    def to_json(self) -> str:
+        """``json.dumps(self, sort_keys=True)``, reusing the config's
+        encoding: "config" sorts before every other key."""
+        rest = {k: v for k, v in self.items() if k != "config"}
+        return '{"config": ' + self.config_json + ", " + json.dumps(rest, sort_keys=True)[1:]
+
+
 def build_manifest(setup: ExperimentSetup) -> dict:
     """Run manifest: resolved config, initial-state spectral report, and a
     content hash of the resolved inputs.  The timestamp is the only
     run-to-run varying field."""
     doc = setup.to_dict()
-    payload = json.dumps(doc, sort_keys=True).encode()
+    payload = json.dumps(doc, sort_keys=True)
     cred = credibility_from_values(
         setup.initial.setting, setup.initial.values, setup.landscape, setup.config.c_min
     )
     learning = compute_social_learning(setup.structure, cred)
-    return {
-        "name": setup.name,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": doc,
-        "spectral": spectral.analyze(learning).to_dict(),
-        "input_hash": _git_blob_sha1(payload),
-    }
+    manifest = _Manifest(
+        name=setup.name,
+        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        config=doc,
+        spectral=spectral.analyze(learning).to_dict(),
+        input_hash=_git_blob_sha1(payload.encode()),
+    )
+    manifest.config_json = payload
+    return manifest
 
 
 def _metric_column(setup: ExperimentSetup) -> str:
@@ -508,9 +523,9 @@ def run_experiment(
         result.trace.to_csv(os.path.join(out_dir, "trace.csv"))
         result.trace.mean_to_csv(os.path.join(out_dir, "mean.csv"))
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            # One-shot compact dumps runs json's C encoder; json.dump with an
-            # indent encodes the embedded config value by value in Python.
-            fh.write(json.dumps(build_manifest(setup), sort_keys=True) + "\n")
+            # Compact dumps run json's C encoder; json.dump with an indent
+            # encodes the embedded config value by value in Python.
+            fh.write(build_manifest(setup).to_json() + "\n")
         summary = summarize(setup, result)
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(summary)

@@ -80,15 +80,17 @@ def compute_credibility(
 
 def credibility_from_values(setting, values: np.ndarray, landscape, c_min: float) -> np.ndarray:
     """Tensor form of :func:`compute_credibility` for a prestacked
-    (N, n_experiences, l) value array."""
+    (..., N, n_experiences, l) value array: one (N, N) matrix per
+    population of the stack.  The products stay stacked, one per
+    population, so each matrix rounds as it would alone."""
     support = np.any(values != 0.0, axis=-1)
     lik = landscape.per_population(setting, values)
 
     positive = lik > 0.0
     safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
     sup = support.astype(float)
-    log_prod = sup @ safe_log.T
-    hit_zero = (sup @ (~positive).astype(float).T) > 0.0
+    log_prod = sup @ np.swapaxes(safe_log, -1, -2)
+    hit_zero = (sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0
     prod = np.exp(log_prod)
     prod[hit_zero] = 0.0
 
@@ -97,44 +99,59 @@ def credibility_from_values(setting, values: np.ndarray, landscape, c_min: float
 
 
 def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Penalty of agent j as seen by agent i: variety of j's nonzero concepts
-    over the experiences i has conceptualized.  Diagonal is zero.
+    """Penalty of agent j as seen by agent i, per population of the
+    (..., N, E, l) stack: variety of j's nonzero concepts over the
+    experiences i has conceptualized.  Diagonal is zero.
 
-    Row i depends on i only through its support mask, so each distinct mask
-    is evaluated once and its row copied to the agents that share it.
+    Row i depends on i only through its population and its support mask,
+    so each distinct (population, mask) pair is evaluated once against its
+    own population and its row copied to the agents that share it.
     """
+    n, n_exp, dim = values.shape[-3:]
+    pops = values.reshape(-1, n, n_exp, dim)
     keys = {}
-    owner = [keys.setdefault(row.tobytes(), len(keys)) for row in support]
-    masks = np.frombuffer(b"".join(keys), dtype=bool).reshape(len(keys), -1)
+    owner = [
+        keys.setdefault((p, row.tobytes()), len(keys))
+        for p, rows in enumerate(support.reshape(-1, n, n_exp))
+        for row in rows
+    ]
+    pop = np.array([p for p, _ in keys])
+    masks = np.frombuffer(b"".join(mask for _, mask in keys), dtype=bool).reshape(len(keys), -1)
 
     concepts = setting.concepts
     if isinstance(concepts, DiscreteConcepts):
-        # distinct nonzero concepts of j over the mask, from a presence count
-        n, n_exp, dim = values.shape
-        idx = concepts.index_of(values.reshape(-1, dim)).reshape(n, n_exp)
-        onehot = (idx[:, :, None] == np.arange(1, len(concepts))).astype(float)
-        used = np.einsum("ke,jec->kjc", masks.astype(float), onehot) > 0.0
-        pen = np.maximum(used.sum(axis=-1) - 1, 0).astype(float)
+        # distinct nonzero concepts of j over the mask, from a presence
+        # count; a population's keys are contiguous
+        idx = concepts.index_of(pops.reshape(-1, dim)).reshape(pops.shape[:-1])
+        onehot = (idx[..., None] == np.arange(1, len(concepts))).astype(float)
+        first = np.searchsorted(pop, np.arange(len(pops) + 1))
+        pen = np.empty((len(masks), n))
+        for p, (s, e) in enumerate(zip(first[:-1], first[1:])):
+            used = np.einsum("ke,jec->kjc", masks[s:e].astype(float), onehot[p]) > 0.0
+            pen[s:e] = np.maximum(used.sum(axis=-1) - 1, 0)
     elif concepts.dim == 1:
-        v1 = values[:, :, 0]
-        highs = np.where(support, v1, -np.inf)
-        lows = np.where(support, v1, np.inf)
+        present = support.reshape(pops.shape[:-1])
+        highs = np.where(present, pops[..., 0], -np.inf)
+        lows = np.where(present, pops[..., 0], np.inf)
         # masks in blocks, so the (masks, N, E) slab stays near one megabyte
-        block = max(1, (1 << 17) // highs.size)
-        pen = np.empty((len(masks), len(values)))
+        block = max(1, (1 << 17) // (n * n_exp))
+        pen = np.empty((len(masks), n))
         for s in range(0, len(masks), block):
-            sel = masks[s : s + block, None, :]
+            sel, own = masks[s : s + block, None, :], pop[s : s + block]
             span = (
-                np.where(sel, highs, -np.inf).max(axis=2)
-                - np.where(sel, lows, np.inf).min(axis=2)
+                np.where(sel, highs[own], -np.inf).max(axis=2)
+                - np.where(sel, lows[own], np.inf).min(axis=2)
             )
             pen[s : s + block] = np.where(np.isfinite(span), np.maximum(span, 0.0), 0.0)
     else:
         pen = np.array(
-            [[usage_penalty(v[m], concepts) if m.any() else 0.0 for v in values] for m in masks]
+            [
+                [usage_penalty(v[m], concepts) if m.any() else 0.0 for v in pops[p]]
+                for p, m in zip(pop, masks)
+            ]
         )
-    pen = pen[owner]
-    np.fill_diagonal(pen, 0.0)
+    pen = pen[owner].reshape(support.shape[:-1] + (n,))
+    pen[..., np.arange(n), np.arange(n)] = 0.0
     return pen
 
 
@@ -142,11 +159,13 @@ def compute_social_learning(gamma, credibility) -> np.ndarray:
     """Row-stochastic learning matrix from structure and credibility.
 
     lambda_ij is gamma_ij * c_ij over its row sum; rows whose sum vanishes
-    fall back to the uniform row 1/N.
+    fall back to the uniform row 1/N.  ``credibility`` may stack (N, N)
+    matrices along leading axes, one per population; the structure is
+    validated once for all of them.
     """
     G = validate_structure(gamma)
-    C = _square(credibility, "credibility matrix")
-    if G.shape != C.shape:
+    C = np.asarray(credibility, dtype=float)
+    if C.shape[-2:] != G.shape:
         raise MatrixError(
             f"dimension mismatch: structure {G.shape} vs credibility {C.shape}"
         )
@@ -165,33 +184,10 @@ def normalize_rows(M) -> np.ndarray:
 
 def _rows_or_uniform(w: np.ndarray, guard: float) -> np.ndarray:
     # each row over its sum; rows summing to at most ``guard`` become 1/N
-    sums = w.sum(axis=1)
+    sums = w.sum(axis=-1)
     out = np.empty_like(w)
     dead = sums <= guard
-    out[dead] = 1.0 / len(w)
+    out[dead] = 1.0 / w.shape[-1]
     live = ~dead
     out[live] = w[live] / sums[live, None]
     return out
-
-
-def write_matrix_csv(M, path) -> None:
-    """Row-major CSV with header row j0,j1,..."""
-    A = np.asarray(M, dtype=float)
-    header = ",".join(f"j{j}" for j in range(A.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in A:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("j0"):
-            raise MatrixError(f"missing j0,j1,... header in {path}")
-        rows = [
-            [float(x) for x in line.split(",")]
-            for line in fh.read().splitlines()
-            if line
-        ]
-    return np.asarray(rows, dtype=float)

@@ -20,11 +20,15 @@ class KnowledgeError(ValueError):
 
 
 def _as_points(points, name: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    problem = KnowledgeError(f"{name} must be a nonempty 2d array of points")
+    try:
+        arr = np.asarray(points, dtype=float)
+    except (TypeError, ValueError):
+        raise problem from None
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
-        raise KnowledgeError(f"{name} must be a nonempty 2d array of points")
+        raise problem
     return arr
 
 
@@ -249,9 +253,6 @@ class KnowledgeFunction:
         """
         values = self.values if mask is None else self.values[mask]
         return usage_penalty(values, self.setting.concepts)
-
-    def with_values(self, values) -> "KnowledgeFunction":
-        return KnowledgeFunction(self.setting, values)
 
     @classmethod
     def _trusted(cls, setting: KnowledgeSetting, values: np.ndarray) -> "KnowledgeFunction":

@@ -57,7 +57,8 @@ def equilibrium_shift(initial: KnowledgeFunction, equilibrium: KnowledgeFunction
 
 
 def relative_entropy(state, target) -> float:
-    """Nonpositive closeness score of the population to a target function.
+    """Nonpositive closeness score of the population to a target function
+    (one per population of an (R, N, E, l) stack).
 
     Minus the population mean of the per-agent root-mean-square deviation
     from the target over experiences; zero exactly when every agent equals
@@ -68,9 +69,8 @@ def relative_entropy(state, target) -> float:
     g = np.asarray(getattr(target, "values", target), dtype=float)
     if g.ndim == 1:
         g = g[:, None]
-    n_exp = V.shape[1]
-    per_agent = np.sqrt(np.sum((V - g[None]) ** 2, axis=(1, 2)) / n_exp)
-    return float(-per_agent.mean())
+    per_agent = np.sqrt(np.sum((V - g) ** 2, axis=(-2, -1)) / V.shape[-2])
+    return -per_agent.mean(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,26 +140,24 @@ def _write_csv(path, header, rows, int_cols=()) -> None:
         fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
 
 
-def trace_record(
-    t: int, replicate: int, state, re_target: Optional[np.ndarray]
-) -> list:
-    """One trace row for the current state.
+def trace_record(t: int, replicate, state, re_target: Optional[np.ndarray]) -> np.ndarray:
+    """Trace rows for the current state: one row for an (N, E, l)
+    population and index ``replicate``, or an (R, 5) array for an
+    (R, N, E, l) stack and its R replicate indices.
 
-    The population is centred once; ``d_consensus`` is the norm of that
+    Each population is centred once; ``d_consensus`` is the norm of that
     array, as in :func:`consensus_distance`, and the nearest individual is
-    found from it.
+    found from it.  The whole-population sums run one population at a time,
+    since an einsum over more than 8192 entries blocks by the stack's shape,
+    so a population's row is the same bits alone or stacked.
     """
-    re = (
-        relative_entropy(state, re_target)
-        if re_target is not None
-        else float("nan")
-    )
     V = _value_tensor(state)
-    centred = V - V.mean(axis=0)
-    return [
-        float(t),
-        float(replicate),
-        float(np.linalg.norm(centred)),
-        _nearest_from_centred(V, centred),
-        re,
-    ]
+    stack = V.reshape((-1,) + V.shape[-3:])
+    centred = stack - stack.mean(axis=1, keepdims=True)
+    rows = np.empty((len(stack), len(TRACE_COLUMNS)))
+    rows[:, 0] = t
+    rows[:, 1] = replicate
+    for row, v, c in zip(rows, stack, centred):
+        row[2:4] = np.linalg.norm(c), _nearest_from_centred(v, c)
+    rows[:, 4] = np.nan if re_target is None else relative_entropy(stack, re_target)
+    return rows.reshape(V.shape[:-3] + rows.shape[1:])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +23,22 @@ from epidyn import (
     agent_streams,
     compute_credibility,
     compute_social_learning,
-    draw_individual,
     draw_sample,
-    draw_social,
     experience_kernel,
     grid_setting,
-    least_squares_update,
+    preset,
     run,
     step,
 )
-from epidyn.dynamics import _discrete_gaussian, _normal_cdf, _normal_ppf
+import epidyn.dynamics as dynamics
+from epidyn.dynamics import (
+    _discrete_gaussian,
+    _exploration_weights,
+    _normal_cdf,
+    _normal_ppf,
+    _refit,
+)
+from epidyn.metrics import trace_record
 
 
 def rng_for(seed=0):
@@ -48,44 +55,62 @@ def two_agent_state(a=2.0, b=6.0, n_exp=5):
     )
 
 
+def social_draws(i, state, learning, rng, m):
+    """m social observations of agent i: experience indices and concepts."""
+    sample = draw_sample(i, state, SimulationConfig(tau=0.0, sample_size=m), learning, rng)
+    return sample.experience_indices, sample.concepts
+
+
+def individual_draws(i, state, rng, m, sigma_e=1.0, sigma_c=0.1):
+    """m self-exploration observations of agent i."""
+    cfg = SimulationConfig(tau=1.0, sample_size=m, sigma_e=sigma_e, sigma_c=sigma_c)
+    sample = draw_sample(i, state, cfg, np.eye(state.n_agents), rng)
+    return sample.experience_indices, sample.concepts
+
+
+def refit_one(k_prev, sample):
+    """The population refit with N = 1: agent k_prev's new table."""
+    keep = np.ones((1, len(sample)), dtype=bool)
+    new = _refit(
+        k_prev.setting,
+        k_prev.values[None],
+        sample.experience_indices[None],
+        sample.concepts[None],
+        keep,
+    )
+    return new[0]
+
+
 class TestDrawSocial:
     def test_single_agent_echoes_own_table(self):
         setting = grid_setting(4)
         k = KnowledgeFunction(setting, [1.0, 2.0, 3.0, 4.0])
         state = PopulationState([k])
-        rng = rng_for(1)
-        for _ in range(50):
-            e, c = draw_social(0, state, np.array([[1.0]]), rng)
-            assert c[0] == k.values[e, 0]
+        e, c = social_draws(0, state, np.array([[1.0]]), rng_for(1), 50)
+        assert np.array_equal(c, k.values[e])
 
     def test_point_mass_row_sources_one_agent_uniform_experiences(self):
         # degenerate row always picks agent 0; experience counts should pass
         # a 3-sigma multinomial check over 10^4 draws
         state = two_agent_state(3.0, -7.0, n_exp=5)
         learning = np.array([[1.0, 0.0], [1.0, 0.0]])
-        rng = rng_for(2)
         n = 10_000
-        counts = np.zeros(5)
-        for _ in range(n):
-            e, c = draw_social(1, state, learning, rng)
-            counts[e] += 1
-            assert c[0] == 3.0  # only agent 0's table can be sourced
+        e, c = social_draws(1, state, learning, rng_for(2), n)
+        assert np.all(c == 3.0)  # only agent 0's table can be sourced
+        counts = np.bincount(e, minlength=5)
         expect = n / 5
         sigma = math.sqrt(n * 0.2 * 0.8)
         assert np.all(np.abs(counts - expect) <= 3 * sigma)
 
     def test_consensus_state_returns_shared_concept(self):
         state = two_agent_state(4.0, 4.0)
-        rng = rng_for(3)
-        for _ in range(20):
-            e, c = draw_social(0, state, np.full((2, 2), 0.5), rng)
-            assert c[0] == 4.0
+        _, c = social_draws(0, state, np.full((2, 2), 0.5), rng_for(3), 20)
+        assert np.all(c == 4.0)
 
     def test_zero_concepts_are_reported(self):
         setting = grid_setting(2)
         state = PopulationState([KnowledgeFunction.zero(setting)])
-        rng = rng_for(4)
-        e, c = draw_social(0, state, np.array([[1.0]]), rng)
+        _, c = social_draws(0, state, np.array([[1.0]]), rng_for(4), 1)
         assert np.all(c == 0.0)
 
 
@@ -93,18 +118,13 @@ class TestDrawIndividual:
     def test_newborn_falls_back_to_uniform_experiences(self):
         setting = grid_setting(5)
         state = PopulationState([KnowledgeFunction.zero(setting)])
-        rng = rng_for(5)
         n = 10_000
-        counts = np.zeros(5)
-        cs = []
-        for _ in range(n):
-            e, c = draw_individual(0, state, sigma_e=1.0, sigma_c=0.1, rng=rng)
-            counts[e] += 1
-            cs.append(c[0])
+        e, c = individual_draws(0, state, rng_for(5), n, sigma_e=1.0, sigma_c=0.1)
+        counts = np.bincount(e, minlength=5)
         sigma = math.sqrt(n * 0.2 * 0.8)
         assert np.all(np.abs(counts - n / 5) <= 3 * sigma)
         # concepts hover around the origin with spread sigma_c
-        cs = np.asarray(cs)
+        cs = c[:, 0]
         assert abs(cs.mean()) <= 3 * 0.1 / math.sqrt(n) + 1e-3
         assert cs.std() == pytest.approx(0.1, rel=0.05)
 
@@ -113,20 +133,14 @@ class TestDrawIndividual:
         values = np.zeros((5, 1))
         values[2, 0] = 1.0  # only experience index 2 conceptualized
         state = PopulationState([KnowledgeFunction(setting, values)])
-        rng = rng_for(6)
-        hits = sum(
-            draw_individual(0, state, sigma_e=1e-3, sigma_c=0.1, rng=rng)[0] == 2
-            for _ in range(300)
-        )
-        assert hits == 300
+        e, _ = individual_draws(0, state, rng_for(6), 300, sigma_e=1e-3, sigma_c=0.1)
+        assert np.all(e == 2)
 
     def test_narrow_concept_kernel_recovers_current_value(self):
         setting = grid_setting(3)
         state = PopulationState([KnowledgeFunction.constant(setting, 2.5)])
-        rng = rng_for(7)
-        for _ in range(50):
-            _, c = draw_individual(0, state, sigma_e=1.0, sigma_c=1e-9, rng=rng)
-            assert c[0] == pytest.approx(2.5, abs=1e-6)
+        _, c = individual_draws(0, state, rng_for(7), 50, sigma_e=1.0, sigma_c=1e-9)
+        assert c[:, 0] == pytest.approx(np.full(50, 2.5), abs=1e-6)
 
     def test_discrete_concepts_weighted_by_proximity(self):
         setting = KnowledgeSetting(
@@ -135,13 +149,7 @@ class TestDrawIndividual:
         state = PopulationState(
             [KnowledgeFunction(setting, [[1.0], [1.0]])]
         )
-        rng = rng_for(8)
-        draws = np.array(
-            [
-                draw_individual(0, state, sigma_e=1.0, sigma_c=0.5, rng=rng)[1][0]
-                for _ in range(2000)
-            ]
-        )
+        draws = individual_draws(0, state, rng_for(8), 2000, sigma_e=1.0, sigma_c=0.5)[1][:, 0]
         # weights at distance 0, 1, 4 with sigma_c = 0.5
         w = np.exp(-np.array([1.0, 0.0, 16.0]) / (2 * 0.25))
         p1 = w[1] / w.sum()
@@ -154,10 +162,8 @@ class TestDrawIndividual:
             __import__("epidyn").BoxConcepts([-0.2], [0.2]),
         )
         state = PopulationState([KnowledgeFunction.constant(setting, 0.19)])
-        rng = rng_for(9)
-        for _ in range(500):
-            _, c = draw_individual(0, state, sigma_e=1.0, sigma_c=0.5, rng=rng)
-            assert -0.2 <= c[0] <= 0.2
+        _, c = individual_draws(0, state, rng_for(9), 500, sigma_e=1.0, sigma_c=0.5)
+        assert np.all((-0.2 <= c) & (c <= 0.2))
 
 
 class TestDrawSample:
@@ -217,7 +223,7 @@ class TestDrawSample:
             0, state, self.cfg(sample_size=7), np.full((2, 2), 0.5), rng_for(14)
         )
         assert len(sample) == 7
-        assert len(list(sample.pairs())) == 7
+        assert sample.experience_indices.shape == (7,) and sample.concepts.shape == (7, 1)
 
 
 class TestLeastSquaresUpdate:
@@ -225,16 +231,15 @@ class TestLeastSquaresUpdate:
         setting = grid_setting(2)
         k_prev = KnowledgeFunction(setting, [0.0, 9.0])
         sample = Sample([0, 0], [[4.0], [6.0]])
-        k = least_squares_update(k_prev, sample)
-        assert k.values[0, 0] == 5.0
-        assert k.values[1, 0] == 9.0
+        k = refit_one(k_prev, sample)
+        assert k[0, 0] == 5.0
+        assert k[1, 0] == 9.0
 
     def test_observations_matching_prev_are_a_fixed_point(self):
         setting = grid_setting(3)
         k_prev = KnowledgeFunction(setting, [1.0, 2.0, 3.0])
         sample = Sample([0, 1, 2, 1], [[1.0], [2.0], [3.0], [2.0]])
-        k = least_squares_update(k_prev, sample)
-        assert np.array_equal(k.values, k_prev.values)
+        assert np.array_equal(refit_one(k_prev, sample), k_prev.values)
 
     def test_discrete_majority_vote_via_squared_distance(self):
         setting = KnowledgeSetting(
@@ -242,9 +247,8 @@ class TestLeastSquaresUpdate:
         )
         k_prev = KnowledgeFunction(setting, [[0.0]])
         sample = Sample([0, 0, 0], [[1.0], [1.0], [2.0]])
-        k = least_squares_update(k_prev, sample)
         # candidate sums of squared distances: 0 -> 6, 1 -> 1, 2 -> 2
-        assert k.values[0, 0] == 1.0
+        assert refit_one(k_prev, sample)[0, 0] == 1.0
 
     def test_discrete_tie_breaks_to_lowest_index(self):
         setting = KnowledgeSetting(
@@ -253,13 +257,12 @@ class TestLeastSquaresUpdate:
         k_prev = KnowledgeFunction(setting, [[0.0]])
         # mean of observations is 2, equidistant from 1 and 3
         sample = Sample([0, 0], [[1.0], [3.0]])
-        k = least_squares_update(k_prev, sample)
-        assert k.values[0, 0] == 1.0
+        assert refit_one(k_prev, sample)[0, 0] == 1.0
 
     def test_empty_sample_returns_previous(self):
         k_prev = KnowledgeFunction(grid_setting(2), [1.0, 2.0])
         sample = Sample(np.empty(0, dtype=int), np.empty((0, 1)))
-        assert least_squares_update(k_prev, sample) is k_prev
+        assert np.array_equal(refit_one(k_prev, sample), k_prev.values)
 
     def test_means_clamped_to_box(self):
         setting = KnowledgeSetting(
@@ -267,7 +270,7 @@ class TestLeastSquaresUpdate:
         )
         k_prev = KnowledgeFunction(setting, [[0.0]])
         sample = Sample([0], [[1.0]])
-        assert least_squares_update(k_prev, sample).values[0, 0] == 1.0
+        assert refit_one(k_prev, sample)[0, 0] == 1.0
 
 
 class TestStep:
@@ -334,8 +337,7 @@ class TestStep:
         rngs = agent_streams(21, 5, 4)
         for i in range(4):
             sample = draw_sample(i, state, cfg, learning, rngs[i], kernel=kernel)
-            expected = least_squares_update(state.functions[i], sample)
-            assert np.array_equal(out.functions[i].values, expected.values)
+            assert np.array_equal(out.functions[i].values, refit_one(state.functions[i], sample))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -384,8 +386,7 @@ class TestStep:
         rngs = agent_streams(seed, 1, n)
         for i in range(n):
             sample = draw_sample(i, state, cfg, learning, rngs[i])
-            expected = least_squares_update(state.functions[i], sample)
-            assert np.array_equal(out.values[i], expected.values)
+            assert np.array_equal(out.values[i], refit_one(state.functions[i], sample))
         assert setting.concepts.contains(out.values.reshape(-1, setting.concept_dim)).all()
 
     def test_rejects_mismatched_shapes(self):
@@ -725,3 +726,123 @@ class TestFixedCountDraws:
                 clone.random(width * m)
             for got, want in zip(rngs, clones):
                 np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+
+
+def mixed_setup(kind, n=4, n_exp=5, seed=0):
+    """A population of the given concept space with one newborn, some zero
+    entries, a random structure and a fitting landscape."""
+    rng = np.random.default_rng(seed)
+    experiences = np.arange(n_exp)[:, None]
+    if kind == "discrete":
+        points = np.array([[0.0], [1.0], [2.5], [4.0]])
+        setting = KnowledgeSetting(experiences, DiscreteConcepts(points))
+        values = points[rng.integers(0, 4, size=(n, n_exp))]
+        landscape = TabularLikelihood(rng.uniform(0.0, 1.0, size=(n_exp, 4)))
+    else:
+        dim = 1 if kind == "box1" else 2
+        setting = KnowledgeSetting(experiences, BoxConcepts([-2.0] * dim, [2.0] * dim))
+        values = rng.uniform(-2.0, 2.0, size=(n, n_exp, dim))
+        values[rng.random((n, n_exp)) < 0.3] = 0.0
+        landscape = GaussianPeakLikelihood([0.5] * dim, 2.0)
+    values[1] = 0.0
+    state = PopulationState.from_values(setting, values)
+    gamma = rng.uniform(0.0, 1.0, size=(n, n))
+    return state, gamma, landscape, np.ones((n_exp, setting.concept_dim))
+
+
+def per_replicate_run(config, gamma, landscape, initial, re_target):
+    """The per-replicate loop that ``run`` replaced, kept as its oracle:
+    each replicate stepped alone from its own (seed, replicate) streams."""
+    kernel = experience_kernel(initial.setting, config.sigma_e) if config.tau > 0.0 else None
+    rows, finals = [], []
+    for r in range(config.replicates):
+        state = initial
+        rngs = agent_streams(config.seed, r, state.n_agents)
+        rows.append(trace_record(0, r, state, re_target))
+        for _ in range(config.horizon):
+            state = step(state, config, gamma, landscape, rngs, kernel=kernel)
+            rows.append(trace_record(state.t, r, state, re_target))
+        finals.append(state.values)
+    return np.asarray(rows), np.stack(finals)
+
+
+class TestReplicateBatch:
+    @pytest.mark.parametrize("replicates", [1, 2, 5])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("kind", ["box1", "box2", "discrete"])
+    def test_stacked_run_equals_per_replicate_steps(self, kind, tau, replicates):
+        state, gamma, landscape, target = mixed_setup(kind, seed=replicates)
+        for drop_zero_social in (False, True):
+            for c_min in (0.0, 0.05):
+                cfg = SimulationConfig(
+                    tau=tau, sample_size=6, sigma_c=0.7, c_min=c_min, horizon=4,
+                    replicates=replicates, seed=17, drop_zero_social=drop_zero_social,
+                )
+                got = run(cfg, gamma, landscape, state, re_target=target)
+                rows, finals = per_replicate_run(cfg, gamma, landscape, state, target)
+                assert np.array_equal(got.trace.rows, rows)
+                assert np.array_equal(got.final_values, finals)
+
+    def test_exploration_weights_round_alike_stacked_or_alone(self):
+        # at N = 10, E = 25 one (R * N, E) @ (E, E) product rounds
+        # differently from the per-population products of the stack
+        rng = np.random.default_rng(12)
+        setting = grid_setting(25)
+        kernel = experience_kernel(setting, 1.0)
+        stack = np.where(rng.random((20, 10, 25, 1)) < 0.5, rng.uniform(-1, 1, (20, 10, 25, 1)), 0.0)
+        stack[3, 4] = 0.0  # a newborn
+        got = _exploration_weights(stack, kernel).reshape(20, 10, 25)
+        for r in range(20):
+            assert np.array_equal(got[r], _exploration_weights(stack[r : r + 1], kernel))
+
+    def test_creation_sized_stack_equals_per_replicate_steps(self):
+        setup = preset("test3-creation", tau=0.3, horizon=5, replicates=5)
+        args = (setup.config, setup.structure, setup.landscape, setup.initial, setup.re_target)
+        got = run(*args[:4], re_target=setup.re_target)
+        rows, finals = per_replicate_run(*args)
+        assert np.array_equal(got.trace.rows, rows)
+        assert np.array_equal(got.final_values, finals)
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_every_chunk_size_gives_the_same_run(self, monkeypatch, n_jobs):
+        state, gamma, landscape, target = mixed_setup("box1", seed=8)
+        cfg = SimulationConfig(tau=0.3, sample_size=6, sigma_c=0.7, horizon=3, replicates=5, seed=4)
+        rows, finals = per_replicate_run(cfg, gamma, landscape, state, target)
+        stacks = []
+        step_alone = dynamics.step
+
+        def spy(state, *args, **kwargs):
+            stacks.append(len(state.values))
+            return step_alone(state, *args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "step", spy)
+        n = state.n_agents
+        for size, expected in ((1, [1] * 5), (2, [2, 2, 1]), (3, [3, 2]), (5, [5]), (6, [5])):
+            monkeypatch.setattr(dynamics, "CHUNK_FLOATS", size * n * n)
+            stacks.clear()
+            got = run(cfg, gamma, landscape, state, re_target=target, n_jobs=n_jobs)
+            assert np.array_equal(got.trace.rows, rows)
+            assert np.array_equal(got.final_values, finals)
+            if n_jobs == 1:  # the workers step in other processes
+                assert stacks == [k for k in expected for _ in range(cfg.horizon)]
+
+    def test_chunk_memory_is_capped(self):
+        # N = 400, R = 8: each stacked (R, N, N) matrix of one chunk is held
+        # to CHUNK_FLOATS entries (6 replicates), so the peak stays below
+        # six such matrices; all 8 replicates in one stack reach 52 MB.
+        rng = np.random.default_rng(3)
+        n, n_exp = 400, 25
+        values = rng.uniform(-10, 10, size=(n, n_exp, 1))
+        values[rng.random((n, n_exp)) < 0.3] = 0.0
+        state = PopulationState.from_values(grid_setting(n_exp), values)
+        gamma = np.zeros((n, n))
+        for k in range(-8, 9):
+            gamma[np.arange(n), (np.arange(n) + k) % n] = 1.0
+        cfg = SimulationConfig(tau=0.0, sample_size=50, horizon=1, replicates=8, seed=1)
+        tracemalloc.start()
+        try:
+            run(cfg, gamma, GaussianPeakLikelihood([6.0], 10.0), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * dynamics.CHUNK_FLOATS

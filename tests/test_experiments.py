@@ -236,6 +236,19 @@ class TestRunExperiment:
         doc = json.loads(text)
         assert text == json.dumps(doc, sort_keys=True) + "\n"
 
+    @pytest.mark.parametrize("name", ["test2-professor", "test3-creation"])
+    def test_written_manifest_equals_one_shot_dump(self, tmp_path, name):
+        # the config is encoded once, for the input hash, and spliced into
+        # the written manifest
+        setup = preset(name, replicates=1, horizon=2)
+        manifest = build_manifest(setup)
+        assert manifest.to_json() == json.dumps(manifest, sort_keys=True)
+        out = tmp_path / "out"
+        assert run_experiment(setup, out, quiet=True) == 0
+        text = (out / "manifest.json").read_text()
+        manifest["created"] = json.loads(text)["created"]
+        assert text == json.dumps(manifest, sort_keys=True) + "\n"
+
     def test_same_seed_byte_identical_outside_manifest(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -364,6 +377,8 @@ MALFORMED = {
     "tabular-shape": _discrete_with_table(5, 2),
     "gamma-nan": _gamma_entry(math.nan),
     "gamma-inf": _gamma_entry(math.inf),
+    "notes-number": _set("notes", 5),
+    "experiences-mapping": _set("experiences", {"a": 1}),
 }
 
 

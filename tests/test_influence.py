@@ -18,9 +18,7 @@ from epidyn import (
     entry_lower_bound,
     grid_setting,
     normalize_rows,
-    read_matrix_csv,
     usage_penalty,
-    write_matrix_csv,
 )
 from epidyn.influence import _pairwise_penalty, credibility_from_values, validate_structure
 from epidyn.knowledge import TabularLikelihood
@@ -189,6 +187,36 @@ class TestPairwisePenalty:
         got = _pairwise_penalty(setting, values, support)
         assert (got == tensor_penalty(values, support)).all()
 
+    @pytest.mark.parametrize("kind", sorted(PENALTY_SPACES))
+    def test_stack_equals_each_population_alone(self, kind):
+        # populations share masks but not values, so a mask is evaluated
+        # once per population that holds it
+        rng = np.random.default_rng(sorted(PENALTY_SPACES).index(kind))
+        setting, first = mixed_population(rng, kind, 7, 6)
+        pops = [first]
+        for _ in range(3):
+            other = mixed_population(rng, kind, 7, 6, 0.0)[1]
+            other[first == 0.0] = 0.0
+            other[(first != 0.0) & (other == 0.0)] = first[(first != 0.0) & (other == 0.0)]
+            pops.append(other)
+        stack = np.stack(pops)
+        support = np.any(stack != 0.0, axis=-1)
+        got = _pairwise_penalty(setting, stack, support)
+        assert got.shape == (4, 7, 7)
+        for p, values in enumerate(pops):
+            assert np.array_equal(got[p], _pairwise_penalty(setting, values, support[p]))
+        if kind == "discrete":
+            landscape = TabularLikelihood(rng.uniform(0.0, 1.0, size=(6, len(setting.concepts))))
+        else:
+            landscape = GaussianPeakLikelihood([0.5] * setting.concept_dim, 2.0)
+        cred = credibility_from_values(setting, stack, landscape, 0.05)
+        gamma = rng.uniform(0.0, 1.0, size=(7, 7))
+        learning = compute_social_learning(gamma, cred)
+        for p, values in enumerate(pops):
+            alone = credibility_from_values(setting, values, landscape, 0.05)
+            assert np.array_equal(cred[p], alone)
+            assert np.array_equal(learning[p], compute_social_learning(gamma, alone))
+
     def test_credibility_peak_memory_at_400_agents(self):
         # The (N, N, E) penalty tensors alone took about 39 MB at this size.
         rng = np.random.default_rng(71)
@@ -319,19 +347,3 @@ class TestNormalizeRows:
     def test_negative_entries_rejected(self):
         with pytest.raises(MatrixError):
             normalize_rows(np.array([[1.0, -0.5], [0.5, 0.5]]))
-
-
-class TestMatrixCsv:
-    def test_round_trip(self, tmp_path):
-        M = np.array([[1.0, 0.25], [1e-300, 0.123456789012345678]])
-        path = tmp_path / "m.csv"
-        write_matrix_csv(M, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "j0,j1"
-        assert np.array_equal(read_matrix_csv(path), M)
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n")
-        with pytest.raises(MatrixError):
-            read_matrix_csv(path)
