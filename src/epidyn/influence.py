@@ -184,10 +184,7 @@ def normalize_rows(M) -> np.ndarray:
 
 def _rows_or_uniform(w: np.ndarray, guard: float) -> np.ndarray:
     # each row over its sum; rows summing to at most ``guard`` become 1/N
-    sums = w.sum(axis=-1)
-    out = np.empty_like(w)
-    dead = sums <= guard
-    out[dead] = 1.0 / w.shape[-1]
-    live = ~dead
-    out[live] = w[live] / sums[live, None]
-    return out
+    # (a NaN sum is not at most ``guard``, so its row stays NaN)
+    sums = w.sum(axis=-1, keepdims=True)
+    out = np.full_like(w, 1.0 / w.shape[-1])
+    return np.divide(w, sums, out=out, where=~(sums <= guard))

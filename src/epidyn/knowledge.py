@@ -32,6 +32,22 @@ def _as_points(points, name: str) -> np.ndarray:
     return arr
 
 
+def sorted_distinct(a) -> np.ndarray:
+    """Distinct entries (1-D) or rows (2-D) of ``a`` in ascending order.
+
+    A sort and one neighbour comparison, as ``np.unique`` does, without the
+    ``numpy.ma`` import that ``np.unique`` costs a fresh process.
+    """
+    a = np.asarray(a)
+    if len(a) == 0:
+        return a
+    s = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
+    step = s[1:] != s[:-1]
+    if a.ndim == 2:
+        step = step.any(axis=1)
+    return s[np.concatenate(([True], step))]
+
+
 @dataclass(frozen=True, eq=False)
 class BoxConcepts:
     """Axis-aligned concept box containing the origin.
@@ -84,7 +100,7 @@ class DiscreteConcepts:
         pts = _as_points(points, "concept points")
         if not np.all(pts[0] == 0.0):
             raise KnowledgeError("concept point at index 0 must be the origin")
-        if len(np.unique(pts, axis=0)) != len(pts):
+        if len(sorted_distinct(pts)) != len(pts):
             raise KnowledgeError("duplicate concept points")
         if labels is not None:
             labels = tuple(labels)
@@ -171,7 +187,7 @@ class KnowledgeSetting:
 
     def __init__(self, experiences, concepts: ConceptSpace):
         exp = _as_points(experiences, "experiences")
-        if len(np.unique(exp, axis=0)) != len(exp):
+        if len(sorted_distinct(exp)) != len(exp):
             raise KnowledgeError("duplicate experience points")
         exp.setflags(write=False)
         object.__setattr__(self, "experiences", exp)
@@ -298,7 +314,7 @@ def usage_penalty(values: np.ndarray, concepts: ConceptSpace) -> float:
     nonzero = v[np.any(v != 0.0, axis=-1)]
     if len(nonzero) == 0:
         return 0.0
-    distinct = np.unique(nonzero, axis=0)
+    distinct = sorted_distinct(nonzero)
     if isinstance(concepts, DiscreteConcepts):
         return float(max(len(distinct) - 1, 0))
     if len(distinct) <= 1:

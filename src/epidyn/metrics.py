@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .knowledge import KnowledgeFunction, knowledge_distance
+from .knowledge import KnowledgeFunction, knowledge_distance, sorted_distinct
 
 TRACE_COLUMNS = ("t", "replicate", "d_consensus", "d_nearest", "relative_entropy")
 
@@ -91,11 +91,11 @@ class MetricTrace:
 
     @property
     def times(self) -> np.ndarray:
-        return np.unique(self.rows[:, 0]).astype(int)
+        return sorted_distinct(self.rows[:, 0]).astype(int)
 
     @property
     def n_replicates(self) -> int:
-        return len(np.unique(self.rows[:, 1]))
+        return len(sorted_distinct(self.rows[:, 1]))
 
     def replicate(self, r: int) -> np.ndarray:
         sel = self.rows[self.rows[:, 1] == r]
@@ -109,7 +109,7 @@ class MetricTrace:
         them, and raises ValueError otherwise.  Each average adds the
         replicates in ascending order.
         """
-        ts, reps = np.unique(self.rows[:, 0]), np.unique(self.rows[:, 1])
+        ts, reps = sorted_distinct(self.rows[:, 0]), sorted_distinct(self.rows[:, 1])
         rows = self.rows[np.lexsort((self.rows[:, 0], self.rows[:, 1]))]
         keys = np.column_stack([np.tile(ts, len(reps)), np.repeat(reps, len(ts))])
         if not np.array_equal(rows[:, :2], keys):

@@ -46,8 +46,8 @@ def is_primitive(A) -> Tuple[bool, Optional[int]]:
     squared repeatedly until a power 2^s is positive, then the exact exponent
     is found by binary lifting over the stored squares.  Lifting is sound
     because positivity is monotone: A^k > 0 leaves A without a zero row, so
-    A^(k+1) = A A^k > 0.  The patterns stay float64 so that products run on
-    BLAS; their entries count paths, at most N, and are exact.
+    A^(k+1) = A A^k > 0.  The patterns are float32 so that products run on
+    BLAS; their entries count paths, at most N < 2^24, and are exact.
     """
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -55,12 +55,12 @@ def is_primitive(A) -> Tuple[bool, Optional[int]]:
     if np.any(M < 0.0):
         raise MatrixError("primitivity is defined for nonnegative matrices")
     bound = (M.shape[0] - 1) ** 2 + 1
-    squares = [(M > 0.0).astype(float)]  # squares[s] is the pattern of A^(2^s)
+    squares = [(M > 0.0).astype(np.float32)]  # squares[s] is the pattern of A^(2^s)
     while not squares[-1].all():
         if 2 ** (len(squares) - 1) >= bound:
             return False, None
         P = squares[-1]
-        squares.append((P @ P > 0.0).astype(float))
+        squares.append((P @ P > 0.0).astype(np.float32))
     if len(squares) == 1:
         return True, 1
     # A^(2^(s-1)) is not positive: grow the largest non-positive power k.
@@ -68,7 +68,7 @@ def is_primitive(A) -> Tuple[bool, Optional[int]]:
     for s in range(len(squares) - 2, -1, -1):
         candidate = squares[s] if power is None else (power @ squares[s] > 0.0)
         if not candidate.all():
-            k, power = k + 2**s, candidate.astype(float)
+            k, power = k + 2**s, candidate.astype(np.float32)
     return True, k + 1
 
 
@@ -98,12 +98,18 @@ def dobrushin_coefficient(A) -> float:
     """Contraction coefficient of a row-stochastic matrix on the max-spread
     seminorm max_{i,j} |x_i - x_j|: half the largest L1 distance between rows.
 
-    Row i is compared with rows i.. in one reused N x N buffer instead of an
-    N^3 pairwise tensor.  Each distance is still summed along the last axis,
-    and |x - y| = |y - x| exactly, so the result matches the full tensor to
-    the bit.
+    Two rows with disjoint supports are at distance 2, so the coefficient is
+    exactly 1.  The 0/1 overlap product S S^T decides that at once: its
+    entries count shared support columns, at most N < 2^24, and are exact in
+    float32.  Otherwise row i is compared with rows i.. in one reused N x N
+    buffer instead of an N^3 pairwise tensor.  Each distance is still summed
+    along the last axis, and |x - y| = |y - x| exactly, so that result
+    matches the full tensor to the bit.
     """
     M = validate_stochastic(A)
+    S = (M > 0.0).astype(np.float32)
+    if not (S @ S.T).all():
+        return 1.0
     diff = np.empty_like(M)
     widest = [
         np.abs(np.subtract(M[i:], M[i], out=diff[i:]), out=diff[i:]).sum(axis=-1).max()

@@ -586,3 +586,40 @@ def test_creation_run_is_silent_and_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout == "[]\n"
+
+
+# Loads a box config (the benchmark's creation workload, the test3-creation
+# preset) and a discrete one (its naming workload), runs each end to end and
+# reports whether numpy.ma got imported; np.unique imports it lazily, at a
+# cost of 15-20 ms per fresh process.
+RUN_WITHOUT_MA = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+import epidyn
+from epidyn.experiments import run_experiment
+for name in ("creation", "naming"):
+    path = os.path.join(sys.argv[2], name + ".json")
+    with open(path, "w") as fh:
+        json.dump(workloads.generate(name, 5), fh)
+    epidyn.load_config(path)
+    assert run_experiment(path, os.path.join(sys.argv[2], name), quiet=True) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_box_and_discrete_runs_do_not_import_numpy_ma(tmp_path):
+    env = dict(os.environ)
+    env.pop("EPIDYN_THREADS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", RUN_WITHOUT_MA, str(ROOT / "perfbench"), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

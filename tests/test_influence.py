@@ -20,7 +20,13 @@ from epidyn import (
     normalize_rows,
     usage_penalty,
 )
-from epidyn.influence import _pairwise_penalty, credibility_from_values, validate_structure
+from epidyn.influence import (
+    ZERO_ROW_GUARD,
+    _pairwise_penalty,
+    _rows_or_uniform,
+    credibility_from_values,
+    validate_structure,
+)
 from epidyn.knowledge import TabularLikelihood
 
 from conftest import FLAT_ROUND_PRINTED
@@ -347,3 +353,24 @@ class TestNormalizeRows:
     def test_negative_entries_rejected(self):
         with pytest.raises(MatrixError):
             normalize_rows(np.array([[1.0, -0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("guard", [0.0, ZERO_ROW_GUARD])
+    def test_rows_or_uniform_equals_masked_form(self, guard):
+        def masked(w, guard):
+            # the form with boolean-mask copies that np.divide(where=) replaced
+            sums = w.sum(axis=-1)
+            out = np.empty_like(w)
+            dead = sums <= guard
+            out[dead] = 1.0 / w.shape[-1]
+            live = ~dead
+            out[live] = w[live] / sums[live, None]
+            return out
+
+        rng = np.random.default_rng(331)
+        for shape in [(1, 1), (5, 5), (3, 7, 7), (2, 4, 40, 40)]:
+            w = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.4)
+            w[..., 0, :] = 0.0  # dead rows in every stacked matrix
+            w.reshape(-1, shape[-1])[-1] = 1e-320  # below ZERO_ROW_GUARD
+            if shape[-1] > 1:
+                w.reshape(-1, shape[-1])[1, 0] = np.nan
+            assert np.array_equal(_rows_or_uniform(w, guard), masked(w, guard), equal_nan=True)

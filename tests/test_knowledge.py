@@ -20,6 +20,7 @@ from epidyn import (
     landscape_from_dict,
     usage_penalty,
 )
+from epidyn.knowledge import sorted_distinct
 
 COLORS = ("none", "purple", "blue", "green", "yellow", "red")
 BANDS = {"purple": (380, 430), "blue": (430, 520), "green": (520, 565),
@@ -159,6 +160,23 @@ class TestKnowledgeDistance:
             assert dfg >= 0.0
             assert knowledge_distance(f, f) == 0.0
             assert dfg <= knowledge_distance(f, h) + knowledge_distance(h, g) + 1e-12
+
+
+class TestSortedDistinct:
+    def test_equals_np_unique(self):
+        rng = np.random.default_rng(171)
+        for _ in range(200):
+            n, l = int(rng.integers(0, 12)), int(rng.integers(1, 4))
+            a = rng.integers(-2, 3, (n, l)).astype(float)
+            a[a == 0.0] *= rng.choice([1.0, -1.0], int((a == 0.0).sum()))  # -0.0
+            assert np.array_equal(sorted_distinct(a), np.unique(a, axis=0))
+            assert np.array_equal(sorted_distinct(a[:, 0]), np.unique(a[:, 0]))
+
+    def test_duplicate_points_rejected(self):
+        with pytest.raises(KnowledgeError, match="duplicate concept points"):
+            DiscreteConcepts([[0.0, 0.0], [1.0, 2.0], [1.0, 2.0]])
+        with pytest.raises(KnowledgeError, match="duplicate experience points"):
+            KnowledgeSetting([[1.0], [-0.0], [0.0]], DiscreteConcepts([[0.0]]))
 
 
 class TestConstruction:

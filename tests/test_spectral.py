@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +22,11 @@ from epidyn import (
     required_sample_size,
     second_modulus,
 )
+from epidyn.experiments import build_manifest, setup_from_dict
 
 from conftest import random_stochastic
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -71,6 +76,12 @@ def full_tensor_dobrushin(A):
     M = np.asarray(A, dtype=float)
     diff = np.abs(M[:, None, :] - M[None, :, :]).sum(axis=-1)
     return float(diff.max() / 2.0)
+
+
+def disjoint_rows_oracle(A):
+    """Whether two rows share no positive column, by set intersection."""
+    supports = [set(np.flatnonzero(np.asarray(row) > 0.0)) for row in A]
+    return any(not (a & b) for a, b in itertools.combinations(supports, 2))
 
 
 def wielandt_matrix(n):
@@ -183,6 +194,16 @@ class TestIsPrimitive:
     def test_wielandt_matrix_attains_the_bound(self, n):
         assert is_primitive(wielandt_matrix(n)) == (True, (n - 1) ** 2 + 1)
 
+    @pytest.mark.parametrize(
+        "n, reach", [(3, 1), (10, 1), (11, 2), (25, 4), (400, 8), (1000, 7), (1000, 60)]
+    )
+    def test_ring_lattice_exponent(self, n, reach):
+        # self plus ``reach`` neighbours each side: every agent is reached in
+        # ceil((n // 2) / reach) steps; at N = 1000 the float32 path counts
+        # reach several hundred
+        A = ring_lattice_learning(np.random.default_rng(n + reach), n, reach)
+        assert is_primitive(A) == (True, max(1, math.ceil((n // 2) / reach)))
+
     def test_matches_linear_scan_up_to_forty(self):
         rng = np.random.default_rng(29)
         seen = set()
@@ -244,11 +265,35 @@ class TestDobrushin:
 
     @pytest.mark.parametrize("n", [1, 7, 9, 17, 50])
     def test_bit_equal_to_full_tensor(self, n):
+        # Rows that all overlap are compared pair by pair, equal to the
+        # tensor to the bit.  Two disjoint rows make the coefficient exactly
+        # 1, which the tensor's sums reach only up to rounding.
         rng = np.random.default_rng(37 + n)
         dense = random_stochastic(rng, n)
         sparse = ring_lattice_learning(rng, n, reach=min(2, n // 2))
         for A in (dense, sparse):
-            assert dobrushin_coefficient(A) == full_tensor_dobrushin(A)
+            oracle = full_tensor_dobrushin(A)
+            if disjoint_rows_oracle(A):
+                assert dobrushin_coefficient(A) == 1.0
+                assert abs(oracle - 1.0) <= 4 * np.spacing(1.0)
+            else:
+                assert dobrushin_coefficient(A) == oracle
+
+    def test_exactly_one_iff_two_rows_are_disjoint(self):
+        rng = np.random.default_rng(38)
+        seen = set()
+        for _ in range(300):
+            n = int(rng.integers(2, 30))
+            S = rng.random((n, n)) < rng.uniform(0.02, 0.6)
+            S[np.arange(n), rng.integers(0, n, n)] = True  # no zero row
+            A = np.where(S, rng.uniform(0.1, 1.0, (n, n)), 0.0)
+            A /= A.sum(axis=1, keepdims=True)
+            disjoint = disjoint_rows_oracle(A)
+            seen.add(disjoint)
+            assert (dobrushin_coefficient(A) == 1.0) == disjoint
+            if not disjoint:
+                assert dobrushin_coefficient(A) == full_tensor_dobrushin(A)
+        assert seen == {False, True}
 
 
 class TestSecondModulus:
@@ -438,6 +483,20 @@ class TestReport:
             tracemalloc.stop()
         assert report.is_primitive
         assert peak < 64 * 2**20
+
+    def test_crowd_manifest_reports_exact_unit_dobrushin(self):
+        # the benchmark's crowd workload: N = 400 on a ring lattice, so rows
+        # more than 2 * 8 agents apart share no support
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        setup = setup_from_dict(workloads.generate("crowd", 5))
+        report = build_manifest(setup)["spectral"]
+        assert report["dobrushin"] == 1.0
+        assert report["is_primitive"] is True
+        assert report["primitivity_exponent"] == 25
 
     def test_report_accepts_rounding_negatives_that_validation_admits(self):
         # validate_stochastic admits entries down to -1e-9; primitivity
