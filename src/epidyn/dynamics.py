@@ -310,8 +310,9 @@ def draw_sample(
 def _draw_rows(setting, values, config, learning, rngs, agents, kernel=None):
     """Samples of the listed agents of an (R, N, n_experiences, l) stack of
     populations under its (R, N, N) learning matrices.  ``agents`` holds
-    flat indices r * N + a; agent ``agents[k]`` draws from ``rngs[k]`` and
-    sources only agents of its own population.
+    flat indices r * N + a, or is None for every agent in that order; agent
+    ``agents[k]`` draws from ``rngs[k]`` and sources only agents of its own
+    population.
 
     Each stream gives exactly one block of (2 + w) * m uniforms, w = l for
     a box and 1 for a discrete space, read as 2 + w rows of m slots:
@@ -326,8 +327,13 @@ def _draw_rows(setting, values, config, learning, rngs, agents, kernel=None):
     m = config.sample_size
     box = isinstance(setting.concepts, BoxConcepts)
     width = 2 + (dim if box else 1)
-    agents = np.asarray(agents)
-    cumulative = np.asarray(learning, dtype=float).reshape(-1, n)[agents].cumsum(axis=1)
+    weights = np.asarray(learning, dtype=float).reshape(-1, n)
+    if agents is None:
+        agents = np.arange(len(weights))
+    else:
+        agents = np.asarray(agents)
+        weights = weights[agents]
+    cumulative = weights.cumsum(axis=1)
     block = np.empty((len(agents), width * m))
     sources = np.empty((len(agents), m), dtype=np.intp)
     for r, rng in enumerate(rngs):
@@ -441,7 +447,7 @@ def step(
     # validates the structure's entries (MatrixError) once per step
     learning = compute_social_learning(G, cred)
     e_idx, concepts, keep = _draw_rows(
-        state.setting, stack, config, learning, rngs, np.arange(n_pops * n), kernel
+        state.setting, stack, config, learning, rngs, None, kernel
     )
     new_values = _refit(
         state.setting, stack.reshape((-1,) + values.shape[-2:]), e_idx, concepts, keep

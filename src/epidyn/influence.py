@@ -38,9 +38,15 @@ def _square(A, name: str) -> np.ndarray:
 
 def validate_structure(gamma) -> np.ndarray:
     M = _square(gamma, "structure matrix")
-    if not np.all((M >= 0.0) & (M < np.inf)):
+    if not _finite_nonnegative(M):
         raise MatrixError("structure matrix entries must be finite and nonnegative")
     return M
+
+
+def _finite_nonnegative(M: np.ndarray) -> bool:
+    # one min and one max reduction; a NaN entry makes both NaN, and NaN
+    # fails both comparisons
+    return M.size == 0 or (M.min() >= 0.0 and M.max() < np.inf)
 
 
 def validate_stochastic(A, tol: float = 1e-9) -> np.ndarray:
@@ -89,13 +95,16 @@ def credibility_from_values(setting, values: np.ndarray, landscape, c_min: float
     positive = lik > 0.0
     safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
     sup = support.astype(float)
-    log_prod = sup @ np.swapaxes(safe_log, -1, -2)
-    hit_zero = (sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0
-    prod = np.exp(log_prod)
-    prod[hit_zero] = 0.0
+    prod = sup @ np.swapaxes(safe_log, -1, -2)
+    np.exp(prod, out=prod)
+    if not positive.all():
+        prod[(sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0] = 0.0
 
-    raw = prod / (1.0 + _pairwise_penalty(setting, values, support))
-    return np.maximum(raw, c_min)
+    # raw = prod / (1 + penalty), floored at c_min, built in place
+    pen = _pairwise_penalty(setting, values, support)
+    pen += 1.0
+    np.divide(prod, pen, out=prod)
+    return np.maximum(prod, c_min, out=prod)
 
 
 def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -123,12 +132,19 @@ def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.nd
         # distinct nonzero concepts of j over the mask, from a presence
         # count; a population's keys are contiguous
         idx = concepts.index_of(pops.reshape(-1, dim)).reshape(pops.shape[:-1])
-        onehot = (idx[..., None] == np.arange(1, len(concepts))).astype(float)
+        n_c = len(concepts) - 1
+        onehot = (idx[..., None] == np.arange(1, n_c + 1)).astype(float)
         first = np.searchsorted(pop, np.arange(len(pops) + 1))
+        # masks in blocks, so the (masks, N * C) counts stay near one megabyte;
+        # the counts are small integers, so the BLAS product is exact
+        block = max(1, (1 << 17) // max(1, n * n_c))
         pen = np.empty((len(masks), n))
         for p, (s, e) in enumerate(zip(first[:-1], first[1:])):
-            used = np.einsum("ke,jec->kjc", masks[s:e].astype(float), onehot[p]) > 0.0
-            pen[s:e] = np.maximum(used.sum(axis=-1) - 1, 0)
+            per_exp = onehot[p].transpose(1, 0, 2).reshape(n_exp, n * n_c)
+            for b in range(s, e, block):
+                sel = masks[b : min(b + block, e)]
+                used = (sel.astype(float) @ per_exp > 0.0).reshape(len(sel), n, n_c)
+                pen[b : b + len(sel)] = np.maximum(used.sum(axis=-1) - 1, 0)
     elif concepts.dim == 1:
         present = support.reshape(pops.shape[:-1])
         highs = np.where(present, pops[..., 0], -np.inf)
@@ -169,7 +185,7 @@ def compute_social_learning(gamma, credibility) -> np.ndarray:
         raise MatrixError(
             f"dimension mismatch: structure {G.shape} vs credibility {C.shape}"
         )
-    if not np.all((C >= 0.0) & (C < np.inf)):
+    if not _finite_nonnegative(C):
         raise MatrixError("credibility entries must be finite and nonnegative")
     return _rows_or_uniform(G * C, ZERO_ROW_GUARD)
 
@@ -184,7 +200,12 @@ def normalize_rows(M) -> np.ndarray:
 
 def _rows_or_uniform(w: np.ndarray, guard: float) -> np.ndarray:
     # each row over its sum; rows summing to at most ``guard`` become 1/N
-    # (a NaN sum is not at most ``guard``, so its row stays NaN)
+    # (a NaN sum is not at most ``guard``, so its row stays NaN).  ``w`` is
+    # never written: callers may pass arrays they keep.
     sums = w.sum(axis=-1, keepdims=True)
-    out = np.full_like(w, 1.0 / w.shape[-1])
-    return np.divide(w, sums, out=out, where=~(sums <= guard))
+    dead = sums <= guard
+    # dead rows divide by 1 (no warning, the unmasked loop) and are then
+    # overwritten
+    out = w / np.where(dead, 1.0, sums)
+    out[dead[..., 0]] = 1.0 / w.shape[-1]
+    return out

@@ -405,6 +405,24 @@ class TestStep:
             step(two_agent_state(), SimulationConfig(), gamma, ConstantLikelihood(1.0),
                  agent_streams(0, 0, 2))
 
+    @pytest.mark.parametrize("n_pops", [1, 3])
+    def test_arguments_are_not_written(self, n_pops):
+        rng = np.random.default_rng(n_pops)
+        setting = grid_setting(5)
+        values = rng.uniform(-10, 10, size=(n_pops, 4, 5, 1))
+        values[rng.random((n_pops, 4, 5)) < 0.3] = 0.0
+        # an (R, N, E, l) stack, as run steps it; R = 1 is one population
+        state = PopulationState._trusted(setting, values if n_pops > 1 else values[0], 0)
+        gamma = rng.uniform(0.0, 1.0, size=(4, 4))
+        gamma[1] = 0.0  # a dead learning row
+        kernel = experience_kernel(setting, 1.0)
+        kept = [a.copy() for a in (state.values, gamma, kernel)]
+        cfg = SimulationConfig(tau=0.3, sample_size=6, c_min=0.0)
+        step(state, cfg, gamma, GaussianPeakLikelihood([1.0], 4.0),
+             agent_streams(3, 0, 4 * n_pops), kernel)
+        for a, b in zip((state.values, gamma, kernel), kept):
+            assert np.array_equal(a, b)
+
     def test_structure_validated_once_per_step(self, monkeypatch):
         import epidyn.dynamics as dynamics
         import epidyn.influence as influence

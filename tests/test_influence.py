@@ -84,6 +84,51 @@ def mixed_population(rng, kind, n, n_exp, newborn_share=0.25):
     return setting, values
 
 
+def unfused_credibility(setting, values, landscape, c_min):
+    """Credibility as one expression per stage, with no in-place step and
+    the zero-factor product always built; kept as a reference."""
+    support = np.any(values != 0.0, axis=-1)
+    lik = landscape.per_population(setting, values)
+    positive = lik > 0.0
+    safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
+    sup = support.astype(float)
+    log_prod = sup @ np.swapaxes(safe_log, -1, -2)
+    hit_zero = (sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0
+    prod = np.exp(log_prod)
+    prod[hit_zero] = 0.0
+    raw = prod / (1.0 + _pairwise_penalty(setting, values, support))
+    return np.maximum(raw, c_min)
+
+
+def einsum_discrete_penalty(setting, values, support):
+    """The einsum form of the discrete penalty for one population, kept as a
+    reference: distinct nonzero concepts of j over i's support, minus one."""
+    concepts = setting.concepts
+    idx = concepts.index_of(values.reshape(-1, values.shape[-1])).reshape(values.shape[:-1])
+    onehot = (idx[..., None] == np.arange(1, len(concepts))).astype(float)
+    used = np.einsum("ie,jec->ijc", support.astype(float), onehot) > 0.0
+    pen = np.maximum(used.sum(axis=-1) - 1, 0).astype(float)
+    np.fill_diagonal(pen, 0.0)
+    return pen
+
+
+def credibility_case(rng, landscape, n, n_exp, n_pops):
+    """An (n_pops, n, n_exp, l) stack of mixed populations with newborn rows,
+    its setting and landscape; tabular tables hold exact zeros."""
+    kind = "discrete" if landscape == "tabular-zeros" else "box1"
+    pops = [mixed_population(rng, kind, n, n_exp) for _ in range(n_pops)]
+    setting = pops[0][0]
+    if landscape == "gaussian-peak":
+        land = GaussianPeakLikelihood([1.0], 4.0)
+    elif landscape == "constant-0":
+        land = ConstantLikelihood(0.0)
+    else:
+        table = rng.uniform(0.0, 1.0, size=(n_exp, len(setting.concepts)))
+        table[rng.random(table.shape) < 0.3] = 0.0
+        land = TabularLikelihood(table)
+    return setting, np.stack([values for _, values in pops]), land
+
+
 class TestCredibility:
     def test_flat_round_example_matches_print_except_entry_24(self, flat_round):
         _, population, landscape = flat_round
@@ -144,6 +189,35 @@ class TestCredibility:
             )
             assert np.all(C <= 1.0 + 1e-15)
 
+    @pytest.mark.parametrize("landscape", ["gaussian-peak", "constant-0", "tabular-zeros"])
+    @pytest.mark.parametrize("c_min", [0.0, 0.05])
+    @pytest.mark.parametrize("n_pops", [1, 3])
+    def test_equals_unfused_expression(self, landscape, c_min, n_pops):
+        rng = np.random.default_rng([n_pops, int(100 * c_min), len(landscape)])
+        setting, stack, land = credibility_case(rng, landscape, 9, 6, n_pops)
+        for values in (stack, stack[0]):
+            got = credibility_from_values(setting, values, land, c_min)
+            assert np.array_equal(got, unfused_credibility(setting, values, land, c_min))
+
+    def test_arguments_are_not_written(self):
+        rng = np.random.default_rng(17)
+        setting, stack, land = credibility_case(rng, "tabular-zeros", 8, 5, 2)
+        kept = stack.copy()
+        cred = credibility_from_values(setting, stack, land, 0.05)
+        assert np.array_equal(stack, kept)
+        gamma = rng.uniform(0.0, 1.0, size=(8, 8))
+        gamma[0] = 0.0  # a dead row
+        cred_kept, gamma_kept = cred.copy(), gamma.copy()
+        compute_social_learning(gamma, cred)
+        assert np.array_equal(cred, cred_kept) and np.array_equal(gamma, gamma_kept)
+        printed = FLAT_ROUND_PRINTED.copy()
+        normalize_rows(FLAT_ROUND_PRINTED)
+        assert np.array_equal(FLAT_ROUND_PRINTED, printed)
+        w = gamma * cred
+        w_kept = w.copy()
+        _rows_or_uniform(w, ZERO_ROW_GUARD)
+        assert np.array_equal(w, w_kept)
+
     def test_long_products_accumulate_in_log_space(self):
         # 2000 factors of 0.5 underflow pairwise products but not log sums
         setting = grid_setting(2000)
@@ -193,6 +267,20 @@ class TestPairwisePenalty:
         got = _pairwise_penalty(setting, values, support)
         assert (got == tensor_penalty(values, support)).all()
 
+    @pytest.mark.parametrize("n_pops", [1, 2])
+    def test_discrete_counts_equal_einsum_form(self, n_pops):
+        # 300 agents and 4 colours give blocks of 109 masks; the private
+        # masks alone fill more than one
+        rng = np.random.default_rng(n_pops)
+        pops = [mixed_population(rng, "discrete", 300, 20) for _ in range(n_pops)]
+        setting = pops[0][0]
+        stack = np.stack([values for _, values in pops])
+        support = np.any(stack != 0.0, axis=-1)
+        assert len({row.tobytes() for row in support[0]}) > 109
+        got = _pairwise_penalty(setting, stack, support)
+        for p in range(n_pops):
+            assert np.array_equal(got[p], einsum_discrete_penalty(setting, stack[p], support[p]))
+
     @pytest.mark.parametrize("kind", sorted(PENALTY_SPACES))
     def test_stack_equals_each_population_alone(self, kind):
         # populations share masks but not values, so a mask is evaluated
@@ -237,6 +325,21 @@ class TestPairwisePenalty:
             tracemalloc.stop()
         assert peak < 12 * 2**20
 
+    def test_credibility_peak_memory_one_shared_mask(self):
+        # Every agent conceptualizes every experience, as in a crowd step.
+        # Built in place, credibility holds about two (N, N) float arrays
+        # (1.25 MiB each) at its peak; the unfused stages held four.
+        rng = np.random.default_rng(72)
+        values = rng.uniform(0.5, 10, size=(400, 25, 1))
+        landscape = GaussianPeakLikelihood([1.0], 1.0)
+        tracemalloc.start()
+        try:
+            credibility_from_values(grid_setting(25), values, landscape, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestSocialLearning:
     def test_identity_structure_all_ones_credibility(self):
@@ -276,6 +379,39 @@ class TestSocialLearning:
     def test_negative_or_nonfinite_credibility_rejected(self, bad):
         with pytest.raises(MatrixError):
             compute_social_learning(np.ones((2, 2)), [[1.0, bad], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, -1e-300])
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("structure", "structure matrix entries must be finite and nonnegative"),
+            ("credibility", "credibility entries must be finite and nonnegative"),
+        ],
+    )
+    def test_entry_check_messages(self, entry, where, message):
+        bad = np.ones((2, 2))
+        bad[0, 1] = entry
+        gamma, cred = (bad, np.ones((2, 2))) if where == "structure" else (np.ones((2, 2)), bad)
+        with pytest.raises(MatrixError) as err:
+            compute_social_learning(gamma, cred)
+        assert type(err.value) is MatrixError and str(err.value) == message
+        if where == "structure":
+            with pytest.raises(MatrixError) as err:
+                validate_structure(gamma)
+            assert type(err.value) is MatrixError and str(err.value) == message
+
+    def test_negative_zero_entries_pass(self):
+        gamma = np.array([[1.0, -0.0], [1.0, 1.0]])
+        assert validate_structure(gamma) is not None
+        lam = compute_social_learning(gamma, gamma)
+        assert np.array_equal(lam, [[1.0, 0.0], [0.5, 0.5]])
+
+    def test_empty_structure(self):
+        # the check accepts a (0, 0) structure; a learning matrix for it has
+        # no uniform row 1/N to fall back to
+        assert validate_structure(np.zeros((0, 0))).shape == (0, 0)
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            compute_social_learning(np.zeros((0, 0)), np.zeros((0, 0)))
 
     def test_rows_stochastic_on_random_inputs(self):
         rng = np.random.default_rng(5)

@@ -29,11 +29,14 @@ def load_perfbench(name):
     return module
 
 
-def test_traced_creation_run_reports_every_layer_metric(tmp_path, monkeypatch, capsys):
+def traced_run(tmp_path, monkeypatch, workload, horizon):
+    """Run the benchmark's ``workload`` config at seed 5 for ``horizon`` steps
+    through the CLI under the benchmark's tracer, check that every layer
+    metric is reported, and return the tracer."""
     tracing, workloads = load_perfbench("tracing"), load_perfbench("workloads")
-    doc = workloads.generate("creation", 5)
-    doc["horizon"] = 12
-    config = tmp_path / "creation.json"
+    doc = workloads.generate(workload, 5)
+    doc["horizon"] = horizon
+    config = tmp_path / f"{workload}.json"
     config.write_text(json.dumps(doc))
     monkeypatch.delenv("EPIDYN_THREADS", raising=False)  # spans stay in this process
 
@@ -50,3 +53,16 @@ def test_traced_creation_run_reports_every_layer_metric(tmp_path, monkeypatch, c
     metrics = tracing.layer_metrics(tracer.spans, tracer.missing)
     assert sorted(wanted - set(metrics)) == []
     assert tracing.step_breakdown_error(tracer.spans) == 0
+    return tracer
+
+
+def test_traced_creation_run_reports_every_layer_metric(tmp_path, monkeypatch, capsys):
+    traced_run(tmp_path, monkeypatch, "creation", 12)
+
+
+def test_traced_crowd_run_reports_every_layer_metric(tmp_path, monkeypatch, capsys):
+    # N = 400: credibility and learning are built in place, and the tracer
+    # reads their arguments and result after each call
+    tracer = traced_run(tmp_path, monkeypatch, "crowd", 2)
+    names = [span["name"] for span in tracer.spans]
+    assert names.count("influence.credibility") == names.count("influence.learning") == 2
