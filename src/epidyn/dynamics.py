@@ -301,18 +301,19 @@ def draw_sample(
     """m observations for agent i; each is individual with probability tau,
     social otherwise.  Zero-concept social observations are kept unless the
     configuration drops them."""
+    cumulative = np.asarray(learning, dtype=float).cumsum(axis=-1)
     e_idx, concepts, keep = _draw_rows(
-        state.setting, state.values[None], config, np.asarray(learning)[None], [rng], [i], kernel
+        state.setting, state.values[None], config, cumulative[None], [rng], [i], kernel
     )
     return Sample(e_idx[0, keep[0]], concepts[0, keep[0]])
 
 
-def _draw_rows(setting, values, config, learning, rngs, agents, kernel=None):
+def _draw_rows(setting, values, config, cumulative, rngs, agents, kernel=None):
     """Samples of the listed agents of an (R, N, n_experiences, l) stack of
-    populations under its (R, N, N) learning matrices.  ``agents`` holds
-    flat indices r * N + a, or is None for every agent in that order; agent
-    ``agents[k]`` draws from ``rngs[k]`` and sources only agents of its own
-    population.
+    populations under its (R, N, N) learning matrices, given as their
+    row-wise cumulative sums.  ``agents`` holds flat indices r * N + a;
+    agent ``agents[k]`` draws from ``rngs[k]`` and sources only agents of
+    its own population.
 
     Each stream gives exactly one block of (2 + w) * m uniforms, w = l for
     a box and 1 for a discrete space, read as 2 + w rows of m slots:
@@ -327,18 +328,13 @@ def _draw_rows(setting, values, config, learning, rngs, agents, kernel=None):
     m = config.sample_size
     box = isinstance(setting.concepts, BoxConcepts)
     width = 2 + (dim if box else 1)
-    weights = np.asarray(learning, dtype=float).reshape(-1, n)
-    if agents is None:
-        agents = np.arange(len(weights))
-    else:
-        agents = np.asarray(agents)
-        weights = weights[agents]
-    cumulative = weights.cumsum(axis=1)
+    agents = np.asarray(agents)
+    cumulative = cumulative.reshape(-1, n)
     block = np.empty((len(agents), width * m))
     sources = np.empty((len(agents), m), dtype=np.intp)
     for r, rng in enumerate(rngs):
         rng.random(out=block[r])
-        sources[r] = cumulative[r].searchsorted(block[r, m : 2 * m], side="right")
+        sources[r] = cumulative[agents[r]].searchsorted(block[r, m : 2 * m], side="right")
     np.minimum(sources, n - 1, out=sources)
     sources += (agents - agents % n)[:, None]
     u = block.reshape(len(agents), width, m)
@@ -427,13 +423,17 @@ def step(
     landscape: LikelihoodLandscape,
     rngs: Sequence[np.random.Generator],
     kernel: Optional[np.ndarray] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> PopulationState:
     """One synchronous update from the time-t snapshot: rebuild credibility
     and the learning matrix, then resample and refit every agent.
 
     ``state.values`` is one (N, E, l) population, the R = 1 case, or an
     (R, N, E, l) stack of R populations under the same structure; agent a
-    of population r draws from ``rngs[r * N + a]``.
+    of population r draws from ``rngs[r * N + a]``.  ``scratch``, a
+    (2, R, N, N) float array, holds the credibility, learning and
+    cumulative matrices; a run passes one for all its steps, so that they
+    are not allocated again every step.
     """
     values = state.values
     stack = values.reshape((-1,) + values.shape[-3:])
@@ -443,11 +443,17 @@ def step(
         raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
     if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
-    cred = credibility_from_values(state.setting, stack, landscape, config.c_min)
+    if scratch is None:
+        scratch = np.empty((2, n_pops, n, n))
+    cred = credibility_from_values(
+        state.setting, stack, landscape, config.c_min, out=scratch[0]
+    )
     # validates the structure's entries (MatrixError) once per step
-    learning = compute_social_learning(G, cred)
+    learning = compute_social_learning(G, cred, out=scratch[1])
+    # the credibility is spent: its buffer takes the rows' cumulative sums
+    cumulative = np.cumsum(learning, axis=-1, out=scratch[0])
     e_idx, concepts, keep = _draw_rows(
-        state.setting, stack, config, learning, rngs, None, kernel
+        state.setting, stack, config, cumulative, rngs, np.arange(n_pops * n), kernel
     )
     new_values = _refit(
         state.setting, stack.reshape((-1,) + values.shape[-2:]), e_idx, concepts, keep
@@ -532,8 +538,9 @@ def _run_chunk(packed, observer=None):
             for r, values in zip(reps, state.values):
                 observer(r, PopulationState._trusted(setting, values, state.t))
 
+    scratch = np.empty((2, len(reps), initial.n_agents, initial.n_agents))
     record(0, 0, state)
     for k in range(1, config.horizon + 1):
-        state = step(state, config, structure, landscape, rngs, kernel=kernel)
+        state = step(state, config, structure, landscape, rngs, kernel=kernel, scratch=scratch)
         record(k, state.t, state)
     return rows.reshape(-1, len(TRACE_COLUMNS)), state.values

@@ -7,7 +7,7 @@ j, and lambda_ij the resulting row-stochastic sampling weight.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,23 +84,26 @@ def compute_credibility(
     return credibility_from_values(ks[0].setting, values, landscape, c_min)
 
 
-def credibility_from_values(setting, values: np.ndarray, landscape, c_min: float) -> np.ndarray:
+def credibility_from_values(
+    setting, values: np.ndarray, landscape, c_min: float, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Tensor form of :func:`compute_credibility` for a prestacked
     (..., N, n_experiences, l) value array: one (N, N) matrix per
     population of the stack.  The products stay stacked, one per
-    population, so each matrix rounds as it would alone."""
+    population, so each matrix rounds as it would alone.  ``out``, if
+    given, is the (..., N, N) float array the result is written to."""
     support = np.any(values != 0.0, axis=-1)
     lik = landscape.per_population(setting, values)
 
     positive = lik > 0.0
     safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
     sup = support.astype(float)
-    prod = sup @ np.swapaxes(safe_log, -1, -2)
+    prod = np.matmul(sup, np.swapaxes(safe_log, -1, -2), out=out)
     np.exp(prod, out=prod)
     if not positive.all():
         prod[(sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0] = 0.0
 
-    # raw = prod / (1 + penalty), floored at c_min, built in place
+    # _pairwise_penalty returns a fresh array, so it can take the + 1 in place
     pen = _pairwise_penalty(setting, values, support)
     pen += 1.0
     np.divide(prod, pen, out=prod)
@@ -171,13 +174,15 @@ def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.nd
     return pen
 
 
-def compute_social_learning(gamma, credibility) -> np.ndarray:
+def compute_social_learning(gamma, credibility, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-stochastic learning matrix from structure and credibility.
 
     lambda_ij is gamma_ij * c_ij over its row sum; rows whose sum vanishes
     fall back to the uniform row 1/N.  ``credibility`` may stack (N, N)
     matrices along leading axes, one per population; the structure is
-    validated once for all of them.
+    validated once for all of them.  ``out``, if given, is the float array
+    of the credibility's shape the result is written to; it may be the
+    credibility itself.
     """
     G = validate_structure(gamma)
     C = np.asarray(credibility, dtype=float)
@@ -187,7 +192,8 @@ def compute_social_learning(gamma, credibility) -> np.ndarray:
         )
     if not _finite_nonnegative(C):
         raise MatrixError("credibility entries must be finite and nonnegative")
-    return _rows_or_uniform(G * C, ZERO_ROW_GUARD)
+    w = np.multiply(G, C, out=out)
+    return _rows_or_uniform(w, ZERO_ROW_GUARD, out=w)
 
 
 def normalize_rows(M) -> np.ndarray:
@@ -198,14 +204,14 @@ def normalize_rows(M) -> np.ndarray:
     return _rows_or_uniform(A, 0.0)
 
 
-def _rows_or_uniform(w: np.ndarray, guard: float) -> np.ndarray:
+def _rows_or_uniform(w: np.ndarray, guard: float, out: Optional[np.ndarray] = None) -> np.ndarray:
     # each row over its sum; rows summing to at most ``guard`` become 1/N
-    # (a NaN sum is not at most ``guard``, so its row stays NaN).  ``w`` is
-    # never written: callers may pass arrays they keep.
+    # (a NaN sum is not at most ``guard``, so its row stays NaN), written to
+    # ``out``, which may be ``w``; without ``out``, ``w`` is never written
     sums = w.sum(axis=-1, keepdims=True)
     dead = sums <= guard
     # dead rows divide by 1 (no warning, the unmasked loop) and are then
     # overwritten
-    out = w / np.where(dead, 1.0, sums)
+    out = np.divide(w, np.where(dead, 1.0, sums), out=out)
     out[dead[..., 0]] = 1.0 / w.shape[-1]
     return out

@@ -423,6 +423,48 @@ class TestStep:
         for a, b in zip((state.values, gamma, kernel), kept):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n_pops", [1, 3])
+    def test_reused_scratch_changes_nothing(self, n_pops):
+        # a run hands one scratch array to all its steps; what one step
+        # leaves there must not reach the next
+        rng = np.random.default_rng([n_pops, 5])
+        setting = grid_setting(5)
+        values = rng.uniform(-10, 10, size=(n_pops, 4, 5, 1))
+        values[rng.random((n_pops, 4, 5)) < 0.3] = 0.0
+        fresh = reused = PopulationState._trusted(setting, values if n_pops > 1 else values[0], 0)
+        gamma = rng.uniform(0.0, 1.0, size=(4, 4))
+        gamma[1] = 0.0  # a dead learning row
+        cfg = SimulationConfig(tau=0.3, sample_size=6, c_min=0.0)
+        landscape = GaussianPeakLikelihood([1.0], 4.0)
+        kernel = experience_kernel(setting, 1.0)
+        rngs_a, rngs_b = (agent_streams(3, 0, 4 * n_pops) for _ in range(2))
+        scratch = np.full((2, n_pops, 4, 4), np.nan)
+        for _ in range(3):
+            fresh = step(fresh, cfg, gamma, landscape, rngs_a, kernel)
+            reused = step(reused, cfg, gamma, landscape, rngs_b, kernel, scratch=scratch)
+            assert np.array_equal(fresh.values, reused.values)
+
+    def test_crowd_step_with_scratch_allocates_only_the_penalty(self):
+        # N = 400, every experience conceptualized, as in a crowd step.  With
+        # the run's scratch, credibility, learning and their cumulative sums
+        # take no (N, N) array of their own (1.22 MiB each); the penalty
+        # copied to the agents remains, and the step peaks near 1.6 MiB.
+        rng = np.random.default_rng(73)
+        setting = grid_setting(25)
+        state = PopulationState._trusted(setting, rng.uniform(0.5, 10, size=(400, 25, 1)), 0)
+        gamma = rng.uniform(0.0, 1.0, size=(400, 400))
+        cfg = SimulationConfig(tau=0.0, sample_size=50, c_min=0.0)
+        landscape = GaussianPeakLikelihood([1.0], 1.0)
+        scratch = np.empty((2, 1, 400, 400))
+        rngs = agent_streams(5, 0, 400)
+        tracemalloc.start()
+        try:
+            step(state, cfg, gamma, landscape, rngs, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
     def test_structure_validated_once_per_step(self, monkeypatch):
         import epidyn.dynamics as dynamics
         import epidyn.influence as influence

@@ -218,6 +218,20 @@ class TestCredibility:
         _rows_or_uniform(w, ZERO_ROW_GUARD)
         assert np.array_equal(w, w_kept)
 
+    def test_out_arrays_receive_the_results(self):
+        rng = np.random.default_rng(19)
+        setting, stack, land = credibility_case(rng, "tabular-zeros", 8, 5, 2)
+        out = np.full((2, 8, 8), np.nan)
+        cred = credibility_from_values(setting, stack, land, 0.05, out=out)
+        assert cred is out
+        assert np.array_equal(cred, credibility_from_values(setting, stack, land, 0.05))
+        gamma = rng.uniform(0.0, 1.0, size=(8, 8))
+        gamma[0] = 0.0  # a dead row
+        expected = compute_social_learning(gamma, cred)
+        # the credibility itself may take the learning matrix
+        assert compute_social_learning(gamma, cred, out=cred) is cred
+        assert np.array_equal(cred, expected)
+
     def test_long_products_accumulate_in_log_space(self):
         # 2000 factors of 0.5 underflow pairwise products but not log sums
         setting = grid_setting(2000)
