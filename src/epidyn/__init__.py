@@ -50,12 +50,12 @@ from .dynamics import (
     RunResult,
     Sample,
     SimulationConfig,
-    agent_streams,
     draw_sample,
     experience_kernel,
     run,
     step,
 )
+from .sampling import agent_streams
 from .metrics import (
     MetricTrace,
     consensus_distance,

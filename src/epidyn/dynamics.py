@@ -6,12 +6,17 @@ draws copy another agent's table entry, individual draws perturb the agent's
 own), and replaces every agent's table by the per-experience least-squares
 fit of its sample.  All agents update synchronously from the time-t snapshot.
 
-Randomness is drawn from counter-based Philox streams derived as
+Randomness is drawn from counter-based Philox streams keyed as by
 SeedSequence(seed, spawn_key=(replicate, agent)), so each agent's stream is
 independent of every other agent's and of the replicate count.  Every step
-reads one block of the same size from every stream, whatever the draws turn
-out to be.  Replicates are stepped together as one (R, N, E, l) stack, and
-each population of the stack rounds as it would alone.
+uses one block of the same size from every stream, whatever the draws turn
+out to be; a run reads the blocks of a chunk of steps in one read per
+stream, which gives the same numbers.  The agents that social observations
+copy are found by one search of all the streams' queries at once, over each
+learning row's structural support when the structure is sparse (see
+:mod:`epidyn.sampling`).  Replicates are stepped together as one
+(R, N, E, l) stack, and each population of the stack rounds as it would
+alone.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .knowledge import (
     LikelihoodLandscape,
 )
 from .metrics import TRACE_COLUMNS, MetricTrace, trace_record
+from .sampling import ReadAhead, agent_streams, pick_sources, search_rows, support_table, uniforms
 
 METRIC_VARIANTS = ("consensus-projection", "nearest-individual")
 
@@ -179,16 +185,6 @@ class Sample:
         return len(self.experience_indices)
 
 
-def agent_streams(seed: int, replicate: int, n_agents: int) -> list:
-    """One independent Philox generator per agent."""
-    return [
-        np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, a)))
-        )
-        for a in range(n_agents)
-    ]
-
-
 def experience_kernel(setting: KnowledgeSetting, sigma_e: float) -> np.ndarray:
     """Gaussian affinity between experience points,
     K[a, b] = exp(-||e_a - e_b||^2 / (2 sigma_e^2))."""
@@ -301,43 +297,43 @@ def draw_sample(
     """m observations for agent i; each is individual with probability tau,
     social otherwise.  Zero-concept social observations are kept unless the
     configuration drops them."""
-    cumulative = np.asarray(learning, dtype=float).cumsum(axis=-1)
+    n, m = state.n_agents, config.sample_size
+    block = uniforms([rng], _block_width(state.setting) * m)
+    cumulative = np.asarray(learning, dtype=float)[i].cumsum()[None]
+    sources = np.minimum(search_rows(cumulative, block[:, m : 2 * m]), n - 1)
     e_idx, concepts, keep = _draw_rows(
-        state.setting, state.values[None], config, cumulative[None], [rng], [i], kernel
+        state.setting, state.values[None], config, block, sources, [i], kernel
     )
     return Sample(e_idx[0, keep[0]], concepts[0, keep[0]])
 
 
-def _draw_rows(setting, values, config, cumulative, rngs, agents, kernel=None):
-    """Samples of the listed agents of an (R, N, n_experiences, l) stack of
-    populations under its (R, N, N) learning matrices, given as their
-    row-wise cumulative sums.  ``agents`` holds flat indices r * N + a;
-    agent ``agents[k]`` draws from ``rngs[k]`` and sources only agents of
-    its own population.
+def _block_width(setting: KnowledgeSetting) -> int:
+    # rows of m uniforms per stream and step: 2 + l for a box, 3 for a
+    # discrete space (see _draw_rows)
+    return 2 + (setting.concept_dim if isinstance(setting.concepts, BoxConcepts) else 1)
 
-    Each stream gives exactly one block of (2 + w) * m uniforms, w = l for
-    a box and 1 for a discrete space, read as 2 + w rows of m slots:
+
+def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
+    """Samples of the listed agents of an (R, N, n_experiences, l) stack of
+    populations.  ``agents`` holds flat indices r * N + a; agent
+    ``agents[k]`` reads row k of ``block`` and copies social observations
+    from the flat agents ``sources[k]`` of its own population (see
+    :func:`pick_sources`).
+
+    Each row of ``block`` holds (2 + w) * m uniforms of one stream, w = l
+    for a box and 1 for a discrete space, read as 2 + w rows of m slots:
     ``split`` (the slot is individual when below tau), ``pick`` (the source
     agent of a social slot, the experience of an individual one) and
     ``rest`` (the experience of a social slot, the concept of an individual
     one).  Returns (k, m) experience indices, (k, m, l) concepts and the
     (k, m) mask of the observations kept.
     """
-    n, n_exp, dim = values.shape[1:]
+    n_exp, dim = values.shape[2:]
     flat = values.reshape(-1, n_exp, dim)
     m = config.sample_size
     box = isinstance(setting.concepts, BoxConcepts)
-    width = 2 + (dim if box else 1)
     agents = np.asarray(agents)
-    cumulative = cumulative.reshape(-1, n)
-    block = np.empty((len(agents), width * m))
-    sources = np.empty((len(agents), m), dtype=np.intp)
-    for r, rng in enumerate(rngs):
-        rng.random(out=block[r])
-        sources[r] = cumulative[agents[r]].searchsorted(block[r, m : 2 * m], side="right")
-    np.minimum(sources, n - 1, out=sources)
-    sources += (agents - agents % n)[:, None]
-    u = block.reshape(len(agents), width, m)
+    u = block.reshape(len(agents), -1, m)
 
     individual = u[:, 0] < config.tau
     e_idx = np.minimum((u[:, 2] * n_exp).astype(np.intp), n_exp - 1)
@@ -424,16 +420,20 @@ def step(
     rngs: Sequence[np.random.Generator],
     kernel: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
+    support=None,
 ) -> PopulationState:
     """One synchronous update from the time-t snapshot: rebuild credibility
     and the learning matrix, then resample and refit every agent.
 
     ``state.values`` is one (N, E, l) population, the R = 1 case, or an
     (R, N, E, l) stack of R populations under the same structure; agent a
-    of population r draws from ``rngs[r * N + a]``.  ``scratch``, a
-    (2, R, N, N) float array, holds the credibility, learning and
-    cumulative matrices; a run passes one for all its steps, so that they
-    are not allocated again every step.
+    of population r draws from ``rngs[r * N + a]``, one block of uniforms
+    per step from each generator of a list (a run reads them ahead).
+    ``scratch``, a (2, R, N, N) float array, holds the credibility and
+    learning matrices and, for a dense structure, the cumulative sums; a
+    run passes one for all its steps, so that they are not allocated again
+    every step.  ``support``, the structure's :func:`support_table`, lets
+    the sources be searched on each row's support only.
     """
     values = state.values
     stack = values.reshape((-1,) + values.shape[-3:])
@@ -450,11 +450,14 @@ def step(
     )
     # validates the structure's entries (MatrixError) once per step
     learning = compute_social_learning(G, cred, out=scratch[1])
-    # the credibility is spent: its buffer takes the rows' cumulative sums
-    cumulative = np.cumsum(learning, axis=-1, out=scratch[0])
+    m = config.sample_size
+    block = uniforms(rngs, _block_width(state.setting) * m)
+    # the credibility is spent: its buffer may take the rows' cumulative sums
+    sources = pick_sources(learning, block[:, m : 2 * m], support, out=scratch[0])
     e_idx, concepts, keep = _draw_rows(
-        state.setting, stack, config, cumulative, rngs, np.arange(n_pops * n), kernel
+        state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel
     )
+    del block, sources  # spent: not held through the refit
     new_values = _refit(
         state.setting, stack.reshape((-1,) + values.shape[-2:]), e_idx, concepts, keep
     )
@@ -526,8 +529,12 @@ def _run_chunk(packed, observer=None):
     # the replicates of range ``reps`` as one stack; rows replicate-major
     reps, config, structure, landscape, initial, re_target = packed
     setting = initial.setting
-    rngs = [g for r in reps for g in agent_streams(config.seed, r, initial.n_agents)]
+    rngs = ReadAhead(
+        [g for r in reps for g in agent_streams(config.seed, r, initial.n_agents)],
+        config.horizon,
+    )
     kernel = experience_kernel(setting, config.sigma_e) if config.tau > 0.0 else None
+    support = support_table(structure)
     stack = np.repeat(initial.values[None], len(reps), axis=0)
     state = PopulationState._trusted(setting, stack, initial.t)
     rows = np.empty((len(reps), config.horizon + 1, len(TRACE_COLUMNS)))
@@ -541,6 +548,9 @@ def _run_chunk(packed, observer=None):
     scratch = np.empty((2, len(reps), initial.n_agents, initial.n_agents))
     record(0, 0, state)
     for k in range(1, config.horizon + 1):
-        state = step(state, config, structure, landscape, rngs, kernel=kernel, scratch=scratch)
+        state = step(
+            state, config, structure, landscape, rngs,
+            kernel=kernel, scratch=scratch, support=support,
+        )
         record(k, state.t, state)
     return rows.reshape(-1, len(TRACE_COLUMNS)), state.values

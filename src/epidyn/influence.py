@@ -38,6 +38,9 @@ def _square(A, name: str) -> np.ndarray:
 
 def validate_structure(gamma) -> np.ndarray:
     M = _square(gamma, "structure matrix")
+    if M.size == 0:
+        # no agent, so no uniform row 1/N for a learning matrix to fall back to
+        raise MatrixError("structure matrix must have at least one agent")
     if not _finite_nonnegative(M):
         raise MatrixError("structure matrix entries must be finite and nonnegative")
     return M
@@ -117,7 +120,8 @@ def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.nd
 
     Row i depends on i only through its population and its support mask,
     so each distinct (population, mask) pair is evaluated once against its
-    own population and its row copied to the agents that share it.
+    own population and its row copied to the agents that share it (no
+    copy when every pair is distinct).
     """
     n, n_exp, dim = values.shape[-3:]
     pops = values.reshape(-1, n, n_exp, dim)
@@ -169,7 +173,9 @@ def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.nd
                 for p, m in zip(pop, masks)
             ]
         )
-    pen = pen[owner].reshape(support.shape[:-1] + (n,))
+    if len(masks) < len(owner):
+        pen = pen[owner]
+    pen = pen.reshape(support.shape[:-1] + (n,))
     pen[..., np.arange(n), np.arange(n)] = 0.0
     return pen
 

@@ -1,0 +1,262 @@
+"""The random side of sampling: the agents' streams and the search of the
+learning rows for the agents that social observations copy.
+
+Each (replicate, agent) pair has its own counter-based Philox stream, keyed
+as by SeedSequence(seed, spawn_key=(replicate, agent)); the keys of a
+replicate come from one vectorized pass of SeedSequence's hash.  A run
+reads each stream once per chunk of steps (:class:`ReadAhead`).  A social
+observation of agent a copies agent j with probability lambda_aj, found by
+one branchless binary search of all the streams' queries at once, over
+each row's structural support when the structure is sparse.
+"""
+
+from __future__ import annotations
+
+import functools
+import operator
+from typing import Sequence
+
+import numpy as np
+
+
+def agent_streams(seed: int, replicate: int, n_agents: int) -> list:
+    """One independent Philox generator per agent, keyed as by
+    SeedSequence(seed, spawn_key=(replicate, agent)).
+
+    The N keys come from one vectorized pass of SeedSequence's hash (see
+    :func:`philox_keys`), and each generator's ``bit_generator.seed_seq``
+    is a :class:`PhiloxKey` holding its key instead of the SeedSequence.
+    """
+    generator, philox = _philox()
+    return [generator(philox(PhiloxKey(key))) for key in philox_keys(seed, replicate, n_agents)]
+
+
+@functools.cache
+def _philox():
+    # numpy.random costs about 15 ms to import, so it waits for the first run
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(PhiloxKey)
+    return Generator, Philox
+
+
+class PhiloxKey:
+    """Stands in for the SeedSequence of one stream: Philox asks it for a
+    two-word uint64 key, the only state it generates."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key holder generates two uint64 words only")
+        return self.key
+
+
+# the constants of numpy's SeedSequence hash (pool size 4)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def philox_keys(seed: int, replicate: int, n_agents: int) -> np.ndarray:
+    """(n_agents, 2) uint64 keys, row a equal to
+    SeedSequence(seed, spawn_key=(replicate, a)).generate_state(2, uint64).
+
+    The entropy words are the seed's (zero-padded to the pool size), the
+    replicate's and the agent's; only the last differs between agents.  So
+    the hash runs once on Python ints, and on a uint32 array of all agents
+    from the agent's word on.  Each helper works on either, masking to 32
+    bits where Python ints would grow.
+    """
+    words = _uint32_words(seed)
+    words += [0] * (4 - len(words)) + _uint32_words(replicate)
+    words.append(np.arange(n_agents, dtype=np.uint32))
+    const, pool = _INIT_A, []
+    for word in words[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in words[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state: four uint32 words, read in pairs as little-endian uint64
+    const, state = _INIT_B, []
+    for word in pool:
+        value, const = _hashmix(word, const, _MULT_B)
+        state.append(value.astype(np.uint64))
+    shift = np.uint64(32)
+    return np.stack([state[0] | state[1] << shift, state[2] | state[3] << shift], axis=-1)
+
+
+def _uint32_words(n: int) -> list:
+    # SeedSequence's little-endian 32-bit words of a nonnegative integer
+    n, words = operator.index(n), []
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            return words
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    # SeedSequence's hashmix: the mixed value and the next hash constant
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def uniforms(rngs, size: int) -> np.ndarray:
+    """(len(rngs), size) uniforms, the next ``size`` of each stream: the
+    next block of a read-ahead, or one read of each generator of a list."""
+    if not isinstance(rngs, ReadAhead):
+        rngs = ReadAhead(rngs, 1)
+    return rngs.take(size)
+
+
+# Cap on the floats a run reads ahead from its streams at once (512 KiB).
+READ_AHEAD_FLOATS = 1 << 16
+
+
+class ReadAhead:
+    """The generators of a run of ``steps`` steps, each read once per chunk
+    of steps: one read of K * B uniforms gives what K reads of B would, so
+    a step takes its (S, B) block from the chunk.  A chunk holds at most
+    ``READ_AHEAD_FLOATS`` floats, or one step's block if that is more.  The
+    buffer is reused from chunk to chunk, but a one-step chunk is let go
+    with its block, so that it is not held through the next step.
+    """
+
+    def __init__(self, generators: Sequence, steps: int):
+        self.generators = list(generators)
+        self.steps = steps
+        self.buffer = self.chunk = self.spent = np.empty((len(self.generators), 0))
+        self.used = 0
+
+    def __len__(self) -> int:
+        return len(self.generators)
+
+    def take(self, size: int) -> np.ndarray:
+        if self.used == self.chunk.shape[1]:
+            count = max(1, min(self.steps, READ_AHEAD_FLOATS // (len(self) * size)))
+            self.steps -= count
+            if self.buffer.shape[1] < count * size:
+                self.buffer = np.empty((len(self), count * size))
+            self.chunk = self.buffer[:, : count * size]
+            for row, rng in zip(self.chunk, self.generators):
+                rng.random(out=row)
+            self.used = 0
+        block = self.chunk[:, self.used : self.used + size]
+        self.used += size
+        if self.chunk.shape[1] == size:
+            self.buffer = self.chunk = self.spent
+            self.used = 0
+        return block
+
+
+def search_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Right-side searchsorted of each query u[s, q] in the nondecreasing
+    row ``cumulative[s]``: the count of entries <= the query, in [0, width].
+
+    One branchless binary search for all rows at once: every query keeps
+    the range [pos, pos + n] that holds its answer, and halves it by one
+    comparison at the same offset ``half`` of its own row.
+    """
+    rows, width = cumulative.shape
+    flat = cumulative.reshape(-1)
+    start = np.arange(0, rows * width, width)[:, None]
+    pos = np.repeat(start, u.shape[1], axis=1)
+    below = np.empty(u.shape, dtype=bool)
+    shift = np.empty_like(pos)
+    n = width
+    while n > 1:
+        half = n // 2
+        # flat[half:] at pos is the entry at offset half from pos
+        np.less_equal(flat[half:].take(pos), u, out=below)
+        pos += np.multiply(below, half, out=shift)
+        n -= half
+    np.less_equal(flat.take(pos), u, out=below)
+    pos += below
+    pos -= start
+    return pos
+
+
+def support_table(structure: np.ndarray):
+    """The structure's column table, built once per run, or None when some
+    row has more than N / 2 entries (then the dense rows are searched).
+
+    Row i of ``columns`` lists the j with gamma_ij > 0 in order, padded to
+    the widest row's degree k with N - 1, plus one more N - 1 for a query
+    above the whole row.  ``gather`` holds the flat indices i * N + j of
+    the same entries, its padding pointing at ``off[i]``, an entry of row i
+    off the support, where lambda is exactly 0 unless the row is dead.
+    """
+    n = len(structure)
+    support = structure > 0.0
+    degree = support.sum(axis=1)
+    width = int(degree.max())
+    if 2 * width > n:
+        return None
+    width = max(width, 1)
+    rows, cols = support.nonzero()
+    slots = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
+    columns = np.full((n, width + 1), n - 1, dtype=np.intp)
+    columns[rows, slots] = cols
+    # each row has an entry off its support, as its degree is at most N / 2
+    off = support.argmin(axis=1) + n * np.arange(n)
+    gather = np.repeat(off[:, None], width, axis=1)
+    gather[rows, slots] = rows * n + cols
+    return gather, columns, off
+
+
+def pick_sources(learning: np.ndarray, u: np.ndarray, support=None, out=None) -> np.ndarray:
+    """Source of every social slot of an (R, N, N) stack of learning
+    matrices: slot q of stream s = r * N + a takes agent j of population r
+    with probability lambda_aj, j being the right-side searchsorted
+    position of u[s, q] in row a's cumulative sums, clipped to N - 1.
+    Returns the flat indices r * N + j.
+
+    Without a ``support`` table the rows' cumulative sums are taken in
+    full, into ``out`` if given.  With one they are taken over each row's
+    support only.  Zeros add nothing to a sequential sum, so these are the
+    same bits as in the full row, and the first entry above a query is a
+    strict increase, so it lies on the support: the search finds the same
+    agent.  A dead row, replaced by the uniform row 1/N, is searched in
+    full.
+    """
+    n = learning.shape[-1]
+    rows = learning.reshape(-1, n)
+    agents = np.arange(len(rows))
+    if support is None:
+        cumulative = np.cumsum(learning, axis=-1, out=out).reshape(-1, n)
+        picked = np.minimum(search_rows(cumulative, u), n - 1)
+    else:
+        gather, columns, off = support
+        pairs = learning.reshape(-1, n * n)
+        on_support = pairs[:, gather]
+        cumulative = np.cumsum(on_support, axis=-1, out=on_support).reshape(len(rows), -1)
+        picked = search_rows(cumulative, u)
+        picked += (agents % n * columns.shape[1])[:, None]
+        picked = columns.take(picked)
+        dead = np.flatnonzero(pairs[:, off] != 0.0)
+        if len(dead):
+            dense = np.cumsum(rows[dead], axis=-1)
+            picked[dead] = np.minimum(search_rows(dense, u[dead]), n - 1)
+    picked += (agents - agents % n)[:, None]
+    return picked

@@ -31,6 +31,7 @@ from epidyn import (
     step,
 )
 import epidyn.dynamics as dynamics
+import epidyn.sampling as sampling
 from epidyn.dynamics import (
     _discrete_gaussian,
     _exploration_weights,
@@ -644,7 +645,45 @@ class TestConfigValidation:
             Sample([0, 1], [[1.0]])
 
 
+def seed_sequence_streams(seed, replicate, n_agents):
+    """The stream construction that agent_streams replaced, kept as its
+    oracle: one SeedSequence per agent."""
+    return [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(replicate, a))))
+        for a in range(n_agents)
+    ]
+
+
 class TestStreams:
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1, 2**32, 2**64 + 5])
+    @pytest.mark.parametrize("replicate", [0, 1, 2**32])
+    def test_keys_equal_seed_sequence(self, seed, replicate):
+        got = sampling.philox_keys(seed, replicate, 40)
+        want = [
+            np.random.SeedSequence(seed, spawn_key=(replicate, a)).generate_state(2, np.uint64)
+            for a in range(40)
+        ]
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed, replicate", [(0, 0), (5, 1), (2**64 + 5, 2**32)])
+    def test_streams_equal_seed_sequence_streams(self, seed, replicate):
+        got, want = agent_streams(seed, replicate, 6), seed_sequence_streams(seed, replicate, 6)
+        for a, b in zip(got, want):
+            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+            assert np.array_equal(a.random(1000), b.random(1000))
+            assert isinstance(a.bit_generator.seed_seq, sampling.PhiloxKey)
+
+    @pytest.mark.parametrize(
+        "seed, replicate, error",
+        [(-1, 0, ValueError), (0, -1, ValueError), (1.5, 0, TypeError), (0, 2.0, TypeError)],
+    )
+    def test_negative_or_non_integer_seed_or_replicate_raises(self, seed, replicate, error):
+        with pytest.raises(error):
+            seed_sequence_streams(seed, replicate, 2)
+        with pytest.raises(error):
+            agent_streams(seed, replicate, 2)
+
     def test_streams_are_agent_independent(self):
         # agent 1's draws do not depend on whether agent 0 drew first
         a0, a1 = agent_streams(9, 0, 2)
@@ -810,14 +849,15 @@ def mixed_setup(kind, n=4, n_exp=5, seed=0):
     return state, gamma, landscape, np.ones((n_exp, setting.concept_dim))
 
 
-def per_replicate_run(config, gamma, landscape, initial, re_target):
+def per_replicate_run(config, gamma, landscape, initial, re_target, streams=agent_streams):
     """The per-replicate loop that ``run`` replaced, kept as its oracle:
-    each replicate stepped alone from its own (seed, replicate) streams."""
+    each replicate stepped alone from its own (seed, replicate) streams,
+    read one block per step, and the dense learning rows searched."""
     kernel = experience_kernel(initial.setting, config.sigma_e) if config.tau > 0.0 else None
     rows, finals = [], []
     for r in range(config.replicates):
         state = initial
-        rngs = agent_streams(config.seed, r, state.n_agents)
+        rngs = streams(config.seed, r, state.n_agents)
         rows.append(trace_record(0, r, state, re_target))
         for _ in range(config.horizon):
             state = step(state, config, gamma, landscape, rngs, kernel=kernel)
@@ -895,9 +935,7 @@ class TestReplicateBatch:
         values = rng.uniform(-10, 10, size=(n, n_exp, 1))
         values[rng.random((n, n_exp)) < 0.3] = 0.0
         state = PopulationState.from_values(grid_setting(n_exp), values)
-        gamma = np.zeros((n, n))
-        for k in range(-8, 9):
-            gamma[np.arange(n), (np.arange(n) + k) % n] = 1.0
+        gamma = ring_structure(n, 8)
         cfg = SimulationConfig(tau=0.0, sample_size=50, horizon=1, replicates=8, seed=1)
         tracemalloc.start()
         try:
@@ -906,3 +944,148 @@ class TestReplicateBatch:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 8 * dynamics.CHUNK_FLOATS
+
+
+def searchsorted_sources(learning, u):
+    """The per-row search that pick_sources replaced, kept as its oracle: the
+    right-side searchsorted of each stream's queries in its dense
+    cumulative row, clipped to N - 1, as flat indices r * N + j."""
+    n = learning.shape[-1]
+    cum = np.cumsum(learning, axis=-1).reshape(-1, n)
+    picked = np.array([np.searchsorted(cum[s], u[s], side="right") for s in range(len(cum))])
+    return np.minimum(picked, n - 1) + (np.arange(len(cum)) // n * n)[:, None]
+
+
+def uneven_structure(rng, n):
+    """Rows of degrees 1 .. N / 2 with zero entries between, one row with
+    no entry (always dead) and one all-zero column."""
+    gamma = np.zeros((n, n))
+    for i in range(n):
+        degree = 1 + (i * 7) % (n // 2)
+        gamma[i, rng.choice(n, size=degree, replace=False)] = rng.uniform(0.5, 2.0, size=degree)
+    gamma[:, 3] = 0.0
+    gamma[n - 2] = 0.0
+    return gamma
+
+
+def ring_structure(n, k):
+    gamma = np.zeros((n, n))
+    for d in range(-k, k + 1):
+        gamma[np.arange(n), (np.arange(n) + d) % n] = 1.0
+    return gamma
+
+
+class TestSourceSearch:
+    def queries(self, rng, cumulative, m):
+        # uniforms, plus queries equal to cumulative entries (plateaus
+        # included), 0, and the largest double below 1
+        u = rng.random((len(cumulative), m))
+        cols = rng.integers(0, cumulative.shape[1], size=(len(cumulative), m // 3))
+        u[:, : m // 3] = np.take_along_axis(cumulative, cols, axis=1)
+        u[:, -2] = 0.0
+        u[:, -1] = np.nextafter(1.0, 0.0)
+        return u
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 7, 16, 17, 400])
+    def test_search_equals_searchsorted(self, width):
+        rng = np.random.default_rng(width)
+        weights = rng.random((30, width))
+        weights[rng.random((30, width)) < 0.4] = 0.0  # plateaus
+        weights[3] = 0.0  # a flat row
+        cumulative = np.cumsum(weights, axis=1)
+        u = self.queries(rng, cumulative, 24)
+        want = [np.searchsorted(cumulative[s], u[s], side="right") for s in range(30)]
+        assert np.array_equal(sampling.search_rows(cumulative, u), want)
+
+    @pytest.mark.parametrize("structure", ["ring", "uneven", "dense"])
+    @pytest.mark.parametrize("n_pops", [1, 3])
+    def test_support_search_equals_dense_searchsorted(self, structure, n_pops):
+        rng = np.random.default_rng([n_pops, len(structure)])
+        n = 24
+        gamma = {
+            "ring": ring_structure(n, 3),
+            "uneven": uneven_structure(rng, n),
+            "dense": rng.uniform(0.0, 1.0, (n, n)),
+        }[structure]
+        cred = rng.uniform(0.0, 1.0, size=(n_pops, n, n))
+        cred[rng.random(cred.shape) < 0.3] = 0.0  # plateaus from exact zeros
+        cred[0, 5] = 0.0  # a dead row, uniform over all N agents
+        learning = compute_social_learning(gamma, cred)
+        assert np.all(learning[0, 5] == 1.0 / n)
+        u = self.queries(rng, np.cumsum(learning, axis=-1).reshape(-1, n), 30)
+        support = sampling.support_table(gamma)
+        assert (support is None) == (structure == "dense")
+        want = searchsorted_sources(learning, u)
+        assert np.array_equal(sampling.pick_sources(learning, u, support), want)
+        assert np.array_equal(sampling.pick_sources(learning, u), want)
+        if support is not None:
+            gather, columns, off = support
+            assert columns.shape[1] == (gamma > 0).sum(axis=1).max() + 1
+            # the off-support entry is nonzero exactly on the dead rows
+            dead = np.all(learning == 1.0 / n, axis=-1)
+            assert dead[0, 5] and (structure == "uneven") == dead[:, n - 2].all()
+            assert np.array_equal(learning.reshape(n_pops, -1)[:, off] != 0.0, dead)
+
+    def test_support_table_only_for_rows_up_to_half_the_agents(self):
+        assert sampling.support_table(ring_structure(20, 5)) is None  # degree 11 > 10
+        gamma = ring_structure(20, 4)  # degree 9
+        gather, columns, off = sampling.support_table(gamma)
+        assert np.array_equal(np.sort(columns[:, :-1], axis=1), np.nonzero(gamma)[1].reshape(20, 9))
+        assert np.all(columns[:, -1] == 19)
+        assert np.all(gamma.reshape(-1)[off] == 0.0)
+        assert np.all(gamma.reshape(-1)[gather] == 1.0)
+        assert sampling.support_table(np.ones((20, 20))) is None
+
+    def test_support_table_pads_rows_with_agent_n_minus_1_at_weight_0(self):
+        gamma = np.zeros((6, 6))
+        gamma[0, [1, 4]] = 1.0
+        gamma[1, 2] = 1.0
+        gamma[3, [0, 2, 5]] = 1.0
+        gather, columns, off = sampling.support_table(gamma)
+        assert np.array_equal(columns[0], [1, 4, 5, 5])
+        assert np.array_equal(columns[2], [5, 5, 5, 5])
+        assert np.array_equal(columns[3], [0, 2, 5, 5])
+        assert np.all(gamma.reshape(-1)[gather[[0, 1, 3]]].sum(axis=1) == [2, 1, 3])
+        assert np.all(gamma.reshape(-1)[gather[[2, 4, 5]]] == 0.0)
+
+
+class TestReadAhead:
+    def test_one_read_of_k_blocks_equals_k_reads(self):
+        block = 150
+        one, many = agent_streams(3, 0, 1)[0], agent_streams(3, 0, 1)[0]
+        whole = one.random(7 * block)
+        assert np.array_equal(whole, np.concatenate([many.random(block) for _ in range(7)]))
+
+    @pytest.mark.parametrize("n_streams, steps", [(4, 5), (4, 250), (400, 3), (500, 2)])
+    def test_blocks_equal_per_step_reads_within_the_cap(self, n_streams, steps):
+        block = 150
+        one_step = n_streams * block > sampling.READ_AHEAD_FLOATS // 2
+        ahead = sampling.ReadAhead(agent_streams(3, 1, n_streams), steps)
+        plain = agent_streams(3, 1, n_streams)
+        for _ in range(steps):
+            got = sampling.uniforms(ahead, block)
+            assert np.array_equal(got, sampling.uniforms(plain, block))
+            assert got.base.size <= max(sampling.READ_AHEAD_FLOATS, n_streams * block)
+            # a one-step chunk is not held past its step
+            assert (ahead.buffer.size == 0) == one_step
+        # no stream read past the run's last step
+        for a, b in zip(ahead.generators, plain):
+            np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+
+
+class TestSupportRun:
+    @pytest.mark.parametrize("structure", ["ring", "uneven"])
+    @pytest.mark.parametrize("kind", ["box1", "discrete"])
+    def test_run_equals_dense_searchsorted_steps(self, monkeypatch, structure, kind):
+        n = 30
+        state, _, landscape, target = mixed_setup(kind, n=n, seed=len(structure))
+        rng = np.random.default_rng(9)
+        gamma = ring_structure(n, 4) if structure == "ring" else uneven_structure(rng, n)
+        assert sampling.support_table(gamma) is not None
+        cfg = SimulationConfig(tau=0.2, sample_size=12, sigma_c=0.7, horizon=6, replicates=3, seed=2**32 + 1)
+        got = run(cfg, gamma, landscape, state, re_target=target)
+        monkeypatch.setattr(dynamics, "pick_sources", lambda learning, u, *args, **kw:
+                            searchsorted_sources(learning, u))
+        rows, finals = per_replicate_run(cfg, gamma, landscape, state, target, seed_sequence_streams)
+        assert np.array_equal(got.trace.rows, rows)
+        assert np.array_equal(got.final_values, finals)

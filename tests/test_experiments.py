@@ -623,3 +623,37 @@ def test_box_and_discrete_runs_do_not_import_numpy_ma(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False\n"
+
+
+# Imports the package and its CLI and loads the benchmark's three workload
+# configs, as the benchmark's setup probe does, then reports which of
+# numpy.random and scipy got imported; numpy.random alone costs about 15 ms
+# of a fresh process, so it waits for the first run.
+LOAD_ONLY = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import workloads
+import epidyn, epidyn.cli
+for name in workloads.WORKLOADS:
+    path = os.path.join(sys.argv[2], name + ".json")
+    with open(path, "w") as fh:
+        json.dump(workloads.generate(name, 5), fh)
+    epidyn.load_config(path)
+print(sorted(m for m in ("numpy.random", "scipy") if m in sys.modules))
+"""
+
+
+def test_import_and_load_import_neither_numpy_random_nor_scipy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", LOAD_ONLY, str(ROOT / "perfbench"), str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -281,6 +281,29 @@ class TestPairwisePenalty:
         got = _pairwise_penalty(setting, values, support)
         assert (got == tensor_penalty(values, support)).all()
 
+    @pytest.mark.parametrize("kind", sorted(PENALTY_SPACES))
+    @pytest.mark.parametrize("masks", ["shared", "distinct"])
+    def test_rows_copied_to_agents_only_when_masks_are_shared(self, kind, masks):
+        # with every (population, mask) pair distinct the per-mask rows are
+        # the agents' rows, taken without the copy
+        rng = np.random.default_rng([7, sorted(PENALTY_SPACES).index(kind)])
+        concepts = PENALTY_SPACES[kind]
+        setting = KnowledgeSetting(np.arange(6)[:, None], concepts)
+        if kind == "discrete":
+            tables = concepts.points[rng.integers(1, len(concepts), size=(2, 9, 6))]
+        else:
+            tables = np.round(rng.uniform(0.1, 1.9, size=(2, 9, 6, concepts.dim)), 1)
+        support = (np.arange(1, 10)[:, None] >> np.arange(6)) & 1 == 1  # distinct
+        if masks == "shared":
+            support[[3, 7]] = support[0]
+        stack = np.where(support[..., None], tables, 0.0)
+        for values in (stack[0], stack):
+            sup = np.any(values != 0.0, axis=-1)
+            got = _pairwise_penalty(setting, values, sup).reshape(-1, 9, 9)
+            for p, pop in enumerate(values.reshape((-1,) + stack.shape[1:])):
+                want = pairwise_loop_penalty(pop, sup.reshape(-1, 9, 6)[p], concepts)
+                assert np.array_equal(got[p], want)
+
     @pytest.mark.parametrize("n_pops", [1, 2])
     def test_discrete_counts_equal_einsum_form(self, n_pops):
         # 300 agents and 4 colours give blocks of 109 masks; the private
@@ -421,11 +444,14 @@ class TestSocialLearning:
         assert np.array_equal(lam, [[1.0, 0.0], [0.5, 0.5]])
 
     def test_empty_structure(self):
-        # the check accepts a (0, 0) structure; a learning matrix for it has
-        # no uniform row 1/N to fall back to
-        assert validate_structure(np.zeros((0, 0))).shape == (0, 0)
-        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
-            compute_social_learning(np.zeros((0, 0)), np.zeros((0, 0)))
+        # a learning matrix for a (0, 0) structure has no uniform row 1/N to
+        # fall back to, so the check refuses it
+        for check in (
+            lambda: validate_structure(np.zeros((0, 0))),
+            lambda: compute_social_learning(np.zeros((0, 0)), np.zeros((0, 0))),
+        ):
+            with pytest.raises(MatrixError, match="at least one agent"):
+                check()
 
     def test_rows_stochastic_on_random_inputs(self):
         rng = np.random.default_rng(5)
