@@ -12,11 +12,12 @@ independent of every other agent's and of the replicate count.  Every step
 uses one block of the same size from every stream, whatever the draws turn
 out to be; a run reads the blocks of a chunk of steps in one read per
 stream, which gives the same numbers.  The agents that social observations
-copy are found by one search of all the streams' queries at once, over each
-learning row's structural support when the structure is sparse (see
-:mod:`epidyn.sampling`).  Replicates are stepped together as one
-(R, N, E, l) stack, and each population of the stack rounds as it would
-alone.
+copy are found by one search of all the streams' queries at once (see
+:mod:`epidyn.sampling`).  When the structure is sparse, credibility, the
+learning matrix and that search work on the structure's column table, the
+entries of each row's support, with the bits of the full (N, N) forms.
+Replicates are stepped together as one (R, N, E, l) stack, and each
+population of the stack rounds as it would alone.
 """
 
 from __future__ import annotations
@@ -336,7 +337,11 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     u = block.reshape(len(agents), -1, m)
 
     individual = u[:, 0] < config.tau
-    e_idx = np.minimum((u[:, 2] * n_exp).astype(np.intp), n_exp - 1)
+    # the products cast to integers (truncated) as they are written, with
+    # no float copy of the (k, m) block
+    e_idx = np.empty(individual.shape, dtype=np.intp)
+    np.multiply(u[:, 2], n_exp, out=e_idx, casting="unsafe")
+    np.minimum(e_idx, n_exp - 1, out=e_idx)
     concepts = flat[sources, e_idx]
     rows, slots = individual.nonzero()
     if len(rows):
@@ -383,33 +388,49 @@ def _refit(setting, values, e_idx, concepts, keep) -> np.ndarray:
     run over its own observations in sample order.  Returns a new array.
     """
     n, n_exp, dim = values.shape
-    total = n * n_exp
-    gidx = (e_idx + n_exp * np.arange(n)[:, None])[keep]
-    gcon = concepts[keep]
-    counts = np.bincount(gidx, minlength=total).astype(float)
-    seen = counts > 0.0
-    if dim == 1:
-        sums = np.bincount(gidx, weights=gcon[:, 0], minlength=total)[:, None]
+    cells = e_idx + n_exp * np.arange(n)[:, None]
+    if keep.all():
+        cells, observed = cells.reshape(-1), concepts.reshape(-1, dim)
     else:
-        sums = np.stack(
-            [np.bincount(gidx, weights=gcon[:, d], minlength=total) for d in range(dim)],
-            axis=1,
-        )
-    means = sums[seen] / counts[seen, None]
-    # identical observations must reproduce their value bit for bit, so that
-    # a consensus population is exactly absorbing; summed means round
-    rep = np.zeros((total, dim))
-    rep[gidx] = gcon
-    mismatch = np.any(gcon != rep[gidx], axis=-1)
-    divided = np.bincount(gidx, weights=mismatch, minlength=total) > 0.0
-    unanimous = ~divided[seen]
-    means[unanimous] = rep[seen][unanimous]
-
+        cells, observed = cells[keep], concepts[keep]
+    seen, means = _cell_means(cells, observed, n * n_exp)
     new_values = np.array(values, copy=True)
     # a box keeps componentwise means (the projection is numerical safety
     # only); a discrete space takes the listed point nearest the mean
-    new_values.reshape(total, dim)[seen] = setting.concepts.project(means)
+    new_values.reshape(-1, dim)[seen] = setting.concepts.project(means)
     return new_values
+
+
+def _cell_means(cells: np.ndarray, observed: np.ndarray, total: int):
+    """The flat indices of the cells in [0, total) that ``cells`` lists,
+    sorted, and the componentwise mean of each one's rows of ``observed``,
+    summed in order.
+
+    Identical observations must reproduce their value bit for bit, so that
+    a consensus population is exactly absorbing, but summed means round.
+    So each cell keeps one of its observations, and takes it when no
+    observation differs from it in any component.
+    """
+    components = [observed[:, d] for d in range(observed.shape[1])]
+    kept = np.zeros((len(components), total))
+    divided = np.zeros(total, dtype=bool)
+    for d, c in enumerate(components):
+        kept[d, cells] = c
+        other = kept[d].take(cells)
+        np.not_equal(c, other, out=other)
+        divided |= np.bincount(cells, weights=other, minlength=total) > 0.0
+    del other  # spent: not held through the sums
+    counts = np.bincount(cells, minlength=total)
+    seen = np.flatnonzero(counts)
+    means = np.stack(
+        [np.bincount(cells, weights=c, minlength=total)[seen] for c in components],
+        axis=1,
+        dtype=float,
+    )
+    means /= counts[seen, None]
+    unanimous = np.flatnonzero(~divided[seen])
+    means[unanimous] = kept[:, seen[unanimous]].T
+    return seen, means
 
 
 def step(
@@ -430,10 +451,13 @@ def step(
     of population r draws from ``rngs[r * N + a]``, one block of uniforms
     per step from each generator of a list (a run reads them ahead).
     ``scratch``, a (2, R, N, N) float array, holds the credibility and
-    learning matrices and, for a dense structure, the cumulative sums; a
-    run passes one for all its steps, so that they are not allocated again
-    every step.  ``support``, the structure's :func:`support_table`, lets
-    the sources be searched on each row's support only.
+    learning matrices and their cumulative sums; a run passes one for all
+    its steps, so that they are not allocated again every step.
+    ``support``, the structure's :func:`support_table`, lets credibility,
+    learning and the source search work on each row's support only: then
+    ``scratch[0]`` takes the log-likelihood products, and ``scratch[1]``,
+    which must be zero and is left zero, the weights laid out for their row
+    sums (see :func:`compute_social_learning`).
     """
     values = state.values
     stack = values.reshape((-1,) + values.shape[-3:])
@@ -444,16 +468,21 @@ def step(
     if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
     if scratch is None:
-        scratch = np.empty((2, n_pops, n, n))
+        scratch = np.zeros((2, n_pops, n, n))
+    # the structure's entries are validated (MatrixError) once per step: by
+    # the learning matrix on the dense path, here when the learning matrix
+    # sees only the table's entries
+    entries = G if support is None else validate_structure(G).take(support.gather)
     cred = credibility_from_values(
-        state.setting, stack, landscape, config.c_min, out=scratch[0]
+        state.setting, stack, landscape, config.c_min, scratch[0], support
     )
-    # validates the structure's entries (MatrixError) once per step
-    learning = compute_social_learning(G, cred, out=scratch[1])
+    learning = compute_social_learning(entries, cred, scratch[1], support)
+    del entries, cred  # spent
     m = config.sample_size
     block = uniforms(rngs, _block_width(state.setting) * m)
     # the credibility is spent: its buffer may take the rows' cumulative sums
     sources = pick_sources(learning, block[:, m : 2 * m], support, out=scratch[0])
+    del learning  # spent
     e_idx, concepts, keep = _draw_rows(
         state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel
     )
@@ -545,7 +574,7 @@ def _run_chunk(packed, observer=None):
             for r, values in zip(reps, state.values):
                 observer(r, PopulationState._trusted(setting, values, state.t))
 
-    scratch = np.empty((2, len(reps), initial.n_agents, initial.n_agents))
+    scratch = np.zeros((2, len(reps), initial.n_agents, initial.n_agents))
     record(0, 0, state)
     for k in range(1, config.horizon + 1):
         state = step(

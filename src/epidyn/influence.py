@@ -3,6 +3,13 @@
 Entry (i, j) of every matrix here reads "how much j acts on i": gamma_ij is
 the structural influence of agent j on agent i, c_ij the credibility i grants
 j, and lambda_ij the resulting row-stochastic sampling weight.
+
+lambda_ij is exactly 0 wherever gamma_ij is 0 (unless the row falls back to
+the uniform row), so for a sparse structure credibility and learning are
+also built on the structure's column table (see
+:func:`epidyn.sampling.support_table`): the (N, k) entries of each row's
+support, k the widest row's degree, with the bits of the same entries of
+the full (N, N) forms.
 """
 
 from __future__ import annotations
@@ -54,6 +61,8 @@ def _finite_nonnegative(M: np.ndarray) -> bool:
 
 def validate_stochastic(A, tol: float = 1e-9) -> np.ndarray:
     M = _square(A, "stochastic matrix")
+    if not np.isfinite(M).all():
+        raise MatrixError("stochastic matrix entries must be finite")
     if np.any(M < -tol):
         raise MatrixError("stochastic matrix entries must be nonnegative")
     if np.any(np.abs(M.sum(axis=1) - 1.0) > tol):
@@ -88,13 +97,21 @@ def compute_credibility(
 
 
 def credibility_from_values(
-    setting, values: np.ndarray, landscape, c_min: float, out: Optional[np.ndarray] = None
+    setting, values: np.ndarray, landscape, c_min: float, out: Optional[np.ndarray] = None,
+    table=None,
 ) -> np.ndarray:
     """Tensor form of :func:`compute_credibility` for a prestacked
     (..., N, n_experiences, l) value array: one (N, N) matrix per
     population of the stack.  The products stay stacked, one per
     population, so each matrix rounds as it would alone.  ``out``, if
-    given, is the (..., N, N) float array the result is written to."""
+    given, is the (..., N, N) float array the result is written to.
+
+    With a support ``table`` (see :func:`epidyn.sampling.support_table`)
+    only the table's entries are returned, (..., N, k), with the bits of
+    the same entries of the full matrices.  The full log-likelihood
+    products are still taken, into ``out`` if given, and the entries
+    gathered from them; the rest of the work is done on the table.
+    """
     support = np.any(values != 0.0, axis=-1)
     lik = landscape.per_population(setting, values)
 
@@ -102,26 +119,56 @@ def credibility_from_values(
     safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
     sup = support.astype(float)
     prod = np.matmul(sup, np.swapaxes(safe_log, -1, -2), out=out)
-    np.exp(prod, out=prod)
-    if not positive.all():
-        prod[(sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0] = 0.0
+    if table is None:
+        np.exp(prod, out=prod)
+        if not positive.all():
+            prod[(sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0] = 0.0
+        # _pairwise_penalty returns a fresh array, so it can take the + 1 in place
+        pen = _pairwise_penalty(setting, values, support)
+        pen += 1.0
+        np.divide(prod, pen, out=prod)
+        return np.maximum(prod, c_min, out=prod)
 
-    # _pairwise_penalty returns a fresh array, so it can take the + 1 in place
-    pen = _pairwise_penalty(setting, values, support)
+    n = support.shape[-2]
+    col = table.gather % n  # the agent j of each entry (i, j)
+    cred = prod.reshape(prod.shape[:-2] + (n * n,))[..., table.gather]
+    np.exp(cred, out=cred)
+    if not positive.all():
+        # an exact-zero factor: a concept of j on an experience i conceptualizes
+        hit = np.any(support[..., :, None, :] & ~positive[..., col, :], axis=-1)
+        cred[hit] = 0.0
+    # penalty (i, j) from the row of i's mask, 0 on the diagonal
+    rows, owner = _penalty_rows(setting, values, support)
+    pen = rows[owner.reshape(support.shape[:-1] + (1,)), col]
+    pen[..., col == np.arange(n)[:, None]] = 0.0
     pen += 1.0
-    np.divide(prod, pen, out=prod)
-    return np.maximum(prod, c_min, out=prod)
+    np.divide(cred, pen, out=cred)
+    return np.maximum(cred, c_min, out=cred)
 
 
 def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Penalty of agent j as seen by agent i, per population of the
+    (..., N, E, l) stack, as fresh (..., N, N) matrices with zero diagonal:
+    each agent's row of :func:`_penalty_rows` (no copy when every mask is
+    its own)."""
+    rows, owner = _penalty_rows(setting, values, support)
+    if len(rows) < len(owner):
+        rows = rows[owner]
+    n = support.shape[-2]
+    pen = rows.reshape(support.shape[:-1] + (n,))
+    pen[..., np.arange(n), np.arange(n)] = 0.0
+    return pen
+
+
+def _penalty_rows(setting, values: np.ndarray, support: np.ndarray):
+    """Penalty of agent j as seen by agent i, per population of the
     (..., N, E, l) stack: variety of j's nonzero concepts over the
-    experiences i has conceptualized.  Diagonal is zero.
+    experiences i has conceptualized, before the diagonal is zeroed.
 
     Row i depends on i only through its population and its support mask,
     so each distinct (population, mask) pair is evaluated once against its
-    own population and its row copied to the agents that share it (no
-    copy when every pair is distinct).
+    own population.  Returns the (K, N) rows of the K distinct pairs and
+    the (R * N,) ``owner``, the row of each agent of the stack.
     """
     n, n_exp, dim = values.shape[-3:]
     pops = values.reshape(-1, n, n_exp, dim)
@@ -173,14 +220,12 @@ def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.nd
                 for p, m in zip(pop, masks)
             ]
         )
-    if len(masks) < len(owner):
-        pen = pen[owner]
-    pen = pen.reshape(support.shape[:-1] + (n,))
-    pen[..., np.arange(n), np.arange(n)] = 0.0
-    return pen
+    return pen, np.array(owner)
 
 
-def compute_social_learning(gamma, credibility, out: Optional[np.ndarray] = None) -> np.ndarray:
+def compute_social_learning(
+    gamma, credibility, out: Optional[np.ndarray] = None, table=None
+) -> np.ndarray:
     """Row-stochastic learning matrix from structure and credibility.
 
     lambda_ij is gamma_ij * c_ij over its row sum; rows whose sum vanishes
@@ -189,7 +234,18 @@ def compute_social_learning(gamma, credibility, out: Optional[np.ndarray] = None
     validated once for all of them.  ``out``, if given, is the float array
     of the credibility's shape the result is written to; it may be the
     credibility itself.
+
+    With a support ``table`` (see :func:`epidyn.sampling.support_table`),
+    ``gamma`` and ``credibility`` hold only the table's entries, (N, k)
+    and (..., N, k), and so does the result: the learning matrices' entries
+    on the table.  A dead row, uniform over all N agents and not only the
+    table's, is all zero there.  Each row sum is taken over the full row,
+    zeros included, so that it has the bits of the (N, N) form's sum:
+    ``out``, if given, is then a zero (..., N, N) float array that the
+    weights are laid out in for the sums, and it is left zero.
     """
+    if table is not None:
+        return _learning_on_table(gamma, credibility, out, table)
     G = validate_structure(gamma)
     C = np.asarray(credibility, dtype=float)
     if C.shape[-2:] != G.shape:
@@ -202,11 +258,37 @@ def compute_social_learning(gamma, credibility, out: Optional[np.ndarray] = None
     return _rows_or_uniform(w, ZERO_ROW_GUARD, out=w)
 
 
+def _learning_on_table(gamma, credibility, rows, table) -> np.ndarray:
+    # compute_social_learning on the structure's table; ``rows`` is the zero
+    # (..., N, N) layout for the row sums, or None
+    G = np.asarray(gamma, dtype=float)
+    C = np.asarray(credibility, dtype=float)
+    if G.shape != table.gather.shape or C.shape[-2:] != G.shape:
+        raise MatrixError(
+            f"dimension mismatch: table {table.gather.shape}, structure entries "
+            f"{G.shape}, credibility {C.shape}"
+        )
+    if not (_finite_nonnegative(G) and _finite_nonnegative(C)):
+        raise MatrixError("structure and credibility entries must be finite and nonnegative")
+    n = len(G)
+    w = G * C
+    if rows is None:
+        rows = np.zeros(C.shape[:-2] + (n, n))
+    flat = rows.reshape(-1, n * n)
+    # the table's padding points at entries off the support, so it writes 0
+    flat[:, table.gather] = w.reshape(-1, *G.shape)
+    sums = rows.sum(axis=-1)
+    flat[:, table.gather] = 0.0
+    dead = sums <= ZERO_ROW_GUARD
+    sums[dead] = np.inf  # a dead row's entries become 0
+    return np.divide(w, sums[..., None], out=w)
+
+
 def normalize_rows(M) -> np.ndarray:
     """Divide each row by its sum; zero rows become the uniform row."""
     A = _square(M, "matrix")
-    if np.any(A < 0.0):
-        raise MatrixError("entries must be nonnegative")
+    if not _finite_nonnegative(A):
+        raise MatrixError("entries must be finite and nonnegative")
     return _rows_or_uniform(A, 0.0)
 
 

@@ -6,15 +6,17 @@ as by SeedSequence(seed, spawn_key=(replicate, agent)); the keys of a
 replicate come from one vectorized pass of SeedSequence's hash.  A run
 reads each stream once per chunk of steps (:class:`ReadAhead`).  A social
 observation of agent a copies agent j with probability lambda_aj, found by
-one branchless binary search of all the streams' queries at once, over
-each row's structural support when the structure is sparse.
+one branchless binary search of all the streams' queries at once.  When the
+structure is sparse, the learning rows come as their entries on the
+structure's column table (:func:`support_table`), and each row is searched
+on its support only.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,13 +185,15 @@ def search_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     start = np.arange(0, rows * width, width)[:, None]
     pos = np.repeat(start, u.shape[1], axis=1)
     below = np.empty(u.shape, dtype=bool)
-    shift = np.empty_like(pos)
     n = width
     while n > 1:
         half = n // 2
-        # flat[half:] at pos is the entry at offset half from pos
-        np.less_equal(flat[half:].take(pos), u, out=below)
-        pos += np.multiply(below, half, out=shift)
+        # flat[half:] at pos is the entry at offset half from pos; once
+        # compared, its buffer takes the steps the comparisons decide
+        entry = flat[half:].take(pos)
+        np.less_equal(entry, u, out=below)
+        pos += np.multiply(below, half, out=entry.view(np.intp))
+        del entry  # not held through the next round's take
         n -= half
     np.less_equal(flat.take(pos), u, out=below)
     pos += below
@@ -197,16 +201,24 @@ def search_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
     return pos
 
 
-def support_table(structure: np.ndarray):
-    """The structure's column table, built once per run, or None when some
-    row has more than N / 2 entries (then the dense rows are searched).
+class SupportTable(NamedTuple):
+    """The structure's column table: row i lists the j with gamma_ij > 0 in
+    order, padded to the widest row's degree k.
 
-    Row i of ``columns`` lists the j with gamma_ij > 0 in order, padded to
-    the widest row's degree k with N - 1, plus one more N - 1 for a query
-    above the whole row.  ``gather`` holds the flat indices i * N + j of
-    the same entries, its padding pointing at ``off[i]``, an entry of row i
-    off the support, where lambda is exactly 0 unless the row is dead.
+    ``gather`` (N, k) holds the flat indices i * N + j of the entries, its
+    padding pointing at an entry of row i off the support, where the
+    structure is 0.  ``columns`` (N, k + 1) holds the agents j, padded with
+    N - 1, plus one more N - 1 for a query above the whole row.
     """
+
+    gather: np.ndarray
+    columns: np.ndarray
+
+
+def support_table(structure: np.ndarray):
+    """The structure's :class:`SupportTable`, built once per run, or None
+    when some row has more than N / 2 entries (then the dense rows are
+    used)."""
     n = len(structure)
     support = structure > 0.0
     degree = support.sum(axis=1)
@@ -222,7 +234,7 @@ def support_table(structure: np.ndarray):
     off = support.argmin(axis=1) + n * np.arange(n)
     gather = np.repeat(off[:, None], width, axis=1)
     gather[rows, slots] = rows * n + cols
-    return gather, columns, off
+    return SupportTable(gather, columns)
 
 
 def pick_sources(learning: np.ndarray, u: np.ndarray, support=None, out=None) -> np.ndarray:
@@ -233,30 +245,30 @@ def pick_sources(learning: np.ndarray, u: np.ndarray, support=None, out=None) ->
     Returns the flat indices r * N + j.
 
     Without a ``support`` table the rows' cumulative sums are taken in
-    full, into ``out`` if given.  With one they are taken over each row's
-    support only.  Zeros add nothing to a sequential sum, so these are the
-    same bits as in the full row, and the first entry above a query is a
-    strict increase, so it lies on the support: the search finds the same
-    agent.  A dead row, replaced by the uniform row 1/N, is searched in
-    full.
+    full, into ``out`` if given.  With one, ``learning`` holds only the
+    (R, N, k) entries on the table (see
+    :func:`epidyn.influence.compute_social_learning`), and their
+    cumulative sums are taken in place.  Zeros add nothing to a sequential
+    sum, so these are the same bits as in the full row, and the first
+    entry above a query is a strict increase, so it lies on the support:
+    the search finds the same agent.  A dead row, all zero on the table
+    and uniform 1/N over all N agents, is searched in full.
     """
-    n = learning.shape[-1]
-    rows = learning.reshape(-1, n)
-    agents = np.arange(len(rows))
+    n = learning.shape[-1] if support is None else len(support.columns)
+    agents = np.arange(u.shape[0])
     if support is None:
         cumulative = np.cumsum(learning, axis=-1, out=out).reshape(-1, n)
         picked = np.minimum(search_rows(cumulative, u), n - 1)
     else:
-        gather, columns, off = support
-        pairs = learning.reshape(-1, n * n)
-        on_support = pairs[:, gather]
-        cumulative = np.cumsum(on_support, axis=-1, out=on_support).reshape(len(rows), -1)
+        width = support.gather.shape[1]
+        cumulative = learning.reshape(-1, width)
+        np.cumsum(cumulative, axis=-1, out=cumulative)
         picked = search_rows(cumulative, u)
-        picked += (agents % n * columns.shape[1])[:, None]
-        picked = columns.take(picked)
-        dead = np.flatnonzero(pairs[:, off] != 0.0)
+        picked += (agents % n * (width + 1))[:, None]
+        picked = support.columns.take(picked)
+        dead = np.flatnonzero(cumulative[:, -1] == 0.0)
         if len(dead):
-            dense = np.cumsum(rows[dead], axis=-1)
-            picked[dead] = np.minimum(search_rows(dense, u[dead]), n - 1)
+            uniform = np.cumsum(np.full((len(dead), n), 1.0 / n), axis=-1)
+            picked[dead] = np.minimum(search_rows(uniform, u[dead]), n - 1)
     picked += (agents - agents % n)[:, None]
     return picked

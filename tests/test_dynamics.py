@@ -39,6 +39,7 @@ from epidyn.dynamics import (
     _normal_ppf,
     _refit,
 )
+from epidyn.influence import ZERO_ROW_GUARD, credibility_from_values
 from epidyn.metrics import trace_record
 
 
@@ -225,6 +226,71 @@ class TestDrawSample:
         )
         assert len(sample) == 7
         assert sample.experience_indices.shape == (7,) and sample.concepts.shape == (7, 1)
+
+
+def mask_refit(setting, values, e_idx, concepts, keep):
+    """The refit by boolean-mask gathers and sets that _refit replaced, kept
+    as its oracle."""
+    n, n_exp, dim = values.shape
+    total = n * n_exp
+    gidx = (e_idx + n_exp * np.arange(n)[:, None])[keep]
+    gcon = concepts[keep]
+    counts = np.bincount(gidx, minlength=total).astype(float)
+    seen = counts > 0.0
+    sums = np.stack(
+        [np.bincount(gidx, weights=gcon[:, d], minlength=total) for d in range(dim)], axis=1
+    )
+    means = sums[seen] / counts[seen, None]
+    rep = np.zeros((total, dim))
+    rep[gidx] = gcon
+    mismatch = np.any(gcon != rep[gidx], axis=-1)
+    divided = np.bincount(gidx, weights=mismatch, minlength=total) > 0.0
+    unanimous = ~divided[seen]
+    means[unanimous] = rep[seen][unanimous]
+    new_values = np.array(values, copy=True)
+    new_values.reshape(total, dim)[seen] = setting.concepts.project(means)
+    return new_values
+
+
+def refit_case(case, n=30, n_exp=6, m=9):
+    """Inputs of one refit: a setting, the (N, E, l) values and the (N, m)
+    experience indices, (N, m, l) concepts and (N, m) keep mask."""
+    rng = np.random.default_rng(len(case))
+    experiences = np.arange(n_exp)[:, None]
+    if case == "discrete":
+        points = np.array([[0.0], [1.0], [2.5], [4.0]])
+        setting = KnowledgeSetting(experiences, DiscreteConcepts(points))
+        values = points[rng.integers(0, 4, size=(n, n_exp))]
+    else:
+        dim = 2 if case == "l=2" else 1
+        setting = KnowledgeSetting(experiences, BoxConcepts([-2.0] * dim, [2.0] * dim))
+        values = rng.uniform(-2.0, 2.0, size=(n, n_exp, dim))
+        values[rng.random((n, n_exp)) < 0.3] = 0.0
+    e_idx = rng.integers(0, n_exp, size=(n, m))
+    sources = rng.integers(0, n, size=(n, m))
+    if case == "unanimous":
+        # every agent copies agent 0, whose entries sum and divide inexactly
+        values[0] = 0.1
+        sources[:] = 0
+    concepts = values[sources, e_idx]
+    keep = np.ones((n, m), dtype=bool)
+    if case == "dropped":
+        keep = concepts.any(axis=-1) | (rng.random((n, m)) < 0.2)
+        keep[3] = False  # an agent with every slot dropped
+    return setting, values, e_idx, concepts, keep
+
+
+class TestRefitOracle:
+    @pytest.mark.parametrize("case", ["all-kept", "dropped", "l=2", "discrete", "unanimous"])
+    def test_refit_equals_boolean_mask_refit(self, case):
+        setting, values, e_idx, concepts, keep = refit_case(case)
+        assert not keep.all() if case == "dropped" else keep.all()
+        got = _refit(setting, values, e_idx, concepts, keep)
+        assert np.array_equal(got, mask_refit(setting, values, e_idx, concepts, keep))
+        if case == "unanimous":
+            # 3 * 0.1 / 3 rounds to 0.10000000000000002; the consensus stays exact
+            assert (0.1 + 0.1 + 0.1) / 3 != 0.1
+            assert np.all(np.take_along_axis(got[..., 0], e_idx, axis=1) == 0.1)
 
 
 class TestLeastSquaresUpdate:
@@ -466,6 +532,30 @@ class TestStep:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
 
+    def test_ring_crowd_step_with_table_peaks_below_one_mib(self):
+        # N = 400 on a ring lattice (self + 8 neighbours each side), as in the
+        # crowd workload.  With the run's scratch and support table,
+        # credibility, learning and the source search work on the (N, 17)
+        # table and take no (N, N) array; the largest arrays left are the
+        # step's block of uniforms and the (N, m) draws.
+        rng = np.random.default_rng(73)
+        setting = grid_setting(25)
+        state = PopulationState._trusted(setting, rng.uniform(0.5, 10, size=(400, 25, 1)), 0)
+        gamma = ring_structure(400, 8)
+        support = sampling.support_table(gamma)
+        cfg = SimulationConfig(tau=0.0, sample_size=50, c_min=0.0)
+        landscape = GaussianPeakLikelihood([6.0], 10.0)
+        scratch = np.zeros((2, 1, 400, 400))
+        rngs = agent_streams(5, 0, 400)
+        tracemalloc.start()
+        try:
+            step(state, cfg, gamma, landscape, rngs, scratch=scratch, support=support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not scratch[1].any()  # the layout of the row sums is left zero
+
     def test_structure_validated_once_per_step(self, monkeypatch):
         import epidyn.dynamics as dynamics
         import epidyn.influence as influence
@@ -477,6 +567,24 @@ class TestStep:
         step(two_agent_state(), SimulationConfig(), np.ones((2, 2)), ConstantLikelihood(1.0),
              agent_streams(0, 0, 2))
         assert len(calls) == 1
+
+    def test_structure_validated_once_per_table_step(self, monkeypatch):
+        import epidyn.influence as influence
+
+        calls = []
+        check = influence.validate_structure
+        for module in (dynamics, influence):
+            monkeypatch.setattr(module, "validate_structure", lambda g: calls.append(1) or check(g))
+        gamma = ring_structure(6, 1)
+        values = np.linspace(-5.0, 5.0, 18).reshape(6, 3)
+        state = PopulationState.from_values(grid_setting(3), values)
+        step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0), agent_streams(0, 0, 6),
+             support=sampling.support_table(gamma))
+        assert len(calls) == 1
+        gamma[0, 3] = math.nan  # off the table: still refused
+        with pytest.raises(MatrixError):
+            step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0),
+                 agent_streams(0, 0, 6), support=sampling.support_table(ring_structure(6, 1)))
 
 
 class TestRun:
@@ -1016,23 +1124,25 @@ class TestSourceSearch:
         support = sampling.support_table(gamma)
         assert (support is None) == (structure == "dense")
         want = searchsorted_sources(learning, u)
-        assert np.array_equal(sampling.pick_sources(learning, u, support), want)
-        assert np.array_equal(sampling.pick_sources(learning, u), want)
+        assert np.array_equal(sampling.pick_sources(learning, u, support=None), want)
         if support is not None:
-            gather, columns, off = support
+            gather, columns = support
             assert columns.shape[1] == (gamma > 0).sum(axis=1).max() + 1
-            # the off-support entry is nonzero exactly on the dead rows
+            on_table = compute_social_learning(
+                gamma.take(gather), cred.reshape(n_pops, -1)[:, gather], table=support
+            )
+            # a dead row is all zero on the table
             dead = np.all(learning == 1.0 / n, axis=-1)
             assert dead[0, 5] and (structure == "uneven") == dead[:, n - 2].all()
-            assert np.array_equal(learning.reshape(n_pops, -1)[:, off] != 0.0, dead)
+            assert np.array_equal(np.all(on_table == 0.0, axis=-1), dead)
+            assert np.array_equal(sampling.pick_sources(on_table, u, support), want)
 
     def test_support_table_only_for_rows_up_to_half_the_agents(self):
         assert sampling.support_table(ring_structure(20, 5)) is None  # degree 11 > 10
         gamma = ring_structure(20, 4)  # degree 9
-        gather, columns, off = sampling.support_table(gamma)
+        gather, columns = sampling.support_table(gamma)
         assert np.array_equal(np.sort(columns[:, :-1], axis=1), np.nonzero(gamma)[1].reshape(20, 9))
         assert np.all(columns[:, -1] == 19)
-        assert np.all(gamma.reshape(-1)[off] == 0.0)
         assert np.all(gamma.reshape(-1)[gather] == 1.0)
         assert sampling.support_table(np.ones((20, 20))) is None
 
@@ -1041,12 +1151,103 @@ class TestSourceSearch:
         gamma[0, [1, 4]] = 1.0
         gamma[1, 2] = 1.0
         gamma[3, [0, 2, 5]] = 1.0
-        gather, columns, off = sampling.support_table(gamma)
+        gather, columns = sampling.support_table(gamma)
         assert np.array_equal(columns[0], [1, 4, 5, 5])
         assert np.array_equal(columns[2], [5, 5, 5, 5])
         assert np.array_equal(columns[3], [0, 2, 5, 5])
         assert np.all(gamma.reshape(-1)[gather[[0, 1, 3]]].sum(axis=1) == [2, 1, 3])
         assert np.all(gamma.reshape(-1)[gather[[2, 4, 5]]] == 0.0)
+
+
+def table_case(kind, structure, n_pops, zero_likelihood, n=24, n_exp=6):
+    """A stack of n_pops populations of one concept space under a sparse
+    structure with a dead row and padded rows, and a landscape that has
+    exact zeros if asked."""
+    state, _, landscape, _ = mixed_setup(kind, n=n, n_exp=n_exp, seed=n_pops)
+    rng = np.random.default_rng([n_pops, len(kind), len(structure)])
+    if structure == "ring":
+        gamma = ring_structure(n, 3)
+        gamma[0, n // 2] = 1.0  # one row wider than the rest: the others pad
+        gamma[5] = 0.0  # a dead row
+    else:
+        gamma = uneven_structure(rng, n)  # row n - 2 is dead
+    pops = [state.values]
+    for _ in range(n_pops - 1):
+        pops.append(pops[0][rng.permutation(n)])
+    stack = np.stack(pops)
+    stack[:, 2:6] = stack[:, 2:3]  # agents sharing one support mask
+    setting = state.setting
+    if zero_likelihood and kind == "discrete":
+        table = landscape.table.copy()
+        table[:, 1] = 0.0  # concept 1.0 has likelihood 0 everywhere
+        landscape = TabularLikelihood(table)
+    elif zero_likelihood:
+        # so narrow that far concepts underflow to an exact 0
+        landscape = GaussianPeakLikelihood([0.5] * setting.concept_dim, 0.002)
+    return setting, stack, gamma, landscape
+
+
+class TestTableLayer:
+    """Credibility, learning and source search on the structure's column
+    table against the full (N, N) forms gathered on the table."""
+
+    @pytest.mark.parametrize("kind", ["box1", "box2", "discrete"])
+    @pytest.mark.parametrize("structure", ["ring", "uneven"])
+    @pytest.mark.parametrize("n_pops", [1, 3])
+    def test_table_equals_full_forms_gathered(self, kind, structure, n_pops):
+        for zero_likelihood in (False, True):
+            setting, stack, gamma, landscape = table_case(kind, structure, n_pops, zero_likelihood)
+            n = len(gamma)
+            support = sampling.support_table(gamma)
+            gather, columns = support
+            assert np.any(gamma.take(gather) == 0.0)  # padded
+            lik = landscape.per_population(setting, stack)
+            assert (lik == 0.0).any() == zero_likelihood
+            for c_min in (0.0, 0.05):
+                full = credibility_from_values(setting, stack, landscape, c_min)
+                on_table = lambda a: a.reshape(n_pops, -1)[:, gather]
+                buffer = np.full((n_pops, n, n), np.nan)
+                cred = credibility_from_values(setting, stack, landscape, c_min, buffer, support)
+                assert np.array_equal(cred, on_table(full))
+                if n_pops == 1:
+                    alone = credibility_from_values(
+                        setting, stack[0], landscape, c_min, table=support
+                    )
+                    assert np.array_equal(alone, on_table(full)[0])
+
+                learning = compute_social_learning(gamma, full)
+                rows = np.zeros((n_pops, n, n))
+                got = compute_social_learning(gamma.take(gather), cred, rows, support)
+                assert not rows.any()  # left zero
+                dead = (gamma * full).sum(axis=-1) <= ZERO_ROW_GUARD
+                assert dead[:, 5 if structure == "ring" else n - 2].all()
+                assert np.array_equal(got[~dead], on_table(learning)[~dead])
+                assert np.all(got[dead] == 0.0)
+                assert np.all(learning[dead] == 1.0 / n)
+                # without a row buffer one is allocated
+                again = compute_social_learning(gamma.take(gather), cred, table=support)
+                assert np.array_equal(again, got)
+
+                u = np.random.default_rng(1).random((n_pops * n, 40))
+                u[:, -1] = np.nextafter(1.0, 0.0)
+                want = searchsorted_sources(learning, u)
+                assert np.array_equal(sampling.pick_sources(got, u, support), want)
+
+    def test_table_learning_refuses_bad_entries(self):
+        gamma = ring_structure(8, 1)
+        support = sampling.support_table(gamma)
+        cred = np.ones((1, 8, 3))
+        with pytest.raises(MatrixError):
+            compute_social_learning(np.ones((8, 4)), cred, table=support)
+        for bad in (-1.0, math.nan, math.inf):
+            entries = gamma.take(support.gather)
+            entries[2, 1] = bad
+            with pytest.raises(MatrixError):
+                compute_social_learning(entries, cred, table=support)
+            worse = cred.copy()
+            worse[0, 2, 1] = bad
+            with pytest.raises(MatrixError):
+                compute_social_learning(gamma.take(support.gather), worse, table=support)
 
 
 class TestReadAhead:
@@ -1075,17 +1276,26 @@ class TestReadAhead:
 
 class TestSupportRun:
     @pytest.mark.parametrize("structure", ["ring", "uneven"])
-    @pytest.mark.parametrize("kind", ["box1", "discrete"])
+    @pytest.mark.parametrize("kind", ["box1", "box2", "discrete"])
     def test_run_equals_dense_searchsorted_steps(self, monkeypatch, structure, kind):
+        # the run steps on the structure's table; the oracle steps each
+        # replicate alone on the dense (N, N) forms, searched row by row
         n = 30
         state, _, landscape, target = mixed_setup(kind, n=n, seed=len(structure))
         rng = np.random.default_rng(9)
         gamma = ring_structure(n, 4) if structure == "ring" else uneven_structure(rng, n)
         assert sampling.support_table(gamma) is not None
-        cfg = SimulationConfig(tau=0.2, sample_size=12, sigma_c=0.7, horizon=6, replicates=3, seed=2**32 + 1)
-        got = run(cfg, gamma, landscape, state, re_target=target)
-        monkeypatch.setattr(dynamics, "pick_sources", lambda learning, u, *args, **kw:
-                            searchsorted_sources(learning, u))
-        rows, finals = per_replicate_run(cfg, gamma, landscape, state, target, seed_sequence_streams)
-        assert np.array_equal(got.trace.rows, rows)
-        assert np.array_equal(got.final_values, finals)
+        for c_min in (0.0, 0.05):
+            cfg = SimulationConfig(
+                tau=0.2, sample_size=12, sigma_c=0.7, c_min=c_min, horizon=6, replicates=3,
+                seed=2**32 + 1,
+            )
+            got = run(cfg, gamma, landscape, state, re_target=target)
+            with monkeypatch.context() as patch:
+                patch.setattr(dynamics, "pick_sources", lambda learning, u, *args, **kw:
+                              searchsorted_sources(learning, u))
+                rows, finals = per_replicate_run(
+                    cfg, gamma, landscape, state, target, seed_sequence_streams
+                )
+            assert np.array_equal(got.trace.rows, rows)
+            assert np.array_equal(got.final_values, finals)

@@ -25,6 +25,7 @@ from epidyn.influence import (
     _pairwise_penalty,
     _rows_or_uniform,
     credibility_from_values,
+    validate_stochastic,
     validate_structure,
 )
 from epidyn.knowledge import TabularLikelihood
@@ -530,6 +531,12 @@ class TestNormalizeRows:
         with pytest.raises(MatrixError):
             normalize_rows(np.array([[1.0, -0.5], [0.5, 0.5]]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entries_rejected(self, bad):
+        # a NaN row used to come back as NaN, with a RuntimeWarning
+        with pytest.raises(MatrixError):
+            normalize_rows(np.array([[0.5, 0.5], [bad, 0.5]]))
+
     @pytest.mark.parametrize("guard", [0.0, ZERO_ROW_GUARD])
     def test_rows_or_uniform_equals_masked_form(self, guard):
         def masked(w, guard):
@@ -550,3 +557,20 @@ class TestNormalizeRows:
             if shape[-1] > 1:
                 w.reshape(-1, shape[-1])[1, 0] = np.nan
             assert np.array_equal(_rows_or_uniform(w, guard), masked(w, guard), equal_nan=True)
+
+
+class TestValidateStochastic:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entries_rejected(self, bad):
+        # a NaN row sum fails no comparison, so [[0.5, 0.5], [nan, 0.5]] passed
+        with pytest.raises(MatrixError):
+            validate_stochastic(np.array([[0.5, 0.5], [bad, 0.5]]))
+
+    def test_spectral_tools_refuse_a_nan_matrix(self):
+        from epidyn import analyze, dobrushin_coefficient
+
+        nan_row = np.array([[0.5, 0.5], [math.nan, 0.5]])
+        with pytest.raises(MatrixError):
+            dobrushin_coefficient(nan_row)
+        with pytest.raises(MatrixError):
+            analyze(nan_row)
