@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,16 @@ from .knowledge import (
     LikelihoodLandscape,
 )
 from .metrics import TRACE_COLUMNS, MetricTrace, trace_record
-from .sampling import ReadAhead, agent_streams, pick_sources, search_rows, support_table, uniforms
+from .sampling import (
+    ReadAhead,
+    SupportTable,
+    agent_streams,
+    pick_sources,
+    search_rows,
+    stream_offsets,
+    support_table,
+    uniforms,
+)
 
 METRIC_VARIANTS = ("consensus-projection", "nearest-individual")
 
@@ -375,7 +384,7 @@ def _exploration_weights(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return weights.reshape(-1, kernel.shape[0])
 
 
-def _refit(setting, values, e_idx, concepts, keep) -> np.ndarray:
+def _refit(setting, values, e_idx, concepts, keep, cells=None) -> np.ndarray:
     """Per-experience least-squares fit of K agents' samples at once.
 
     Row a of the (K, m) ``e_idx``, (K, m, l) ``concepts`` and (K, m)
@@ -385,10 +394,14 @@ def _refit(setting, values, e_idx, concepts, keep) -> np.ndarray:
     safety), the listed point nearest the mean for a discrete space (exact
     ties to the lowest concept index).  The others keep their value.  The
     samples are stacked with disjoint index offsets, so each agent's sums
-    run over its own observations in sample order.  Returns a new array.
+    run over its own observations in sample order: ``cells``, the (K, 1)
+    offsets n_exp * a, may come built once for a run's steps.  Returns a
+    new array.
     """
     n, n_exp, dim = values.shape
-    cells = e_idx + n_exp * np.arange(n)[:, None]
+    if cells is None:
+        cells = n_exp * np.arange(n)[:, None]
+    cells = e_idx + cells
     if keep.all():
         cells, observed = cells.reshape(-1), concepts.reshape(-1, dim)
     else:
@@ -433,6 +446,35 @@ def _cell_means(cells: np.ndarray, observed: np.ndarray, total: int):
     return seen, means
 
 
+class StepPlan(NamedTuple):
+    """What every step of a run shares, built once for the run by
+    :func:`step_plan` for (R, N, E) = ``shape`` stacks: the validated
+    ``structure`` and its ``support`` table (or None), the ``entries`` the
+    learning matrix reads (the structure, or its entries on the table), the
+    source search's :func:`~epidyn.sampling.stream_offsets` (``start``,
+    ``base``, ``columns``) and the refit's ``cells`` offsets, one per agent
+    of the stack."""
+
+    shape: Tuple[int, int, int]
+    structure: np.ndarray
+    support: Optional[SupportTable]
+    entries: np.ndarray
+    start: np.ndarray
+    base: np.ndarray
+    columns: Optional[np.ndarray]
+    cells: np.ndarray
+
+
+def step_plan(structure: np.ndarray, support, n_pops: int, n_exp: int) -> StepPlan:
+    """The :class:`StepPlan` of steps of (n_pops, N, n_exp, l) stacks
+    under an already validated ``structure`` and its ``support`` table."""
+    n = len(structure)
+    entries = structure if support is None else structure.take(support.gather)
+    offsets = stream_offsets(n_pops * n, n, support)
+    cells = n_exp * np.arange(n_pops * n)[:, None]
+    return StepPlan((n_pops, n, n_exp), structure, support, entries, *offsets, cells)
+
+
 def step(
     state: PopulationState,
     config: SimulationConfig,
@@ -442,6 +484,7 @@ def step(
     kernel: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
     support=None,
+    plan: Optional[StepPlan] = None,
 ) -> PopulationState:
     """One synchronous update from the time-t snapshot: rebuild credibility
     and the learning matrix, then resample and refit every agent.
@@ -457,38 +500,42 @@ def step(
     learning and the source search work on each row's support only: then
     ``scratch[0]`` takes the log-likelihood products, and ``scratch[1]``,
     which must be zero and is left zero, the weights laid out for their row
-    sums (see :func:`compute_social_learning`).
+    sums (see :func:`compute_social_learning`).  ``plan``, the run's
+    :func:`step_plan` of this ``structure``, stands for ``support`` and
+    holds the structure validated; without one, the structure is validated
+    here (MatrixError) and the plan built for this step alone.
     """
     values = state.values
     stack = values.reshape((-1,) + values.shape[-3:])
-    n_pops, n = stack.shape[:2]
-    G = np.asarray(structure, dtype=float)
-    if G.shape != (n, n):
-        raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
+    n_pops, n, n_exp = stack.shape[:3]
+    m = config.sample_size
+    if plan is None:
+        G = np.asarray(structure, dtype=float)
+        if G.shape != (n, n):
+            raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
+        plan = step_plan(validate_structure(G), support, n_pops, n_exp)
+    elif plan.structure is not structure or support is not None or plan.shape != stack.shape[:3]:
+        raise ConfigError("the plan was built for another structure or stack")
     if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
     if scratch is None:
         scratch = np.zeros((2, n_pops, n, n))
-    # the structure's entries are validated (MatrixError) once per step: by
-    # the learning matrix on the dense path, here when the learning matrix
-    # sees only the table's entries
-    entries = G if support is None else validate_structure(G).take(support.gather)
     cred = credibility_from_values(
-        state.setting, stack, landscape, config.c_min, scratch[0], support
+        state.setting, stack, landscape, config.c_min, scratch[0], plan.support
     )
-    learning = compute_social_learning(entries, cred, scratch[1], support)
-    del entries, cred  # spent
-    m = config.sample_size
+    learning = compute_social_learning(plan.entries, cred, scratch[1], plan.support, checked=True)
+    support, offsets, cells = plan.support, (plan.start, plan.base, plan.columns), plan.cells
+    del cred, plan  # spent: a step's own plan is not held through the draws
     block = uniforms(rngs, _block_width(state.setting) * m)
     # the credibility is spent: its buffer may take the rows' cumulative sums
-    sources = pick_sources(learning, block[:, m : 2 * m], support, out=scratch[0])
+    sources = pick_sources(learning, block[:, m : 2 * m], support, out=scratch[0], offsets=offsets)
     del learning  # spent
     e_idx, concepts, keep = _draw_rows(
         state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel
     )
     del block, sources  # spent: not held through the refit
     new_values = _refit(
-        state.setting, stack.reshape((-1,) + values.shape[-2:]), e_idx, concepts, keep
+        state.setting, stack.reshape((-1,) + values.shape[-2:]), e_idx, concepts, keep, cells
     )
     return PopulationState._trusted(state.setting, new_values.reshape(values.shape), state.t + 1)
 
@@ -554,32 +601,54 @@ class RunResult:
         return self.final_values.mean(axis=1)
 
 
+# Cap on the bytes of the recorded states a run holds for one trace_record
+# call: 16 steps of the test3-creation stack (2 x 10 x 25 floats); a larger
+# state is traced alone.
+TRACE_BLOCK_BYTES = 1 << 16
+
+
 def _run_chunk(packed, observer=None):
     # the replicates of range ``reps`` as one stack; rows replicate-major
     reps, config, structure, landscape, initial, re_target = packed
     setting = initial.setting
+    horizon = config.horizon
     rngs = ReadAhead(
         [g for r in reps for g in agent_streams(config.seed, r, initial.n_agents)],
-        config.horizon,
+        horizon,
     )
     kernel = experience_kernel(setting, config.sigma_e) if config.tau > 0.0 else None
-    support = support_table(structure)
+    n, n_exp = initial.values.shape[:2]
+    plan = step_plan(structure, support_table(structure), len(reps), n_exp)
     stack = np.repeat(initial.values[None], len(reps), axis=0)
     state = PopulationState._trusted(setting, stack, initial.t)
-    rows = np.empty((len(reps), config.horizon + 1, len(TRACE_COLUMNS)))
+    rows = np.empty((len(reps), horizon + 1, len(TRACE_COLUMNS)))
+    # the recorded states of a block of steps, traced in one call when the
+    # block is full and at the end; a state past the cap is traced alone,
+    # without a copy
+    size = max(1, min(horizon + 1, TRACE_BLOCK_BYTES // stack.nbytes))
+    if size > 1:
+        history = np.empty((size,) + stack.shape)
+        times = np.empty((size, 1))
 
     def record(k, t, state):
-        rows[:, k] = trace_record(t, reps, state.values, re_target)
+        if size == 1:
+            rows[:, k] = trace_record(t, reps, state.values, re_target)
+        else:
+            i = k % size
+            history[i], times[i] = state.values, t
+            if i == size - 1 or k == horizon:
+                block = trace_record(times[: i + 1], reps, history[: i + 1], re_target)
+                rows[:, k - i : k + 1] = block.swapaxes(0, 1)
         if observer is not None:
             for r, values in zip(reps, state.values):
                 observer(r, PopulationState._trusted(setting, values, state.t))
 
-    scratch = np.zeros((2, len(reps), initial.n_agents, initial.n_agents))
+    scratch = np.zeros((2, len(reps), n, n))
     record(0, 0, state)
-    for k in range(1, config.horizon + 1):
+    for k in range(1, horizon + 1):
         state = step(
             state, config, structure, landscape, rngs,
-            kernel=kernel, scratch=scratch, support=support,
+            kernel=kernel, scratch=scratch, plan=plan,
         )
         record(k, state.t, state)
     return rows.reshape(-1, len(TRACE_COLUMNS)), state.values

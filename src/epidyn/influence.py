@@ -224,16 +224,20 @@ def _penalty_rows(setting, values: np.ndarray, support: np.ndarray):
 
 
 def compute_social_learning(
-    gamma, credibility, out: Optional[np.ndarray] = None, table=None
+    gamma, credibility, out: Optional[np.ndarray] = None, table=None, *, checked: bool = False
 ) -> np.ndarray:
     """Row-stochastic learning matrix from structure and credibility.
 
     lambda_ij is gamma_ij * c_ij over its row sum; rows whose sum vanishes
-    fall back to the uniform row 1/N.  ``credibility`` may stack (N, N)
+    fall back to the uniform row 1/N.  A row whose products or sum
+    overflow is rescaled first (see :func:`_scaled_products`), so every
+    finite nonnegative input gives stochastic rows; every other row keeps
+    the bits of the plain quotient.  ``credibility`` may stack (N, N)
     matrices along leading axes, one per population; the structure is
-    validated once for all of them.  ``out``, if given, is the float array
-    of the credibility's shape the result is written to; it may be the
-    credibility itself.
+    validated once for all of them, or not at all when ``checked`` says a
+    caller has validated it already (a run does, once for all its steps).
+    ``out``, if given, is the float array of the credibility's shape the
+    result is written to; it may be the credibility itself.
 
     With a support ``table`` (see :func:`epidyn.sampling.support_table`),
     ``gamma`` and ``credibility`` hold only the table's entries, (N, k)
@@ -245,8 +249,8 @@ def compute_social_learning(
     weights are laid out in for the sums, and it is left zero.
     """
     if table is not None:
-        return _learning_on_table(gamma, credibility, out, table)
-    G = validate_structure(gamma)
+        return _learning_on_table(gamma, credibility, out, table, checked)
+    G = np.asarray(gamma, dtype=float) if checked else validate_structure(gamma)
     C = np.asarray(credibility, dtype=float)
     if C.shape[-2:] != G.shape:
         raise MatrixError(
@@ -254,11 +258,19 @@ def compute_social_learning(
         )
     if not _finite_nonnegative(C):
         raise MatrixError("credibility entries must be finite and nonnegative")
-    w = np.multiply(G, C, out=out)
-    return _rows_or_uniform(w, ZERO_ROW_GUARD, out=w)
+    # an overflowing row is rebuilt from the credibility, so the products
+    # are not written over it
+    aliased = out is not None and np.may_share_memory(out, C)
+    w = G * C if aliased else np.multiply(G, C, out=out)
+    sums = w.sum(axis=-1, keepdims=True)
+    over = np.nonzero(sums[..., 0] == np.inf)
+    if len(over[0]):
+        w[over] = _scaled_products(G[over[-1]], C[over])
+        sums[over] = w[over].sum(axis=-1, keepdims=True)
+    return _rows_or_uniform(w, ZERO_ROW_GUARD, out=w if out is None else out, sums=sums)
 
 
-def _learning_on_table(gamma, credibility, rows, table) -> np.ndarray:
+def _learning_on_table(gamma, credibility, rows, table, checked) -> np.ndarray:
     # compute_social_learning on the structure's table; ``rows`` is the zero
     # (..., N, N) layout for the row sums, or None
     G = np.asarray(gamma, dtype=float)
@@ -268,7 +280,7 @@ def _learning_on_table(gamma, credibility, rows, table) -> np.ndarray:
             f"dimension mismatch: table {table.gather.shape}, structure entries "
             f"{G.shape}, credibility {C.shape}"
         )
-    if not (_finite_nonnegative(G) and _finite_nonnegative(C)):
+    if not ((checked or _finite_nonnegative(G)) and _finite_nonnegative(C)):
         raise MatrixError("structure and credibility entries must be finite and nonnegative")
     n = len(G)
     w = G * C
@@ -279,24 +291,57 @@ def _learning_on_table(gamma, credibility, rows, table) -> np.ndarray:
     flat[:, table.gather] = w.reshape(-1, *G.shape)
     sums = rows.sum(axis=-1)
     flat[:, table.gather] = 0.0
+    over = np.nonzero(sums == np.inf)
+    if len(over[0]):
+        w[over] = _scaled_products(G[over[-1]], C[over])
+        # summed over the full row layout, as the (N, N) form sums them
+        layout = np.zeros((len(over[0]), n))
+        layout[np.arange(len(layout))[:, None], table.gather[over[-1]] % n] = w[over]
+        sums[over] = layout.sum(axis=-1)
     dead = sums <= ZERO_ROW_GUARD
     sums[dead] = np.inf  # a dead row's entries become 0
     return np.divide(w, sums[..., None], out=w)
 
 
+def _scaled_products(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Rows of the products g * c, each scaled by one power of two so that
+    its largest product lies in [1/4, 1): the rescue of a row whose
+    products or sum overflow.  Each product is its mantissas' product
+    times a power of two, so it has the bits of g * c computed without
+    overflow, until it falls below the normal range."""
+    mg, eg = np.frexp(g)
+    mc, ec = np.frexp(c)
+    mantissa, exponent = mg * mc, eg + ec
+    top = np.max(exponent, axis=-1, keepdims=True, where=mantissa > 0.0,
+                 initial=np.iinfo(exponent.dtype).min)
+    return np.ldexp(mantissa, exponent - top)
+
+
 def normalize_rows(M) -> np.ndarray:
-    """Divide each row by its sum; zero rows become the uniform row."""
+    """Divide each row by its sum; zero rows become the uniform row.  A row
+    whose sum overflows is rescaled first, as in
+    :func:`compute_social_learning`."""
     A = _square(M, "matrix")
     if not _finite_nonnegative(A):
         raise MatrixError("entries must be finite and nonnegative")
-    return _rows_or_uniform(A, 0.0)
+    sums = A.sum(axis=-1, keepdims=True)
+    over = np.flatnonzero(sums == np.inf)
+    if len(over):
+        A = A.copy()  # not written over the caller's matrix
+        A[over] = _scaled_products(A[over], 1.0)
+        sums[over] = A[over].sum(axis=-1, keepdims=True)
+    return _rows_or_uniform(A, 0.0, sums=sums)
 
 
-def _rows_or_uniform(w: np.ndarray, guard: float, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # each row over its sum; rows summing to at most ``guard`` become 1/N
-    # (a NaN sum is not at most ``guard``, so its row stays NaN), written to
+def _rows_or_uniform(
+    w: np.ndarray, guard: float, out: Optional[np.ndarray] = None, sums=None
+) -> np.ndarray:
+    # each row over its sum (``sums``, if given, is w.sum(axis=-1,
+    # keepdims=True)); rows summing to at most ``guard`` become 1/N (a NaN
+    # sum is not at most ``guard``, so its row stays NaN), written to
     # ``out``, which may be ``w``; without ``out``, ``w`` is never written
-    sums = w.sum(axis=-1, keepdims=True)
+    if sums is None:
+        sums = w.sum(axis=-1, keepdims=True)
     dead = sums <= guard
     # dead rows divide by 1 (no warning, the unmasked loop) and are then
     # overwritten

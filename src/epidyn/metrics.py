@@ -37,18 +37,42 @@ def consensus_distance(state) -> float:
 def nearest_individual_distance(state) -> float:
     """Distance to the nearest constant tuple built from one agent's own
     function: min over j of sqrt(sum_i d(k_i, k_j)^2)."""
-    V = _value_tensor(state)
-    return _nearest_from_centred(V, V - V.mean(axis=0))
-
-
-def _nearest_from_centred(V: np.ndarray, centred: np.ndarray) -> float:
     # Parallel-axis identity: sum_i |v_i - v_j|^2 = sum_i |v_i - mu|^2
     # + N |v_j - mu|^2, so the nearest individual is the agent closest to the
     # mean mu.  Its total is summed directly from its own differences, which
     # are exactly zero at consensus (the identity's form would cancel).
+    V = _value_tensor(state)
+    centred = V - V.mean(axis=0)
     j = np.argmin(np.einsum("iel,iel->i", centred, centred))
     diffs = V - V[j]
     return float(np.sqrt(np.einsum("iel,iel->", diffs, diffs)))
+
+
+def _distances(values: np.ndarray):
+    """:func:`consensus_distance` and :func:`nearest_individual_distance`
+    of each population of an (..., N, E, l) stack, as two arrays of the
+    leading shape, with the same bits as those one-population forms.
+
+    Each population is centred once.  ``d_consensus`` is the norm of that
+    array: a stacked matmul of each flattened population with itself is
+    the BLAS dot that ``np.linalg.norm`` takes.  The nearest individual,
+    the agent closest to the mean, is found from one batched einsum of the
+    per-agent sums.  Its total is summed from its own differences one
+    population at a time: an einsum over more than 8192 entries blocks by
+    its operands' shape, so a batched sum would round a large population's
+    total differently.
+    """
+    lead = values.shape[:-3]
+    stack = values.reshape((-1,) + values.shape[-3:])
+    count = len(stack)
+    centred = stack - stack.mean(axis=1, keepdims=True)
+    flat = centred.reshape(count, 1, -1)
+    consensus = np.matmul(flat, flat.transpose(0, 2, 1)).reshape(count)
+    nearest = np.einsum("piel,piel->pi", centred, centred).argmin(axis=1)
+    del centred, flat  # spent: not held beside the differences
+    diffs = (stack - stack[np.arange(count), nearest][:, None]).reshape(count, -1)
+    totals = np.array([np.einsum("n,n->", d, d) for d in diffs])
+    return np.sqrt(consensus).reshape(lead), np.sqrt(totals).reshape(lead)
 
 
 def equilibrium_shift(initial: KnowledgeFunction, equilibrium: KnowledgeFunction) -> float:
@@ -140,24 +164,20 @@ def _write_csv(path, header, rows, int_cols=()) -> None:
         fh.writelines(line % tuple(row) for row in np.asarray(rows).tolist())
 
 
-def trace_record(t: int, replicate, state, re_target: Optional[np.ndarray]) -> np.ndarray:
-    """Trace rows for the current state: one row for an (N, E, l)
-    population and index ``replicate``, or an (R, 5) array for an
-    (R, N, E, l) stack and its R replicate indices.
+def trace_record(t, replicate, state, re_target: Optional[np.ndarray]) -> np.ndarray:
+    """Trace rows of (..., N, E, l) values, or of a state: one (5,) row
+    for one population, (..., 5) rows for a stack.  ``t`` and
+    ``replicate`` broadcast against the leading axes; a run passes a block
+    of steps of an (R, N, E, l) stack as (steps, R, N, E, l) values, its
+    times as a (steps, 1) column and its R replicate indices.
 
-    Each population is centred once; ``d_consensus`` is the norm of that
-    array, as in :func:`consensus_distance`, and the nearest individual is
-    found from it.  The whole-population sums run one population at a time,
-    since an einsum over more than 8192 entries blocks by the stack's shape,
-    so a population's row is the same bits alone or stacked.
+    ``d_consensus`` and ``d_nearest`` are those of :func:`_distances`,
+    whose sums round alike for a population alone or in any stack.
     """
     V = _value_tensor(state)
-    stack = V.reshape((-1,) + V.shape[-3:])
-    centred = stack - stack.mean(axis=1, keepdims=True)
-    rows = np.empty((len(stack), len(TRACE_COLUMNS)))
-    rows[:, 0] = t
-    rows[:, 1] = replicate
-    for row, v, c in zip(rows, stack, centred):
-        row[2:4] = np.linalg.norm(c), _nearest_from_centred(v, c)
-    rows[:, 4] = np.nan if re_target is None else relative_entropy(stack, re_target)
-    return rows.reshape(V.shape[:-3] + rows.shape[1:])
+    rows = np.empty(V.shape[:-3] + (len(TRACE_COLUMNS),))
+    rows[..., 0] = t
+    rows[..., 1] = replicate
+    rows[..., 2], rows[..., 3] = _distances(V)
+    rows[..., 4] = np.nan if re_target is None else relative_entropy(V, re_target)
+    return rows

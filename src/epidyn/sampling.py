@@ -172,17 +172,20 @@ class ReadAhead:
         return block
 
 
-def search_rows(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
+def search_rows(cumulative: np.ndarray, u: np.ndarray, start=None) -> np.ndarray:
     """Right-side searchsorted of each query u[s, q] in the nondecreasing
     row ``cumulative[s]``: the count of entries <= the query, in [0, width].
 
     One branchless binary search for all rows at once: every query keeps
     the range [pos, pos + n] that holds its answer, and halves it by one
-    comparison at the same offset ``half`` of its own row.
+    comparison at the same offset ``half`` of its own row.  ``start``, the
+    (rows, 1) flat offsets of the rows, may come built once for many
+    searches (see :func:`stream_offsets`).
     """
     rows, width = cumulative.shape
     flat = cumulative.reshape(-1)
-    start = np.arange(0, rows * width, width)[:, None]
+    if start is None:
+        start = np.arange(0, rows * width, width)[:, None]
     pos = np.repeat(start, u.shape[1], axis=1)
     below = np.empty(u.shape, dtype=bool)
     n = width
@@ -237,12 +240,28 @@ def support_table(structure: np.ndarray):
     return SupportTable(gather, columns)
 
 
-def pick_sources(learning: np.ndarray, u: np.ndarray, support=None, out=None) -> np.ndarray:
+def stream_offsets(n_streams: int, n: int, support=None):
+    """The offsets that every source search of ``n_streams`` streams of
+    populations of ``n`` agents shares, each (S, 1), S = R * N: the flat
+    offset of each stream's row of cumulative sums (the dense learning
+    rows, or the entries of a ``support`` table), the flat index r * N of
+    each stream's population, and the offset of each stream's row of the
+    table's columns (None without a table)."""
+    width = n if support is None else support.gather.shape[1]
+    agents = np.arange(n_streams)[:, None]
+    columns = None if support is None else agents % n * (width + 1)
+    return agents * width, agents - agents % n, columns
+
+
+def pick_sources(
+    learning: np.ndarray, u: np.ndarray, support=None, out=None, offsets=None
+) -> np.ndarray:
     """Source of every social slot of an (R, N, N) stack of learning
     matrices: slot q of stream s = r * N + a takes agent j of population r
     with probability lambda_aj, j being the right-side searchsorted
     position of u[s, q] in row a's cumulative sums, clipped to N - 1.
-    Returns the flat indices r * N + j.
+    Returns the flat indices r * N + j.  ``offsets``, the streams'
+    :func:`stream_offsets`, may come built once for a run's steps.
 
     Without a ``support`` table the rows' cumulative sums are taken in
     full, into ``out`` if given.  With one, ``learning`` holds only the
@@ -255,20 +274,23 @@ def pick_sources(learning: np.ndarray, u: np.ndarray, support=None, out=None) ->
     and uniform 1/N over all N agents, is searched in full.
     """
     n = learning.shape[-1] if support is None else len(support.columns)
-    agents = np.arange(u.shape[0])
+    if offsets is None:
+        offsets = stream_offsets(u.shape[0], n, support)
+    start, base, columns = offsets
     if support is None:
         cumulative = np.cumsum(learning, axis=-1, out=out).reshape(-1, n)
-        picked = np.minimum(search_rows(cumulative, u), n - 1)
+        picked = search_rows(cumulative, u, start)
+        np.minimum(picked, n - 1, out=picked)
     else:
         width = support.gather.shape[1]
         cumulative = learning.reshape(-1, width)
         np.cumsum(cumulative, axis=-1, out=cumulative)
-        picked = search_rows(cumulative, u)
-        picked += (agents % n * (width + 1))[:, None]
+        picked = search_rows(cumulative, u, start)
+        picked += columns
         picked = support.columns.take(picked)
         dead = np.flatnonzero(cumulative[:, -1] == 0.0)
         if len(dead):
             uniform = np.cumsum(np.full((len(dead), n), 1.0 / n), axis=-1)
             picked[dead] = np.minimum(search_rows(uniform, u[dead]), n - 1)
-    picked += (agents - agents % n)[:, None]
+    picked += base
     return picked

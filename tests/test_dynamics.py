@@ -1299,3 +1299,141 @@ class TestSupportRun:
                 )
             assert np.array_equal(got.trace.rows, rows)
             assert np.array_equal(got.final_values, finals)
+
+
+class TestTraceBlocks:
+    """``run`` traces the recorded states of a block of steps in one
+    ``trace_record`` call; the rows must be those of one call per step."""
+
+    def crowd_case(self, replicates, horizon):
+        # N = 400, E = 25: each population holds 10,000 entries, past the
+        # 8192 entries an einsum buffers, so a batched whole-population sum
+        # would round differently from the per-population one
+        rng = np.random.default_rng(replicates)
+        state = PopulationState.from_values(grid_setting(25), rng.uniform(0.5, 10, (400, 25)))
+        gamma = rng.uniform(0.0, 1.0, size=(400, 400))
+        cfg = SimulationConfig(
+            tau=0.1, sample_size=8, horizon=horizon, replicates=replicates, seed=6
+        )
+        return cfg, gamma, GaussianPeakLikelihood([6.0], 10.0), state
+
+    @pytest.mark.parametrize("target", [None, "ones"])
+    @pytest.mark.parametrize("replicates", [1, 3])
+    def test_blocks_equal_per_step_records(self, monkeypatch, replicates, target):
+        cfg, gamma, landscape, state = self.crowd_case(replicates, horizon=7)
+        target = None if target is None else np.ones((25, 1))
+        rows, finals = per_replicate_run(cfg, gamma, landscape, state, target)
+        # a state of this size is traced alone by default; blocks of three
+        # steps leave a last block of two of the eight records
+        for steps in (1, 3):
+            monkeypatch.setattr(dynamics, "TRACE_BLOCK_BYTES", steps * replicates * 400 * 25 * 8)
+            got = run(cfg, gamma, landscape, state, re_target=target)
+            assert np.array_equal(got.trace.rows, rows, equal_nan=True)
+            assert np.array_equal(got.final_values, finals)
+
+    def test_observer_sees_every_state_in_order_within_blocks(self, monkeypatch):
+        cfg, gamma, landscape, state = self.crowd_case(2, horizon=5)
+        monkeypatch.setattr(dynamics, "TRACE_BLOCK_BYTES", 4 * 400 * 25 * 8)
+        target = np.ones((25, 1))
+        seen = []
+        got = run(cfg, gamma, landscape, state, re_target=target,
+                  observer=lambda r, s: seen.append((r, s.t, s.values.copy())))
+        assert [(r, t) for r, t, _ in seen] == [(r, t) for r in range(2) for t in range(6)]
+        # each observed state is the one its trace row was recorded from
+        per_step = [trace_record(t, r, values, target) for r, t, values in seen]
+        assert np.array_equal(got.trace.rows, np.array(per_step))
+        rows, _ = per_replicate_run(cfg, gamma, landscape, state, target)
+        assert np.array_equal(got.trace.rows, rows)
+
+    def test_block_holds_sixteen_creation_steps(self):
+        setup = preset("test3-creation", replicates=2)
+        stack_bytes = 2 * setup.initial.values.nbytes
+        assert dynamics.TRACE_BLOCK_BYTES // stack_bytes == 16
+
+    def test_peak_memory_grows_with_the_horizon_only_by_its_rows(self, monkeypatch):
+        # N = 10.  The streams are read one step at a time, so that the
+        # read-ahead (capped at sampling.READ_AHEAD_FLOATS) is the same at
+        # both horizons, and only the trace rows and the block of states
+        # may grow with the horizon
+        monkeypatch.setattr(sampling, "READ_AHEAD_FLOATS", 0)
+        rng = np.random.default_rng(4)
+        state = PopulationState.from_values(grid_setting(25), rng.uniform(-5, 5, (10, 25)))
+        gamma = rng.uniform(0.1, 1.0, size=(10, 10))
+        landscape = GaussianPeakLikelihood([1.0], 1.0)
+        peaks = {}
+        for horizon in (20, 2000):
+            cfg = SimulationConfig(sample_size=5, horizon=horizon, replicates=2)
+            tracemalloc.start()
+            try:
+                run(cfg, gamma, landscape, state, re_target=np.ones((25, 1)))
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        row_bytes = 2 * (2000 - 20) * 5 * 8
+        assert peaks[2000] - peaks[20] <= row_bytes + dynamics.TRACE_BLOCK_BYTES
+
+
+class TestStructureValidation:
+    def count_checks(self, monkeypatch):
+        import epidyn.influence as influence
+
+        calls = []
+        check = influence.validate_structure
+        for module in (dynamics, influence):
+            monkeypatch.setattr(module, "validate_structure", lambda g: calls.append(1) or check(g))
+        return calls
+
+    @pytest.mark.parametrize("structure", ["dense", "ring"])
+    def test_run_validates_the_structure_once(self, monkeypatch, structure):
+        calls = self.count_checks(monkeypatch)
+        n = 8
+        gamma = np.ones((n, n)) if structure == "dense" else ring_structure(n, 1)
+        assert (sampling.support_table(gamma) is None) == (structure == "dense")
+        state = PopulationState.from_values(grid_setting(3), np.linspace(-5, 5, 3 * n).reshape(n, 3))
+        cfg = SimulationConfig(tau=0.2, sample_size=4, horizon=6, replicates=2)
+        run(cfg, gamma, ConstantLikelihood(1.0), state)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("entry", [-1.0, math.nan])
+    @pytest.mark.parametrize("structure", ["dense", "ring"])
+    def test_direct_step_refuses_a_bad_entry(self, structure, entry):
+        n = 6
+        gamma = np.ones((n, n)) if structure == "dense" else ring_structure(n, 1)
+        support = sampling.support_table(gamma)
+        gamma[0, 1] = entry  # on the table of the ring
+        state = PopulationState.from_values(grid_setting(3), np.linspace(-5, 5, 3 * n).reshape(n, 3))
+        with pytest.raises(MatrixError):
+            step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0),
+                 agent_streams(0, 0, n), support=support)
+
+    @pytest.mark.parametrize("structure", ["dense", "ring"])
+    def test_step_with_a_plan_equals_a_direct_step(self, structure):
+        n = 6
+        gamma = np.ones((n, n)) if structure == "dense" else ring_structure(n, 1)
+        support = sampling.support_table(gamma)
+        values = np.linspace(-5, 5, 2 * 3 * n).reshape(2, n, 3, 1)
+        state = PopulationState._trusted(grid_setting(3), values, 0)
+        cfg = SimulationConfig(tau=0.2, sample_size=4)
+        landscape = GaussianPeakLikelihood([1.0], 2.0)
+        streams = lambda: [g for r in range(2) for g in agent_streams(0, r, n)]
+        want = step(state, cfg, gamma, landscape, streams(), support=support)
+        plan = dynamics.step_plan(gamma, support, 2, 3)
+        got = step(state, cfg, gamma, landscape, streams(), plan=plan)
+        assert np.array_equal(got.values, want.values)
+
+    def test_step_refuses_a_plan_of_another_structure_or_stack(self):
+        n = 6
+        gamma = ring_structure(n, 1)
+        support = sampling.support_table(gamma)
+        state = PopulationState.from_values(grid_setting(3), np.linspace(-5, 5, 3 * n).reshape(n, 3))
+        plan = dynamics.step_plan(gamma, support, 1, 3)
+        bad = [
+            (gamma.copy(), dict(plan=plan)),  # another structure
+            (gamma, dict(plan=plan, support=support)),  # support beside a plan
+            (gamma, dict(plan=dynamics.step_plan(gamma, support, 2, 3))),  # two populations
+            (gamma, dict(plan=dynamics.step_plan(gamma, support, 1, 4))),  # four experiences
+        ]
+        for structure, kw in bad:
+            with pytest.raises(ConfigError):
+                step(state, SimulationConfig(), structure, ConstantLikelihood(1.0),
+                     agent_streams(0, 0, n), **kw)

@@ -29,6 +29,7 @@ from epidyn.influence import (
     validate_structure,
 )
 from epidyn.knowledge import TabularLikelihood
+from epidyn.sampling import support_table
 
 from conftest import FLAT_ROUND_PRINTED
 
@@ -475,6 +476,60 @@ class TestSocialLearning:
         assert np.allclose(lam[2], lam2[2], atol=1e-15)
         assert np.array_equal(lam[[0, 1, 3]], lam2[[0, 1, 3]])
 
+    OVERFLOWING = [
+        # the row sum overflows: the plain quotient gives row 0 = [0, 0]
+        (np.ones((2, 2)), [[1e308, 1e308], [1.0, 1.0]], [[0.5, 0.5], [0.5, 0.5]]),
+        # a product overflows: the plain quotient gives row 0 = [nan, 0]
+        ([[2.0, 1.0], [1.0, 1.0]], [[1e308, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]]),
+    ]
+
+    @pytest.mark.parametrize("gamma, cred, want", OVERFLOWING)
+    def test_overflowing_rows_stay_stochastic(self, gamma, cred, want):
+        with np.errstate(over="ignore"):
+            lam = compute_social_learning(gamma, cred)
+            alias = np.array(cred)
+            out = compute_social_learning(gamma, alias, out=alias)
+        assert np.array_equal(lam, want)
+        assert out is alias and np.array_equal(out, want)
+        assert np.array_equal(lam.sum(axis=1), [1.0, 1.0])
+
+    @pytest.mark.parametrize("gamma, cred, want", OVERFLOWING)
+    def test_overflowing_rows_stay_stochastic_on_the_table(self, gamma, cred, want):
+        # the 2 x 2 inputs as one block of a 4-agent structure whose rows
+        # have at most N / 2 entries, so that it has a column table
+        G, C = np.zeros((4, 4)), np.ones((2, 4, 4))
+        G[:2, :2], G[2:, 2:] = gamma, [[1.0, 0.0], [3.0, 1.0]]
+        C[:, :2, :2] = cred
+        C[1, 3, 2] = 1e308  # an overflowing row of the other population
+        table = support_table(G)
+        assert table is not None
+        with np.errstate(over="ignore"):
+            dense = compute_social_learning(G, C)
+            entries = compute_social_learning(
+                G.take(table.gather), C.reshape(2, -1)[:, table.gather], table=table
+            )
+        assert np.array_equal(dense[:, :2, :2], [want, want])
+        assert np.array_equal(dense.sum(axis=-1), np.ones((2, 4)))
+        scattered = np.zeros((2, 16))
+        scattered[:, table.gather] = entries
+        assert np.array_equal(scattered.reshape(2, 4, 4), dense)
+
+    def test_rows_that_do_not_overflow_keep_their_bits(self):
+        rng = np.random.default_rng(31)
+        gamma = rng.uniform(0.0, 5.0, size=(6, 6))
+        cred = rng.uniform(0.0, 1.0, size=(3, 6, 6))
+        plain = gamma * cred
+        plain /= plain.sum(axis=-1, keepdims=True)
+        cred[1, 4] = [1e308, 0.0, 3e307, 1.0, 0.0, 1e300]
+        with np.errstate(over="ignore"):
+            lam = compute_social_learning(gamma, cred)
+        kept = np.ones((3, 6), dtype=bool)
+        kept[1, 4] = False
+        assert np.array_equal(lam[kept], plain[kept])
+        assert abs(lam[1, 4].sum() - 1.0) <= 1e-15
+        exact = gamma[4] * (cred[1, 4] / 1e308)  # no product overflows at this scale
+        np.testing.assert_allclose(lam[1, 4], exact / exact.sum(), rtol=1e-15)
+
     def test_entry_bound_holds_in_its_sound_regime(self):
         # The closed-form bound's inequality chain needs
         # N * (1 - N*m) >= 1, i.e. m <= (N-1)/N^2 after row normalization;
@@ -526,6 +581,19 @@ class TestNormalizeRows:
         out = normalize_rows(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [1.0, 1.0, 0.0]]))
         assert np.array_equal(out[0], [1 / 3, 1 / 3, 1 / 3])
         assert np.array_equal(out[1], [1.0, 0.0, 0.0])
+
+    def test_overflowing_row_sum_stays_stochastic(self):
+        # the plain quotient gives row 0 = [0, 0, 0]; row 1 keeps its bits
+        M = np.array([[1e308, 1e308, 0.0], [1.0, 2.0, 4.0], [1.5e308, 1.0, 2e307]])
+        kept = M.copy()
+        with np.errstate(over="ignore"):
+            out = normalize_rows(M)
+        assert np.array_equal(M, kept)
+        assert np.array_equal(out[0], [0.5, 0.5, 0.0])
+        assert np.array_equal(out[1], M[1] / M[1].sum())
+        scaled = M[2] / 1e308  # no sum overflows at this scale
+        np.testing.assert_allclose(out[2], scaled / scaled.sum(), rtol=1e-15)
+        assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-15)
 
     def test_negative_entries_rejected(self):
         with pytest.raises(MatrixError):

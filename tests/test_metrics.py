@@ -146,6 +146,42 @@ class TestNearestIndividualDistance:
         assert peak < 4 * 2**20
 
 
+def per_population_rows(t, replicates, stack, re_target):
+    """The per-population trace loop that the block trace replaced, kept
+    as its oracle: each population of an (R, N, E, l) stack centred, its
+    d_consensus a ``np.linalg.norm`` and its nearest individual's total
+    one ``iel,iel->`` einsum."""
+    centred = stack - stack.mean(axis=1, keepdims=True)
+    rows = np.empty((len(stack), len(TRACE_COLUMNS)))
+    rows[:, 0] = t
+    rows[:, 1] = replicates
+    for row, v, c in zip(rows, stack, centred):
+        diffs = v - v[np.argmin(np.einsum("iel,iel->i", c, c))]
+        row[2:4] = np.linalg.norm(c), np.sqrt(np.einsum("iel,iel->", diffs, diffs))
+    rows[:, 4] = np.nan if re_target is None else relative_entropy(stack, re_target)
+    return rows
+
+
+class TestBlockTrace:
+    @pytest.mark.parametrize("target", [None, "ones"])
+    @pytest.mark.parametrize("n", [10, 400])
+    def test_block_rows_equal_per_population_rows(self, n, target):
+        # N = 400, E = 25: 10,000 entries per population, past the 8192
+        # entries an einsum buffers
+        rng = np.random.default_rng(n)
+        steps, replicates = 4, 3
+        block = rng.uniform(-5, 5, size=(steps, replicates, n, 25, 1))
+        block[1, 2] = 0.75  # a population at consensus
+        target = None if target is None else np.ones((25, 1))
+        times = np.arange(steps)[:, None] + 7
+        got = trace_record(times, range(replicates), block, target)
+        want = [per_population_rows(t, range(replicates), values, target)
+                for t, values in zip(times[:, 0], block)]
+        assert got.shape == (steps, replicates, len(TRACE_COLUMNS))
+        assert np.array_equal(got, np.array(want), equal_nan=True)
+        assert got[1, 2, 2] == got[1, 2, 3] == 0.0
+
+
 class TestEquilibriumShift:
     def test_identical_functions(self):
         k = KnowledgeFunction.constant(grid_setting(5), 2.0)

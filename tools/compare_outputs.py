@@ -1,0 +1,122 @@
+"""Check that two epidyn checkouts write the same output files.
+
+    python3 tools/compare_outputs.py OLD NEW [--seed S ...] [--work DIR]
+
+OLD and NEW are epidyn checkouts, or their ``src`` directories.  Both run
+the four presets (test3-creation at ``--horizon 600``) and the creation,
+crowd and naming workload configs of ``perfbench/workloads.py`` at each
+``--seed`` (5 and 12 by default), each as a fresh ``epidyn run`` process
+with one BLAS thread and no replicate workers.  The workload configs are
+generated once from this checkout's ``perfbench/workloads.py``, which is
+only read, and given to both sides.
+
+``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
+and ``manifest.json`` equal without its ``created`` timestamp.  Each
+difference is printed; the exit code is 0 when there is none, 1 when
+there is one, and 2 when a checkout holds no epidyn or a run fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = (
+    ("test1-self-inertia", ()),
+    ("test2-professor", ()),
+    ("test3-creation", ("--horizon", "600")),
+    ("test4-language", ()),
+)
+WORKLOADS = ("creation", "crowd", "naming")
+FILES = ("trace.csv", "mean.csv", "summary.txt")
+
+
+def source_dir(path: str) -> Path:
+    """The directory that holds the ``epidyn`` package of a checkout."""
+    root = Path(path).resolve()
+    for candidate in (root / "src", root):
+        if (candidate / "epidyn" / "__init__.py").is_file():
+            return candidate
+    raise SystemExit(f"no epidyn package under {root}")
+
+
+def workload_configs(work: Path, seeds) -> list:
+    """(name, config path) of each workload config at each seed."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = []
+    for seed in seeds:
+        for name in WORKLOADS:
+            path = work / f"{name}-seed{seed}.json"
+            path.write_bytes(workloads.config_bytes(name, seed))
+            configs.append((f"{name}-seed{seed}", str(path)))
+    return configs
+
+
+def run(src: Path, target: str, args, out: Path) -> None:
+    env = {k: v for k, v in os.environ.items() if k != "EPIDYN_THREADS"}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    cmd = [sys.executable, "-m", "epidyn.cli", "run", target, *args, "--out", str(out)]
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"{src}: `{' '.join(cmd[3:])}` exited {proc.returncode}")
+
+
+def manifest(path: Path) -> dict:
+    doc = json.loads(path.read_text())
+    doc.pop("created", None)
+    return doc
+
+
+def differences(old: Path, new: Path) -> list:
+    found = [name for name in FILES if (old / name).read_bytes() != (new / name).read_bytes()]
+    if manifest(old / "manifest.json") != manifest(new / "manifest.json"):
+        found.append("manifest.json")
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old", help="the reference checkout or its src directory")
+    parser.add_argument("new", help="the checkout under test or its src directory")
+    parser.add_argument("--seed", type=int, action="append",
+                        help="workload config seed (repeatable; default 5 and 12)")
+    parser.add_argument("--work", help="directory for the configs and outputs "
+                        "(default: a new temporary directory, kept)")
+    args = parser.parse_args(argv)
+    work = Path(args.work or tempfile.mkdtemp(prefix="epidyn-compare-"))
+    work.mkdir(parents=True, exist_ok=True)
+
+    cases = [(name, name, extra) for name, extra in PRESETS]
+    cases += [(name, path, ()) for name, path in workload_configs(work, args.seed or [5, 12])]
+    failed = 0
+    try:
+        old, new = source_dir(args.old), source_dir(args.new)
+        for name, target, extra in cases:
+            outs = [work / side / name for side in ("old", "new")]
+            for src, out in zip((old, new), outs):
+                run(src, target, extra, out)
+            found = differences(*outs)
+            failed += bool(found)
+            print(f"{name}: {'differs in ' + ', '.join(found) if found else 'identical'}")
+    except SystemExit as err:
+        print(err, file=sys.stderr)
+        return 2
+    print(f"{len(cases) - failed} of {len(cases)} identical; outputs in {work}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
