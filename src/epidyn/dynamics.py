@@ -13,9 +13,9 @@ uses one block of the same size from every stream, whatever the draws turn
 out to be; a run reads the blocks of a chunk of steps in one read per
 stream, which gives the same numbers.  The agents that social observations
 copy are found by one search of all the streams' queries at once (see
-:mod:`epidyn.sampling`).  When the structure is sparse, credibility, the
-learning matrix and that search work on the structure's column table, the
-entries of each row's support, with the bits of the full (N, N) forms.
+:mod:`epidyn.sampling`).  Credibility, the learning matrix and that search
+work on the structure's column table, the entries of each row's support,
+with the bits of the full (N, N) forms.
 Replicates are stepped together as one (R, N, E, l) stack, and each
 population of the stack rounds as it would alone.
 """
@@ -449,30 +449,35 @@ def _cell_means(cells: np.ndarray, observed: np.ndarray, total: int):
 class StepPlan(NamedTuple):
     """What every step of a run shares, built once for the run by
     :func:`step_plan` for (R, N, E) = ``shape`` stacks: the validated
-    ``structure`` and its ``support`` table (or None), the ``entries`` the
-    learning matrix reads (the structure, or its entries on the table), the
-    source search's :func:`~epidyn.sampling.stream_offsets` (``start``,
-    ``base``, ``columns``) and the refit's ``cells`` offsets, one per agent
-    of the stack."""
+    ``structure``, its support ``table`` and the ``entries`` of the
+    structure on it, the source search's
+    :func:`~epidyn.sampling.stream_offsets` (``start``, ``base``,
+    ``columns``), the refit's ``cells`` offsets, one per agent of the
+    stack, and the (2, R, N, N) ``scratch`` that holds the log-likelihood
+    products and the row layout of the learning weights, zero off the
+    table (see :func:`compute_social_learning`)."""
 
     shape: Tuple[int, int, int]
     structure: np.ndarray
-    support: Optional[SupportTable]
+    table: SupportTable
     entries: np.ndarray
     start: np.ndarray
     base: np.ndarray
-    columns: Optional[np.ndarray]
+    columns: np.ndarray
     cells: np.ndarray
+    scratch: np.ndarray
 
 
-def step_plan(structure: np.ndarray, support, n_pops: int, n_exp: int) -> StepPlan:
+def step_plan(structure: np.ndarray, n_pops: int, n_exp: int) -> StepPlan:
     """The :class:`StepPlan` of steps of (n_pops, N, n_exp, l) stacks
-    under an already validated ``structure`` and its ``support`` table."""
+    under an already validated ``structure``."""
     n = len(structure)
-    entries = structure if support is None else structure.take(support.gather)
-    offsets = stream_offsets(n_pops * n, n, support)
+    table = support_table(structure)
+    entries = table.entries(structure)
+    offsets = stream_offsets(n_pops * n, table)
     cells = n_exp * np.arange(n_pops * n)[:, None]
-    return StepPlan((n_pops, n, n_exp), structure, support, entries, *offsets, cells)
+    scratch = np.zeros((2, n_pops, n, n))
+    return StepPlan((n_pops, n, n_exp), structure, table, entries, *offsets, cells, scratch)
 
 
 def step(
@@ -482,8 +487,6 @@ def step(
     landscape: LikelihoodLandscape,
     rngs: Sequence[np.random.Generator],
     kernel: Optional[np.ndarray] = None,
-    scratch: Optional[np.ndarray] = None,
-    support=None,
     plan: Optional[StepPlan] = None,
 ) -> PopulationState:
     """One synchronous update from the time-t snapshot: rebuild credibility
@@ -493,17 +496,12 @@ def step(
     (R, N, E, l) stack of R populations under the same structure; agent a
     of population r draws from ``rngs[r * N + a]``, one block of uniforms
     per step from each generator of a list (a run reads them ahead).
-    ``scratch``, a (2, R, N, N) float array, holds the credibility and
-    learning matrices and their cumulative sums; a run passes one for all
-    its steps, so that they are not allocated again every step.
-    ``support``, the structure's :func:`support_table`, lets credibility,
-    learning and the source search work on each row's support only: then
-    ``scratch[0]`` takes the log-likelihood products, and ``scratch[1]``,
-    which must be zero and is left zero, the weights laid out for their row
-    sums (see :func:`compute_social_learning`).  ``plan``, the run's
-    :func:`step_plan` of this ``structure``, stands for ``support`` and
-    holds the structure validated; without one, the structure is validated
-    here (MatrixError) and the plan built for this step alone.
+    Credibility, learning and the source search work on the structure's
+    support table, the entries of each row's support.  ``plan``, the run's
+    :func:`step_plan` of this ``structure``, holds the table, the
+    structure validated and the scratch arrays for all the run's steps;
+    without one, the structure is validated here (MatrixError) and the
+    plan built for this step alone.
     """
     values = state.values
     stack = values.reshape((-1,) + values.shape[-3:])
@@ -513,22 +511,20 @@ def step(
         G = np.asarray(structure, dtype=float)
         if G.shape != (n, n):
             raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
-        plan = step_plan(validate_structure(G), support, n_pops, n_exp)
-    elif plan.structure is not structure or support is not None or plan.shape != stack.shape[:3]:
+        plan = step_plan(validate_structure(G), n_pops, n_exp)
+    elif plan.structure is not structure or plan.shape != stack.shape[:3]:
         raise ConfigError("the plan was built for another structure or stack")
     if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
-    if scratch is None:
-        scratch = np.zeros((2, n_pops, n, n))
+    table, scratch = plan.table, plan.scratch
     cred = credibility_from_values(
-        state.setting, stack, landscape, config.c_min, scratch[0], plan.support
+        state.setting, stack, landscape, config.c_min, table, scratch[0]
     )
-    learning = compute_social_learning(plan.entries, cred, scratch[1], plan.support, checked=True)
-    support, offsets, cells = plan.support, (plan.start, plan.base, plan.columns), plan.cells
-    del cred, plan  # spent: a step's own plan is not held through the draws
+    learning = compute_social_learning(plan.entries, cred, scratch[1], table, checked=True)
+    offsets, cells = (plan.start, plan.base, plan.columns), plan.cells
+    del cred, plan, scratch  # spent: a step's own plan is not held through the draws
     block = uniforms(rngs, _block_width(state.setting) * m)
-    # the credibility is spent: its buffer may take the rows' cumulative sums
-    sources = pick_sources(learning, block[:, m : 2 * m], support, out=scratch[0], offsets=offsets)
+    sources = pick_sources(learning, block[:, m : 2 * m], table, offsets)
     del learning  # spent
     e_idx, concepts, keep = _draw_rows(
         state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel
@@ -617,8 +613,7 @@ def _run_chunk(packed, observer=None):
         horizon,
     )
     kernel = experience_kernel(setting, config.sigma_e) if config.tau > 0.0 else None
-    n, n_exp = initial.values.shape[:2]
-    plan = step_plan(structure, support_table(structure), len(reps), n_exp)
+    plan = step_plan(structure, len(reps), initial.values.shape[1])
     stack = np.repeat(initial.values[None], len(reps), axis=0)
     state = PopulationState._trusted(setting, stack, initial.t)
     rows = np.empty((len(reps), horizon + 1, len(TRACE_COLUMNS)))
@@ -643,12 +638,8 @@ def _run_chunk(packed, observer=None):
             for r, values in zip(reps, state.values):
                 observer(r, PopulationState._trusted(setting, values, state.t))
 
-    scratch = np.zeros((2, len(reps), n, n))
-    record(0, 0, state)
+    record(0, state.t, state)
     for k in range(1, horizon + 1):
-        state = step(
-            state, config, structure, landscape, rngs,
-            kernel=kernel, scratch=scratch, plan=plan,
-        )
+        state = step(state, config, structure, landscape, rngs, kernel=kernel, plan=plan)
         record(k, state.t, state)
     return rows.reshape(-1, len(TRACE_COLUMNS)), state.values

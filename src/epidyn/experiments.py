@@ -54,6 +54,7 @@ from .knowledge import (
     landscape_from_dict,
 )
 from .metrics import equilibrium_shift
+from .sampling import SupportTable
 
 PRESET_NAMES = (
     "test1-self-inertia",
@@ -420,8 +421,10 @@ def build_manifest(setup: ExperimentSetup) -> dict:
     run-to-run varying field."""
     doc = setup.to_dict()
     payload = json.dumps(doc, sort_keys=True)
+    initial = setup.initial
     cred = credibility_from_values(
-        setup.initial.setting, setup.initial.values, setup.landscape, setup.config.c_min
+        initial.setting, initial.values, setup.landscape, setup.config.c_min,
+        SupportTable.complete(initial.n_agents),
     )
     learning = compute_social_learning(setup.structure, cred)
     manifest = _Manifest(

@@ -5,11 +5,12 @@ the structural influence of agent j on agent i, c_ij the credibility i grants
 j, and lambda_ij the resulting row-stochastic sampling weight.
 
 lambda_ij is exactly 0 wherever gamma_ij is 0 (unless the row falls back to
-the uniform row), so for a sparse structure credibility and learning are
-also built on the structure's column table (see
-:func:`epidyn.sampling.support_table`): the (N, k) entries of each row's
-support, k the widest row's degree, with the bits of the same entries of
-the full (N, N) forms.
+the uniform row), so credibility and learning are built on the structure's
+column table (see :func:`epidyn.sampling.support_table`): the (N, k)
+entries of each row's support, k the widest row's degree, with the bits of
+the same entries of the full (N, N) forms.  The public (N, N) forms are the
+same computation on the complete structure's table, which is the row layout
+itself.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .knowledge import (
     LikelihoodLandscape,
     usage_penalty,
 )
+from .sampling import SupportTable
 
 # Row sums below this are treated as zero; products of many likelihoods can
 # denormalize long before reaching exact zero.
@@ -93,24 +95,22 @@ def compute_credibility(
     if not ks:
         raise MatrixError("population must contain at least one agent")
     values = np.stack([k.values for k in ks])
-    return credibility_from_values(ks[0].setting, values, landscape, c_min)
+    return credibility_from_values(
+        ks[0].setting, values, landscape, c_min, SupportTable.complete(len(ks))
+    )
 
 
 def credibility_from_values(
-    setting, values: np.ndarray, landscape, c_min: float, out: Optional[np.ndarray] = None,
-    table=None,
+    setting, values: np.ndarray, landscape, c_min: float, table: SupportTable,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Tensor form of :func:`compute_credibility` for a prestacked
-    (..., N, n_experiences, l) value array: one (N, N) matrix per
-    population of the stack.  The products stay stacked, one per
-    population, so each matrix rounds as it would alone.  ``out``, if
-    given, is the (..., N, N) float array the result is written to.
-
-    With a support ``table`` (see :func:`epidyn.sampling.support_table`)
-    only the table's entries are returned, (..., N, k), with the bits of
-    the same entries of the full matrices.  The full log-likelihood
-    products are still taken, into ``out`` if given, and the entries
-    gathered from them; the rest of the work is done on the table.
+    (..., N, n_experiences, l) value array: the (..., N, k) entries of one
+    matrix per population on the structure's support ``table`` (see
+    :func:`epidyn.sampling.support_table`).  The products stay stacked, one
+    per population, so each matrix rounds as it would alone.  The full
+    log-likelihood products are taken, into the (..., N, N) ``out`` if
+    given, and the entries read from them; the rest is done on the table.
     """
     support = np.any(values != 0.0, axis=-1)
     lik = landscape.per_population(setting, values)
@@ -119,45 +119,23 @@ def credibility_from_values(
     safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
     sup = support.astype(float)
     prod = np.matmul(sup, np.swapaxes(safe_log, -1, -2), out=out)
-    if table is None:
-        np.exp(prod, out=prod)
-        if not positive.all():
-            prod[(sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0] = 0.0
-        # _pairwise_penalty returns a fresh array, so it can take the + 1 in place
-        pen = _pairwise_penalty(setting, values, support)
-        pen += 1.0
-        np.divide(prod, pen, out=prod)
-        return np.maximum(prod, c_min, out=prod)
-
-    n = support.shape[-2]
-    col = table.gather % n  # the agent j of each entry (i, j)
-    cred = prod.reshape(prod.shape[:-2] + (n * n,))[..., table.gather]
+    cred = table.entries(prod)
     np.exp(cred, out=cred)
     if not positive.all():
         # an exact-zero factor: a concept of j on an experience i conceptualizes
-        hit = np.any(support[..., :, None, :] & ~positive[..., col, :], axis=-1)
-        cred[hit] = 0.0
-    # penalty (i, j) from the row of i's mask, 0 on the diagonal
+        hit = sup @ np.swapaxes((~positive).astype(float), -1, -2)
+        cred[table.entries(hit) > 0.0] = 0.0
+        del hit  # not held through the penalty
+    # penalty (i, j) from the row of i's mask, 0 on the entries (i, i)
     rows, owner = _penalty_rows(setting, values, support)
-    pen = rows[owner.reshape(support.shape[:-1] + (1,)), col]
-    pen[..., col == np.arange(n)[:, None]] = 0.0
+    if len(rows) == len(owner):  # every mask its own: the rows are the agents' rows
+        pen = table.entries(rows.reshape(prod.shape))
+    else:
+        pen = table.entries(rows, owner.reshape(support.shape[:-1]))
+    pen.reshape(pen.shape[:-2] + (-1,))[..., table.own] = 0.0
     pen += 1.0
     np.divide(cred, pen, out=cred)
     return np.maximum(cred, c_min, out=cred)
-
-
-def _pairwise_penalty(setting, values: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Penalty of agent j as seen by agent i, per population of the
-    (..., N, E, l) stack, as fresh (..., N, N) matrices with zero diagonal:
-    each agent's row of :func:`_penalty_rows` (no copy when every mask is
-    its own)."""
-    rows, owner = _penalty_rows(setting, values, support)
-    if len(rows) < len(owner):
-        rows = rows[owner]
-    n = support.shape[-2]
-    pen = rows.reshape(support.shape[:-1] + (n,))
-    pen[..., np.arange(n), np.arange(n)] = 0.0
-    return pen
 
 
 def _penalty_rows(setting, values: np.ndarray, support: np.ndarray):
@@ -224,7 +202,8 @@ def _penalty_rows(setting, values: np.ndarray, support: np.ndarray):
 
 
 def compute_social_learning(
-    gamma, credibility, out: Optional[np.ndarray] = None, table=None, *, checked: bool = False
+    gamma, credibility, out: Optional[np.ndarray] = None, table: Optional[SupportTable] = None,
+    *, checked: bool = False,
 ) -> np.ndarray:
     """Row-stochastic learning matrix from structure and credibility.
 
@@ -239,68 +218,54 @@ def compute_social_learning(
     ``out``, if given, is the float array of the credibility's shape the
     result is written to; it may be the credibility itself.
 
-    With a support ``table`` (see :func:`epidyn.sampling.support_table`),
-    ``gamma`` and ``credibility`` hold only the table's entries, (N, k)
-    and (..., N, k), and so does the result: the learning matrices' entries
-    on the table.  A dead row, uniform over all N agents and not only the
-    table's, is all zero there.  Each row sum is taken over the full row,
-    zeros included, so that it has the bits of the (N, N) form's sum:
-    ``out``, if given, is then a zero (..., N, N) float array that the
-    weights are laid out in for the sums, and it is left zero.
+    These (N, N) matrices are the same computation on the complete
+    structure's table.  With a support ``table`` (see
+    :func:`epidyn.sampling.support_table`), ``gamma``, ``credibility`` and
+    the result hold only the table's entries, (N, k) and (..., N, k); a dead
+    row, uniform over all N agents, is all zero there.  Each row sum is
+    taken over the full row, zeros included, so that it has the bits of the
+    (N, N) form's sum: ``out``, if given, is then a (..., N, N) float
+    array, zero off the table, that the weights are laid out in.
     """
-    if table is not None:
-        return _learning_on_table(gamma, credibility, out, table, checked)
-    G = np.asarray(gamma, dtype=float) if checked else validate_structure(gamma)
-    C = np.asarray(credibility, dtype=float)
-    if C.shape[-2:] != G.shape:
-        raise MatrixError(
-            f"dimension mismatch: structure {G.shape} vs credibility {C.shape}"
-        )
-    if not _finite_nonnegative(C):
-        raise MatrixError("credibility entries must be finite and nonnegative")
-    # an overflowing row is rebuilt from the credibility, so the products
-    # are not written over it
-    aliased = out is not None and np.may_share_memory(out, C)
-    w = G * C if aliased else np.multiply(G, C, out=out)
-    sums = w.sum(axis=-1, keepdims=True)
-    over = np.nonzero(sums[..., 0] == np.inf)
-    if len(over[0]):
-        w[over] = _scaled_products(G[over[-1]], C[over])
-        sums[over] = w[over].sum(axis=-1, keepdims=True)
-    return _rows_or_uniform(w, ZERO_ROW_GUARD, out=w if out is None else out, sums=sums)
-
-
-def _learning_on_table(gamma, credibility, rows, table, checked) -> np.ndarray:
-    # compute_social_learning on the structure's table; ``rows`` is the zero
-    # (..., N, N) layout for the row sums, or None
     G = np.asarray(gamma, dtype=float)
     C = np.asarray(credibility, dtype=float)
-    if G.shape != table.gather.shape or C.shape[-2:] != G.shape:
+    if table is not None:
+        return _learning(G, C, out, table, checked)[0]
+    G = G if checked else validate_structure(G)
+    if out is not None and np.may_share_memory(out, C):
+        C = C.copy()  # an overflowing row is rebuilt from the credibility
+    learning, dead = _learning(G, C, out, SupportTable.complete(len(G)), True)
+    learning[dead] = 1.0 / len(G)
+    return learning
+
+
+def _learning(G, C, rows, table, checked):
+    # compute_social_learning on the table, and the mask of its dead rows
+    if G.shape != table.agents.shape or C.shape[-2:] != G.shape:
         raise MatrixError(
-            f"dimension mismatch: table {table.gather.shape}, structure entries "
-            f"{G.shape}, credibility {C.shape}"
+            f"dimension mismatch: structure entries {G.shape} on a table of "
+            f"{table.agents.shape}, credibility {C.shape}"
         )
-    if not ((checked or _finite_nonnegative(G)) and _finite_nonnegative(C)):
-        raise MatrixError("structure and credibility entries must be finite and nonnegative")
+    if not (checked or _finite_nonnegative(G)):
+        raise MatrixError("structure entries must be finite and nonnegative")
+    if not _finite_nonnegative(C):
+        raise MatrixError("credibility entries must be finite and nonnegative")
     n = len(G)
-    w = G * C
     if rows is None:
-        rows = np.zeros(C.shape[:-2] + (n, n))
-    flat = rows.reshape(-1, n * n)
-    # the table's padding points at entries off the support, so it writes 0
-    flat[:, table.gather] = w.reshape(-1, *G.shape)
-    sums = rows.sum(axis=-1)
-    flat[:, table.gather] = 0.0
+        rows = np.zeros(C.shape[:-1] + (n,))
+    with np.errstate(over="ignore"):  # an overflowing row is rescued below
+        w = table.weights(G, C, rows)
+        sums = rows.sum(axis=-1)
     over = np.nonzero(sums == np.inf)
     if len(over[0]):
         w[over] = _scaled_products(G[over[-1]], C[over])
         # summed over the full row layout, as the (N, N) form sums them
         layout = np.zeros((len(over[0]), n))
-        layout[np.arange(len(layout))[:, None], table.gather[over[-1]] % n] = w[over]
+        layout[np.arange(len(layout))[:, None], table.agents[over[-1]]] = w[over]
         sums[over] = layout.sum(axis=-1)
     dead = sums <= ZERO_ROW_GUARD
     sums[dead] = np.inf  # a dead row's entries become 0
-    return np.divide(w, sums[..., None], out=w)
+    return np.divide(w, sums[..., None], out=w), dead
 
 
 def _scaled_products(g: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -324,7 +289,8 @@ def normalize_rows(M) -> np.ndarray:
     A = _square(M, "matrix")
     if not _finite_nonnegative(A):
         raise MatrixError("entries must be finite and nonnegative")
-    sums = A.sum(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):  # a row whose sum overflows is rescued below
+        sums = A.sum(axis=-1, keepdims=True)
     over = np.flatnonzero(sums == np.inf)
     if len(over):
         A = A.copy()  # not written over the caller's matrix
@@ -333,18 +299,15 @@ def normalize_rows(M) -> np.ndarray:
     return _rows_or_uniform(A, 0.0, sums=sums)
 
 
-def _rows_or_uniform(
-    w: np.ndarray, guard: float, out: Optional[np.ndarray] = None, sums=None
-) -> np.ndarray:
+def _rows_or_uniform(w: np.ndarray, guard: float, sums=None) -> np.ndarray:
     # each row over its sum (``sums``, if given, is w.sum(axis=-1,
-    # keepdims=True)); rows summing to at most ``guard`` become 1/N (a NaN
-    # sum is not at most ``guard``, so its row stays NaN), written to
-    # ``out``, which may be ``w``; without ``out``, ``w`` is never written
+    # keepdims=True)) as a new array; rows summing to at most ``guard``
+    # become 1/N (a NaN sum is not at most ``guard``, so its row stays NaN)
     if sums is None:
         sums = w.sum(axis=-1, keepdims=True)
     dead = sums <= guard
     # dead rows divide by 1 (no warning, the unmasked loop) and are then
     # overwritten
-    out = np.divide(w, np.where(dead, 1.0, sums), out=out)
+    out = np.divide(w, np.where(dead, 1.0, sums))
     out[dead[..., 0]] = 1.0 / w.shape[-1]
     return out

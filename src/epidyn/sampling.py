@@ -6,17 +6,16 @@ as by SeedSequence(seed, spawn_key=(replicate, agent)); the keys of a
 replicate come from one vectorized pass of SeedSequence's hash.  A run
 reads each stream once per chunk of steps (:class:`ReadAhead`).  A social
 observation of agent a copies agent j with probability lambda_aj, found by
-one branchless binary search of all the streams' queries at once.  When the
-structure is sparse, the learning rows come as their entries on the
-structure's column table (:func:`support_table`), and each row is searched
-on its support only.
+one branchless binary search of all the streams' queries at once.  The
+learning rows come as their entries on the structure's column table
+(:func:`support_table`), and each row is searched on its support only.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -206,91 +205,121 @@ def search_rows(cumulative: np.ndarray, u: np.ndarray, start=None) -> np.ndarray
 
 class SupportTable(NamedTuple):
     """The structure's column table: row i lists the j with gamma_ij > 0 in
-    order, padded to the widest row's degree k.
+    order, padded to the widest row's degree k with an agent off row i's
+    support, where the structure is 0.
 
-    ``gather`` (N, k) holds the flat indices i * N + j of the entries, its
-    padding pointing at an entry of row i off the support, where the
-    structure is 0.  ``columns`` (N, k + 1) holds the agents j, padded with
-    N - 1, plus one more N - 1 for a query above the whole row.
+    ``agents`` (N, k) holds the agent j of each entry and ``gather`` its
+    flat index i * N + j, ``own`` the flat positions of the entries (i, i),
+    and ``columns`` (N, k + 1) the agents again for the source search,
+    padded with N - 1, plus one more N - 1 for a query above the whole row.
+    A :attr:`full` table, N wide because some row covers all N agents, is
+    the row layout itself, a narrower row padded with its own zero entries
+    in place, and holds no (N, N) index array: ``agents`` is a broadcast
+    view, ``gather`` None and ``columns`` one row for all agents.  Only
+    :meth:`entries` and :meth:`weights` tell the two layouts apart.
     """
 
-    gather: np.ndarray
+    agents: np.ndarray
+    gather: Optional[np.ndarray]
+    own: np.ndarray
     columns: np.ndarray
 
+    @classmethod
+    def complete(cls, n: int) -> "SupportTable":
+        """The table of the complete structure of ``n`` agents: the full
+        table of every structure that has a complete row."""
+        agents = np.broadcast_to(np.arange(n), (n, n))
+        columns = np.minimum(np.arange(n + 1), n - 1)[None]
+        return cls(agents, None, np.arange(n) * (n + 1), columns)
 
-def support_table(structure: np.ndarray):
-    """The structure's :class:`SupportTable`, built once per run, or None
-    when some row has more than N / 2 entries (then the dense rows are
-    used)."""
+    @property
+    def full(self) -> bool:
+        return self.gather is None
+
+    def entries(self, matrices: np.ndarray, owner: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (..., N, k) entries on the table of (..., N, N) ``matrices``
+        (the matrices themselves for a full table), or, with an (..., N)
+        ``owner``, of the matrices whose row i is ``matrices[owner[..., i]]``."""
+        if self.full:
+            return matrices if owner is None else matrices.take(owner, axis=0)
+        n = len(self.agents)
+        if owner is None:
+            return matrices.reshape(matrices.shape[:-2] + (n * n,)).take(self.gather, axis=-1)
+        return matrices.take(owner[..., None] * n + self.agents)
+
+    def weights(self, entries: np.ndarray, credibility: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The products entries * credibility on the table, also laid out in
+        the (..., N, N) ``rows``, which are zero off the table and stay so
+        (for a full table, the products are written there only)."""
+        if self.full:
+            return np.multiply(entries, credibility, out=rows)
+        n = len(self.agents)
+        products = entries * credibility
+        rows.reshape(-1, n * n)[:, self.gather] = products.reshape(-1, *self.gather.shape)
+        return products
+
+
+def support_table(structure: np.ndarray) -> SupportTable:
+    """The structure's :class:`SupportTable`, built once per run."""
     n = len(structure)
     support = structure > 0.0
     degree = support.sum(axis=1)
     width = int(degree.max())
-    if 2 * width > n:
-        return None
+    if width == n:
+        return SupportTable.complete(n)
     width = max(width, 1)
     rows, cols = support.nonzero()
     slots = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
     columns = np.full((n, width + 1), n - 1, dtype=np.intp)
     columns[rows, slots] = cols
-    # each row has an entry off its support, as its degree is at most N / 2
-    off = support.argmin(axis=1) + n * np.arange(n)
-    gather = np.repeat(off[:, None], width, axis=1)
-    gather[rows, slots] = rows * n + cols
-    return SupportTable(gather, columns)
+    # a row with padding is narrower than N, so it has an agent off its support
+    agents = np.repeat(support.argmin(axis=1)[:, None], width, axis=1)
+    agents[rows, slots] = cols
+    gather = agents + n * np.arange(n)[:, None]
+    own = np.flatnonzero(agents == np.arange(n)[:, None])
+    return SupportTable(agents, gather, own, columns)
 
 
-def stream_offsets(n_streams: int, n: int, support=None):
-    """The offsets that every source search of ``n_streams`` streams of
-    populations of ``n`` agents shares, each (S, 1), S = R * N: the flat
-    offset of each stream's row of cumulative sums (the dense learning
-    rows, or the entries of a ``support`` table), the flat index r * N of
-    each stream's population, and the offset of each stream's row of the
-    table's columns (None without a table)."""
-    width = n if support is None else support.gather.shape[1]
+def stream_offsets(n_streams: int, table: SupportTable):
+    """The offsets that every source search of ``n_streams`` streams on
+    ``table`` shares, each (S, 1), S = R * N: the flat offset of each
+    stream's row of cumulative sums, the flat index r * N of its
+    population, and the flat offset of its row of the table's columns."""
+    n, width = table.agents.shape
     agents = np.arange(n_streams)[:, None]
-    columns = None if support is None else agents % n * (width + 1)
-    return agents * width, agents - agents % n, columns
+    return agents * width, agents - agents % n, agents % len(table.columns) * (width + 1)
 
 
 def pick_sources(
-    learning: np.ndarray, u: np.ndarray, support=None, out=None, offsets=None
+    learning: np.ndarray, u: np.ndarray, table: SupportTable, offsets=None
 ) -> np.ndarray:
-    """Source of every social slot of an (R, N, N) stack of learning
-    matrices: slot q of stream s = r * N + a takes agent j of population r
-    with probability lambda_aj, j being the right-side searchsorted
-    position of u[s, q] in row a's cumulative sums, clipped to N - 1.
-    Returns the flat indices r * N + j.  ``offsets``, the streams'
+    """Source of every social slot of an (R, N, k) stack of learning rows
+    on the structure's ``table`` (see
+    :func:`epidyn.influence.compute_social_learning`): slot q of stream
+    s = r * N + a takes agent j of population r with probability
+    lambda_aj, j being the right-side searchsorted position of u[s, q] in
+    row a's cumulative sums over all N agents, clipped to N - 1.  Returns
+    the flat indices r * N + j.  ``offsets``, the streams'
     :func:`stream_offsets`, may come built once for a run's steps.
 
-    Without a ``support`` table the rows' cumulative sums are taken in
-    full, into ``out`` if given.  With one, ``learning`` holds only the
-    (R, N, k) entries on the table (see
-    :func:`epidyn.influence.compute_social_learning`), and their
-    cumulative sums are taken in place.  Zeros add nothing to a sequential
-    sum, so these are the same bits as in the full row, and the first
-    entry above a query is a strict increase, so it lies on the support:
-    the search finds the same agent.  A dead row, all zero on the table
-    and uniform 1/N over all N agents, is searched in full.
+    The cumulative sums are taken on the table, in place.  Zeros add
+    nothing to a sequential sum, so these are the same bits as in the full
+    row, and the first entry above a query is a strict increase, so it lies
+    on the support: the search finds the same agent.  A dead row, all zero
+    on the table and uniform 1/N over all N agents, is searched in full.
     """
-    n = learning.shape[-1] if support is None else len(support.columns)
+    n, width = table.agents.shape
     if offsets is None:
-        offsets = stream_offsets(u.shape[0], n, support)
+        offsets = stream_offsets(u.shape[0], table)
     start, base, columns = offsets
-    if support is None:
-        cumulative = np.cumsum(learning, axis=-1, out=out).reshape(-1, n)
-        picked = search_rows(cumulative, u, start)
-        np.minimum(picked, n - 1, out=picked)
-    else:
-        width = support.gather.shape[1]
-        cumulative = learning.reshape(-1, width)
-        np.cumsum(cumulative, axis=-1, out=cumulative)
-        picked = search_rows(cumulative, u, start)
-        picked += columns
-        picked = support.columns.take(picked)
-        dead = np.flatnonzero(cumulative[:, -1] == 0.0)
-        if len(dead):
-            uniform = np.cumsum(np.full((len(dead), n), 1.0 / n), axis=-1)
-            picked[dead] = np.minimum(search_rows(uniform, u[dead]), n - 1)
+    cumulative = learning.reshape(-1, width)
+    np.cumsum(cumulative, axis=-1, out=cumulative)
+    picked = search_rows(cumulative, u, start)
+    picked += columns
+    picked = table.columns.take(picked)
+    dead = np.flatnonzero(cumulative[:, -1] == 0.0)
+    if len(dead):
+        uniform = np.cumsum(np.full((len(dead), n), 1.0 / n), axis=-1)
+        picked[dead] = np.minimum(search_rows(uniform, u[dead]), n - 1)
     picked += base
     return picked

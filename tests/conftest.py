@@ -7,6 +7,7 @@ from epidyn import (
     KnowledgeSetting,
     TabularLikelihood,
 )
+from epidyn.influence import ZERO_ROW_GUARD, _penalty_rows
 
 
 @pytest.fixture
@@ -70,3 +71,43 @@ def banded_primitive():
 def random_stochastic(rng, n):
     M = rng.uniform(0.0, 1.0, size=(n, n)) + 1e-12
     return M / M.sum(axis=1, keepdims=True)
+
+
+def pairwise_penalty(setting, values, support):
+    """The penalty matrices of an (..., N, E, l) stack, (..., N, N) with a
+    zero diagonal: each agent's row of ``_penalty_rows`` copied out.  The
+    dense form that credibility's table replaced, kept as the penalty
+    oracle."""
+    rows, owner = _penalty_rows(setting, values, support)
+    n = support.shape[-2]
+    pen = rows[owner].reshape(support.shape[:-1] + (n,))
+    pen[..., np.arange(n), np.arange(n)] = 0.0
+    return pen
+
+
+def unfused_credibility(setting, values, landscape, c_min):
+    """Credibility as one expression per stage, with no in-place step and
+    the zero-factor product always built; kept as a reference."""
+    support = np.any(values != 0.0, axis=-1)
+    lik = landscape.per_population(setting, values)
+    positive = lik > 0.0
+    safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
+    sup = support.astype(float)
+    log_prod = sup @ np.swapaxes(safe_log, -1, -2)
+    hit_zero = (sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0
+    prod = np.exp(log_prod)
+    prod[hit_zero] = 0.0
+    raw = prod / (1.0 + pairwise_penalty(setting, values, support))
+    return np.maximum(raw, c_min)
+
+
+def dense_learning(gamma, credibility):
+    """The learning matrices as the plain (N, N) quotient of each row of
+    gamma * c by its sum, a dead row the uniform row; kept as a reference
+    for rows that do not overflow."""
+    w = np.asarray(gamma) * np.asarray(credibility)
+    sums = w.sum(axis=-1, keepdims=True)
+    dead = sums <= ZERO_ROW_GUARD
+    out = w / np.where(dead, 1.0, sums)
+    out[dead[..., 0]] = 1.0 / w.shape[-1]
+    return out

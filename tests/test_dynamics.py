@@ -39,7 +39,7 @@ from epidyn.dynamics import (
     _normal_ppf,
     _refit,
 )
-from epidyn.influence import ZERO_ROW_GUARD, credibility_from_values
+from epidyn.influence import ZERO_ROW_GUARD, _penalty_rows, credibility_from_values
 from epidyn.metrics import trace_record
 
 
@@ -492,8 +492,8 @@ class TestStep:
 
     @pytest.mark.parametrize("n_pops", [1, 3])
     def test_reused_scratch_changes_nothing(self, n_pops):
-        # a run hands one scratch array to all its steps; what one step
-        # leaves there must not reach the next
+        # a run hands one plan, and so one scratch array, to all its steps;
+        # what one step leaves there must not reach the next
         rng = np.random.default_rng([n_pops, 5])
         setting = grid_setting(5)
         values = rng.uniform(-10, 10, size=(n_pops, 4, 5, 1))
@@ -505,28 +505,34 @@ class TestStep:
         landscape = GaussianPeakLikelihood([1.0], 4.0)
         kernel = experience_kernel(setting, 1.0)
         rngs_a, rngs_b = (agent_streams(3, 0, 4 * n_pops) for _ in range(2))
-        scratch = np.full((2, n_pops, 4, 4), np.nan)
+        plan = dynamics.step_plan(gamma, n_pops, 5)
+        # the log-likelihood products need no zeros, and the dead row stays
+        # zero in the row layout
+        plan.scratch[0] = np.nan
         for _ in range(3):
             fresh = step(fresh, cfg, gamma, landscape, rngs_a, kernel)
-            reused = step(reused, cfg, gamma, landscape, rngs_b, kernel, scratch=scratch)
+            reused = step(reused, cfg, gamma, landscape, rngs_b, kernel, plan=plan)
             assert np.array_equal(fresh.values, reused.values)
+            assert not plan.scratch[1, :, 1, 1:].any()
 
     def test_crowd_step_with_scratch_allocates_only_the_penalty(self):
-        # N = 400, every experience conceptualized, as in a crowd step.  With
-        # the run's scratch, credibility, learning and their cumulative sums
-        # take no (N, N) array of their own (1.22 MiB each); the penalty
-        # copied to the agents remains, and the step peaks near 1.6 MiB.
+        # N = 400, every experience conceptualized, as in a crowd step, under
+        # a complete structure.  With the run's plan and its scratch,
+        # credibility, learning and their cumulative sums take no (N, N)
+        # array of their own (1.22 MiB each); the penalty copied to the
+        # agents remains, and the step peaks near 1.6 MiB.
         rng = np.random.default_rng(73)
         setting = grid_setting(25)
         state = PopulationState._trusted(setting, rng.uniform(0.5, 10, size=(400, 25, 1)), 0)
         gamma = rng.uniform(0.0, 1.0, size=(400, 400))
         cfg = SimulationConfig(tau=0.0, sample_size=50, c_min=0.0)
         landscape = GaussianPeakLikelihood([1.0], 1.0)
-        scratch = np.empty((2, 1, 400, 400))
+        plan = dynamics.step_plan(gamma, 1, 25)
+        assert plan.table.full
         rngs = agent_streams(5, 0, 400)
         tracemalloc.start()
         try:
-            step(state, cfg, gamma, landscape, rngs, scratch=scratch)
+            step(state, cfg, gamma, landscape, rngs, plan=plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -534,27 +540,27 @@ class TestStep:
 
     def test_ring_crowd_step_with_table_peaks_below_one_mib(self):
         # N = 400 on a ring lattice (self + 8 neighbours each side), as in the
-        # crowd workload.  With the run's scratch and support table,
-        # credibility, learning and the source search work on the (N, 17)
-        # table and take no (N, N) array; the largest arrays left are the
-        # step's block of uniforms and the (N, m) draws.
+        # crowd workload.  With the run's plan, credibility, learning and the
+        # source search work on the (N, 17) table and take no (N, N) array;
+        # the largest arrays left are the step's block of uniforms and the
+        # (N, m) draws.
         rng = np.random.default_rng(73)
         setting = grid_setting(25)
         state = PopulationState._trusted(setting, rng.uniform(0.5, 10, size=(400, 25, 1)), 0)
         gamma = ring_structure(400, 8)
-        support = sampling.support_table(gamma)
         cfg = SimulationConfig(tau=0.0, sample_size=50, c_min=0.0)
         landscape = GaussianPeakLikelihood([6.0], 10.0)
-        scratch = np.zeros((2, 1, 400, 400))
+        plan = dynamics.step_plan(gamma, 1, 25)
         rngs = agent_streams(5, 0, 400)
         tracemalloc.start()
         try:
-            step(state, cfg, gamma, landscape, rngs, scratch=scratch, support=support)
+            step(state, cfg, gamma, landscape, rngs, plan=plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        assert not scratch[1].any()  # the layout of the row sums is left zero
+        # the row layout of the sums is left zero off the table
+        assert not plan.scratch[1, 0][gamma == 0.0].any()
 
     def test_structure_validated_once_per_step(self, monkeypatch):
         import epidyn.dynamics as dynamics
@@ -578,13 +584,12 @@ class TestStep:
         gamma = ring_structure(6, 1)
         values = np.linspace(-5.0, 5.0, 18).reshape(6, 3)
         state = PopulationState.from_values(grid_setting(3), values)
-        step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0), agent_streams(0, 0, 6),
-             support=sampling.support_table(gamma))
+        step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0), agent_streams(0, 0, 6))
         assert len(calls) == 1
         gamma[0, 3] = math.nan  # off the table: still refused
         with pytest.raises(MatrixError):
             step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0),
-                 agent_streams(0, 0, 6), support=sampling.support_table(ring_structure(6, 1)))
+                 agent_streams(0, 0, 6))
 
 
 class TestRun:
@@ -614,6 +619,15 @@ class TestRun:
         result = run(self.small_cfg(horizon=7), gamma, ConstantLikelihood(1.0), state)
         assert list(result.trace.times) == list(range(8))
         assert result.trace.rows.shape == (3 * 8, 5)
+
+    def test_trace_times_count_on_from_the_initial_time(self):
+        state = PopulationState.from_values(grid_setting(5), [[2.0] * 5, [6.0] * 5], t=5)
+        gamma = np.full((2, 2), 0.5)
+        cfg = self.small_cfg(horizon=3, replicates=2)
+        result = run(cfg, gamma, ConstantLikelihood(1.0), state)
+        assert np.array_equal(result.trace.rows[:, 0], [5, 6, 7, 8] * 2)
+        rows, _ = per_replicate_run(cfg, gamma, ConstantLikelihood(1.0), state, None)
+        assert np.array_equal(result.trace.rows, rows, equal_nan=True)
 
     def test_observer_sees_every_recorded_state(self):
         seen = []
@@ -960,13 +974,13 @@ def mixed_setup(kind, n=4, n_exp=5, seed=0):
 def per_replicate_run(config, gamma, landscape, initial, re_target, streams=agent_streams):
     """The per-replicate loop that ``run`` replaced, kept as its oracle:
     each replicate stepped alone from its own (seed, replicate) streams,
-    read one block per step, and the dense learning rows searched."""
+    read one block per step, and traced after each step."""
     kernel = experience_kernel(initial.setting, config.sigma_e) if config.tau > 0.0 else None
     rows, finals = [], []
     for r in range(config.replicates):
         state = initial
         rngs = streams(config.seed, r, state.n_agents)
-        rows.append(trace_record(0, r, state, re_target))
+        rows.append(trace_record(state.t, r, state, re_target))
         for _ in range(config.horizon):
             state = step(state, config, gamma, landscape, rngs, kernel=kernel)
             rows.append(trace_record(state.t, r, state, re_target))
@@ -1064,6 +1078,18 @@ def searchsorted_sources(learning, u):
     return np.minimum(picked, n - 1) + (np.arange(len(cum)) // n * n)[:, None]
 
 
+def table_searchsorted_sources(learning, u, table, offsets=None):
+    """searchsorted_sources of learning rows on a support table: the rows
+    scattered into the dense (N, N) layout, a dead row made uniform, and
+    searched row by row; stands in for pick_sources."""
+    n, width = table.agents.shape
+    on_table = learning.reshape(-1, n, width)
+    dense = np.zeros((len(on_table), n, n))
+    np.put_along_axis(dense, np.broadcast_to(table.agents, on_table.shape), on_table, axis=-1)
+    dense[~dense.any(axis=-1)] = 1.0 / n
+    return searchsorted_sources(dense, u)
+
+
 def uneven_structure(rng, n):
     """Rows of degrees 1 .. N / 2 with zero entries between, one row with
     no entry (always dead) and one all-zero column."""
@@ -1121,61 +1147,98 @@ class TestSourceSearch:
         learning = compute_social_learning(gamma, cred)
         assert np.all(learning[0, 5] == 1.0 / n)
         u = self.queries(rng, np.cumsum(learning, axis=-1).reshape(-1, n), 30)
-        support = sampling.support_table(gamma)
-        assert (support is None) == (structure == "dense")
         want = searchsorted_sources(learning, u)
-        assert np.array_equal(sampling.pick_sources(learning, u, support=None), want)
-        if support is not None:
-            gather, columns = support
-            assert columns.shape[1] == (gamma > 0).sum(axis=1).max() + 1
-            on_table = compute_social_learning(
-                gamma.take(gather), cred.reshape(n_pops, -1)[:, gather], table=support
-            )
-            # a dead row is all zero on the table
-            dead = np.all(learning == 1.0 / n, axis=-1)
-            assert dead[0, 5] and (structure == "uneven") == dead[:, n - 2].all()
-            assert np.array_equal(np.all(on_table == 0.0, axis=-1), dead)
-            assert np.array_equal(sampling.pick_sources(on_table, u, support), want)
+        # every structure has a table; a dense one has no gaps
+        table = sampling.support_table(gamma)
+        assert table.full == (structure == "dense")
+        assert table.agents.shape[1] == (gamma > 0).sum(axis=1).max()
+        on_table = compute_social_learning(
+            table.entries(gamma), table.entries(cred), table=table
+        )
+        # a dead row is all zero on the table
+        dead = np.all(learning == 1.0 / n, axis=-1)
+        assert dead[0, 5] and (structure == "uneven") == dead[:, n - 2].all()
+        assert np.array_equal(np.all(on_table == 0.0, axis=-1), dead)
+        assert np.array_equal(sampling.pick_sources(on_table, u, table), want)
+        # the (N, N) learning matrices, searched on the complete structure's table
+        complete = sampling.SupportTable.complete(n)
+        assert np.array_equal(sampling.pick_sources(learning.copy(), u, complete), want)
 
-    def test_support_table_only_for_rows_up_to_half_the_agents(self):
-        assert sampling.support_table(ring_structure(20, 5)) is None  # degree 11 > 10
+    def test_every_structure_gets_a_table(self):
+        gamma = ring_structure(20, 5)  # degree 11, more than N / 2
+        table = sampling.support_table(gamma)
+        assert not table.full and table.columns.shape == (20, 12)
         gamma = ring_structure(20, 4)  # degree 9
-        gather, columns = sampling.support_table(gamma)
+        agents, gather, own, columns = table = sampling.support_table(gamma)
+        assert not table.full
         assert np.array_equal(np.sort(columns[:, :-1], axis=1), np.nonzero(gamma)[1].reshape(20, 9))
+        assert np.array_equal(agents, columns[:, :-1])
         assert np.all(columns[:, -1] == 19)
         assert np.all(gamma.reshape(-1)[gather] == 1.0)
-        assert sampling.support_table(np.ones((20, 20))) is None
+        assert np.array_equal(agents.reshape(-1)[own], np.arange(20))
+        # a complete structure's table has no gaps and holds no (N, N)
+        # index array: it is the row layout itself
+        for gamma in (np.ones((20, 20)), np.random.default_rng(2).uniform(0.1, 1.0, (20, 20))):
+            table = sampling.support_table(gamma)
+            assert table.full and table.gather is None
+            assert table.agents.shape == (20, 20) and table.agents.strides[0] == 0
+            assert np.array_equal(table.agents, np.broadcast_to(np.arange(20), (20, 20)))
+            assert np.array_equal(table.columns, [list(range(20)) + [19]])
+            assert np.array_equal(table.own, np.arange(20) * 21)
+            assert table.entries(gamma) is gamma
+        # so is the table of a structure with one complete row: the other
+        # rows keep their zero entries in place as their padding
+        gamma[3, 7] = 0.0
+        gamma[5] = 0.0
+        assert sampling.support_table(gamma).full
+        # with no complete row, each row is padded with an agent off its support
+        gamma = 1.0 - np.eye(20)
+        gamma[3, 7] = 0.0
+        table = sampling.support_table(gamma)
+        assert not table.full and table.agents.shape == (20, 19)
+        assert np.array_equal(table.agents[3], [0, 1, 2, 4, 5, 6, *range(8, 20), 3])
 
     def test_support_table_pads_rows_with_agent_n_minus_1_at_weight_0(self):
         gamma = np.zeros((6, 6))
         gamma[0, [1, 4]] = 1.0
         gamma[1, 2] = 1.0
         gamma[3, [0, 2, 5]] = 1.0
-        gather, columns = sampling.support_table(gamma)
+        table = sampling.support_table(gamma)
+        gather, columns = table.gather, table.columns
         assert np.array_equal(columns[0], [1, 4, 5, 5])
         assert np.array_equal(columns[2], [5, 5, 5, 5])
         assert np.array_equal(columns[3], [0, 2, 5, 5])
         assert np.all(gamma.reshape(-1)[gather[[0, 1, 3]]].sum(axis=1) == [2, 1, 3])
         assert np.all(gamma.reshape(-1)[gather[[2, 4, 5]]] == 0.0)
+        # the padding points at an agent off the row's support
+        assert np.array_equal(table.agents[0], [1, 4, 0])
+        assert np.array_equal(gather, table.agents + 6 * np.arange(6)[:, None])
 
 
-def table_case(kind, structure, n_pops, zero_likelihood, n=24, n_exp=6):
-    """A stack of n_pops populations of one concept space under a sparse
-    structure with a dead row and padded rows, and a landscape that has
-    exact zeros if asked."""
+def table_case(kind, structure, n_pops, zero_likelihood, masks="shared", n=24, n_exp=6):
+    """A stack of n_pops populations of one concept space under a structure
+    with a dead row (padded rows too, unless it is complete), and a
+    landscape that has exact zeros if asked.  Some agents share one
+    support mask, or every agent has a mask of its own."""
     state, _, landscape, _ = mixed_setup(kind, n=n, n_exp=n_exp, seed=n_pops)
     rng = np.random.default_rng([n_pops, len(kind), len(structure)])
     if structure == "ring":
         gamma = ring_structure(n, 3)
         gamma[0, n // 2] = 1.0  # one row wider than the rest: the others pad
         gamma[5] = 0.0  # a dead row
-    else:
+    elif structure == "uneven":
         gamma = uneven_structure(rng, n)  # row n - 2 is dead
+    else:
+        gamma = rng.uniform(0.5, 2.0, (n, n))
     pops = [state.values]
     for _ in range(n_pops - 1):
         pops.append(pops[0][rng.permutation(n)])
     stack = np.stack(pops)
-    stack[:, 2:6] = stack[:, 2:3]  # agents sharing one support mask
+    if masks == "shared":
+        stack[:, 2:6] = stack[:, 2:3]  # agents sharing one support mask
+    else:
+        own = (np.arange(1, n + 1)[:, None] >> np.arange(n_exp)) & 1 == 1
+        stack = np.where(own[..., None], np.where(stack != 0.0, stack, 1.0), 0.0)
     setting = state.setting
     if zero_likelihood and kind == "discrete":
         table = landscape.table.copy()
@@ -1189,65 +1252,95 @@ def table_case(kind, structure, n_pops, zero_likelihood, n=24, n_exp=6):
 
 class TestTableLayer:
     """Credibility, learning and source search on the structure's column
-    table against the full (N, N) forms gathered on the table."""
+    table against the full (N, N) forms, on the complete structure's table,
+    gathered on the table."""
 
     @pytest.mark.parametrize("kind", ["box1", "box2", "discrete"])
-    @pytest.mark.parametrize("structure", ["ring", "uneven"])
+    @pytest.mark.parametrize("structure", ["ring", "uneven", "complete"])
     @pytest.mark.parametrize("n_pops", [1, 3])
     def test_table_equals_full_forms_gathered(self, kind, structure, n_pops):
-        for zero_likelihood in (False, True):
-            setting, stack, gamma, landscape = table_case(kind, structure, n_pops, zero_likelihood)
+        complete = sampling.SupportTable.complete(24)
+        for zero_likelihood, masks in ((False, "shared"), (True, "shared"), (True, "own")):
+            setting, stack, gamma, landscape = table_case(
+                kind, structure, n_pops, zero_likelihood, masks
+            )
             n = len(gamma)
-            support = sampling.support_table(gamma)
-            gather, columns = support
-            assert np.any(gamma.take(gather) == 0.0)  # padded
+            table = sampling.support_table(gamma)
+            assert table.full == (structure == "complete")
+            if not table.full:
+                assert np.any(gamma.take(table.gather) == 0.0)  # padded
             lik = landscape.per_population(setting, stack)
             assert (lik == 0.0).any() == zero_likelihood
+            rows, owner = _penalty_rows(setting, stack, stack.any(axis=-1))
+            assert (len(rows) == len(owner)) == (masks == "own")
             for c_min in (0.0, 0.05):
-                full = credibility_from_values(setting, stack, landscape, c_min)
-                on_table = lambda a: a.reshape(n_pops, -1)[:, gather]
+                full = credibility_from_values(setting, stack, landscape, c_min, complete)
                 buffer = np.full((n_pops, n, n), np.nan)
-                cred = credibility_from_values(setting, stack, landscape, c_min, buffer, support)
-                assert np.array_equal(cred, on_table(full))
+                cred = credibility_from_values(setting, stack, landscape, c_min, table, buffer)
+                assert np.array_equal(cred, table.entries(full))
+                assert (cred is buffer) == table.full
                 if n_pops == 1:
-                    alone = credibility_from_values(
-                        setting, stack[0], landscape, c_min, table=support
-                    )
-                    assert np.array_equal(alone, on_table(full)[0])
+                    alone = credibility_from_values(setting, stack[0], landscape, c_min, table)
+                    assert np.array_equal(alone, table.entries(full)[0])
 
                 learning = compute_social_learning(gamma, full)
                 rows = np.zeros((n_pops, n, n))
-                got = compute_social_learning(gamma.take(gather), cred, rows, support)
-                assert not rows.any()  # left zero
+                got = compute_social_learning(table.entries(gamma), cred, rows, table)
+                # the weights are laid out in the rows, which stay zero off the table
+                assert (got is rows) == table.full
+                assert not rows[:, gamma == 0.0].any()
                 dead = (gamma * full).sum(axis=-1) <= ZERO_ROW_GUARD
-                assert dead[:, 5 if structure == "ring" else n - 2].all()
-                assert np.array_equal(got[~dead], on_table(learning)[~dead])
+                if structure != "complete":
+                    assert dead[:, 5 if structure == "ring" else n - 2].all()
+                assert np.array_equal(got[~dead], table.entries(learning)[~dead])
                 assert np.all(got[dead] == 0.0)
                 assert np.all(learning[dead] == 1.0 / n)
                 # without a row buffer one is allocated
-                again = compute_social_learning(gamma.take(gather), cred, table=support)
+                again = compute_social_learning(table.entries(gamma), cred, table=table)
                 assert np.array_equal(again, got)
 
                 u = np.random.default_rng(1).random((n_pops * n, 40))
                 u[:, -1] = np.nextafter(1.0, 0.0)
                 want = searchsorted_sources(learning, u)
-                assert np.array_equal(sampling.pick_sources(got, u, support), want)
+                assert np.array_equal(sampling.pick_sources(got, u, table), want)
 
     def test_table_learning_refuses_bad_entries(self):
         gamma = ring_structure(8, 1)
-        support = sampling.support_table(gamma)
+        table = sampling.support_table(gamma)
         cred = np.ones((1, 8, 3))
         with pytest.raises(MatrixError):
-            compute_social_learning(np.ones((8, 4)), cred, table=support)
+            compute_social_learning(np.ones((8, 4)), cred, table=table)
         for bad in (-1.0, math.nan, math.inf):
-            entries = gamma.take(support.gather)
+            entries = table.entries(gamma)
             entries[2, 1] = bad
             with pytest.raises(MatrixError):
-                compute_social_learning(entries, cred, table=support)
+                compute_social_learning(entries, cred, table=table)
             worse = cred.copy()
             worse[0, 2, 1] = bad
             with pytest.raises(MatrixError):
-                compute_social_learning(gamma.take(support.gather), worse, table=support)
+                compute_social_learning(table.entries(gamma), worse, table=table)
+
+
+    def test_complete_structure_with_a_zero_likelihood_peaks_below_10_mib(self):
+        # N = 400 on a complete structure, 63 experiences and one concept of
+        # likelihood 0 everywhere, as in the naming workload: the exact-zero
+        # test takes one (N, N) product, as the (N, N) forms did, and no
+        # (N, k, E) array on the table (k = N)
+        rng = np.random.default_rng(63)
+        points = [[float(c)] for c in range(6)]
+        setting = KnowledgeSetting(np.arange(63.0)[:, None], DiscreteConcepts(points))
+        state = PopulationState.from_values(setting, rng.integers(0, 6, size=(400, 63)))
+        table = rng.uniform(0.6, 1.0, size=(63, 6))
+        table[:, 1] = 0.0
+        cfg = SimulationConfig(tau=0.05, sample_size=50, c_min=1e-6, horizon=2, seed=1)
+        gamma = np.ones((400, 400))
+        tracemalloc.start()
+        try:
+            run(cfg, gamma, TabularLikelihood(table), state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestReadAhead:
@@ -1279,12 +1372,13 @@ class TestSupportRun:
     @pytest.mark.parametrize("kind", ["box1", "box2", "discrete"])
     def test_run_equals_dense_searchsorted_steps(self, monkeypatch, structure, kind):
         # the run steps on the structure's table; the oracle steps each
-        # replicate alone on the dense (N, N) forms, searched row by row
+        # replicate alone and searches its learning rows in their dense
+        # (N, N) layout, row by row
         n = 30
         state, _, landscape, target = mixed_setup(kind, n=n, seed=len(structure))
         rng = np.random.default_rng(9)
         gamma = ring_structure(n, 4) if structure == "ring" else uneven_structure(rng, n)
-        assert sampling.support_table(gamma) is not None
+        assert not sampling.support_table(gamma).full
         for c_min in (0.0, 0.05):
             cfg = SimulationConfig(
                 tau=0.2, sample_size=12, sigma_c=0.7, c_min=c_min, horizon=6, replicates=3,
@@ -1292,8 +1386,7 @@ class TestSupportRun:
             )
             got = run(cfg, gamma, landscape, state, re_target=target)
             with monkeypatch.context() as patch:
-                patch.setattr(dynamics, "pick_sources", lambda learning, u, *args, **kw:
-                              searchsorted_sources(learning, u))
+                patch.setattr(dynamics, "pick_sources", table_searchsorted_sources)
                 rows, finals = per_replicate_run(
                     cfg, gamma, landscape, state, target, seed_sequence_streams
                 )
@@ -1388,7 +1481,7 @@ class TestStructureValidation:
         calls = self.count_checks(monkeypatch)
         n = 8
         gamma = np.ones((n, n)) if structure == "dense" else ring_structure(n, 1)
-        assert (sampling.support_table(gamma) is None) == (structure == "dense")
+        assert sampling.support_table(gamma).full == (structure == "dense")
         state = PopulationState.from_values(grid_setting(3), np.linspace(-5, 5, 3 * n).reshape(n, 3))
         cfg = SimulationConfig(tau=0.2, sample_size=4, horizon=6, replicates=2)
         run(cfg, gamma, ConstantLikelihood(1.0), state)
@@ -1399,39 +1492,35 @@ class TestStructureValidation:
     def test_direct_step_refuses_a_bad_entry(self, structure, entry):
         n = 6
         gamma = np.ones((n, n)) if structure == "dense" else ring_structure(n, 1)
-        support = sampling.support_table(gamma)
         gamma[0, 1] = entry  # on the table of the ring
         state = PopulationState.from_values(grid_setting(3), np.linspace(-5, 5, 3 * n).reshape(n, 3))
         with pytest.raises(MatrixError):
             step(state, SimulationConfig(), gamma, ConstantLikelihood(1.0),
-                 agent_streams(0, 0, n), support=support)
+                 agent_streams(0, 0, n))
 
     @pytest.mark.parametrize("structure", ["dense", "ring"])
     def test_step_with_a_plan_equals_a_direct_step(self, structure):
         n = 6
         gamma = np.ones((n, n)) if structure == "dense" else ring_structure(n, 1)
-        support = sampling.support_table(gamma)
         values = np.linspace(-5, 5, 2 * 3 * n).reshape(2, n, 3, 1)
         state = PopulationState._trusted(grid_setting(3), values, 0)
         cfg = SimulationConfig(tau=0.2, sample_size=4)
         landscape = GaussianPeakLikelihood([1.0], 2.0)
         streams = lambda: [g for r in range(2) for g in agent_streams(0, r, n)]
-        want = step(state, cfg, gamma, landscape, streams(), support=support)
-        plan = dynamics.step_plan(gamma, support, 2, 3)
+        want = step(state, cfg, gamma, landscape, streams())
+        plan = dynamics.step_plan(gamma, 2, 3)
         got = step(state, cfg, gamma, landscape, streams(), plan=plan)
         assert np.array_equal(got.values, want.values)
 
     def test_step_refuses_a_plan_of_another_structure_or_stack(self):
         n = 6
         gamma = ring_structure(n, 1)
-        support = sampling.support_table(gamma)
         state = PopulationState.from_values(grid_setting(3), np.linspace(-5, 5, 3 * n).reshape(n, 3))
-        plan = dynamics.step_plan(gamma, support, 1, 3)
+        plan = dynamics.step_plan(gamma, 1, 3)
         bad = [
             (gamma.copy(), dict(plan=plan)),  # another structure
-            (gamma, dict(plan=plan, support=support)),  # support beside a plan
-            (gamma, dict(plan=dynamics.step_plan(gamma, support, 2, 3))),  # two populations
-            (gamma, dict(plan=dynamics.step_plan(gamma, support, 1, 4))),  # four experiences
+            (gamma, dict(plan=dynamics.step_plan(gamma, 2, 3))),  # two populations
+            (gamma, dict(plan=dynamics.step_plan(gamma, 1, 4))),  # four experiences
         ]
         for structure, kw in bad:
             with pytest.raises(ConfigError):

@@ -28,6 +28,8 @@ from epidyn import (
 from epidyn.cli import main as cli_main
 from epidyn.experiments import build_manifest, resolve_target, worker_count
 
+from conftest import dense_learning, unfused_credibility
+
 
 class TestPresets:
     def test_self_inertia_resolved_parameters(self):
@@ -289,6 +291,26 @@ class TestRunExperiment:
         )
         learning = compute_social_learning(setup.structure, cred)
         assert build_manifest(setup)["spectral"] == analyze(learning).to_dict()
+
+    @pytest.mark.parametrize("name", ["test2-professor", "test4-language"])
+    def test_manifest_learning_equals_the_dense_oracle(self, monkeypatch, name):
+        # build_manifest runs on the complete structure's table; a dead row
+        # of the structure is the uniform row
+        from epidyn import spectral
+
+        setup = preset(name)
+        setup.structure[0] = 0.0
+        seen = []
+        analyze_alone = spectral.analyze
+        monkeypatch.setattr(spectral, "analyze", lambda m: seen.append(m) or analyze_alone(m))
+        build_manifest(setup)
+        initial = setup.initial
+        cred = unfused_credibility(
+            initial.setting, initial.values, setup.landscape, setup.config.c_min
+        )
+        want = dense_learning(setup.structure, cred)
+        assert np.array_equal(seen[0], want)
+        assert np.all(want[0] == 1.0 / initial.n_agents)
 
     def test_manifest_hash_tracks_content(self):
         m1 = build_manifest(preset("test1-self-inertia", alpha=0.5))

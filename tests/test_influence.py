@@ -1,5 +1,7 @@
+import contextlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from epidyn import (
     KnowledgeFunction,
     KnowledgeSetting,
     MatrixError,
+    PopulationState,
     compute_credibility,
     compute_social_learning,
     entry_lower_bound,
@@ -22,16 +25,30 @@ from epidyn import (
 )
 from epidyn.influence import (
     ZERO_ROW_GUARD,
-    _pairwise_penalty,
     _rows_or_uniform,
     credibility_from_values,
     validate_stochastic,
     validate_structure,
 )
 from epidyn.knowledge import TabularLikelihood
-from epidyn.sampling import support_table
+from epidyn.sampling import SupportTable, support_table
 
-from conftest import FLAT_ROUND_PRINTED
+from conftest import FLAT_ROUND_PRINTED, dense_learning, pairwise_penalty, unfused_credibility
+
+
+@contextlib.contextmanager
+def no_warnings():
+    """Every warning, numpy's overflow warnings included, as an error."""
+    with warnings.catch_warnings(), np.errstate(over="warn"):
+        warnings.simplefilter("error")
+        yield
+
+
+def full_credibility(setting, values, landscape, c_min, out=None):
+    """credibility_from_values as (..., N, N) matrices, on the complete
+    structure's table."""
+    table = SupportTable.complete(values.shape[-3])
+    return credibility_from_values(setting, values, landscape, c_min, table, out)
 
 
 def tensor_penalty(values, support):
@@ -84,22 +101,6 @@ def mixed_population(rng, kind, n, n_exp, newborn_share=0.25):
     masks[rng.random(n) < newborn_share] = False
     values[~masks] = 0.0
     return setting, values
-
-
-def unfused_credibility(setting, values, landscape, c_min):
-    """Credibility as one expression per stage, with no in-place step and
-    the zero-factor product always built; kept as a reference."""
-    support = np.any(values != 0.0, axis=-1)
-    lik = landscape.per_population(setting, values)
-    positive = lik > 0.0
-    safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
-    sup = support.astype(float)
-    log_prod = sup @ np.swapaxes(safe_log, -1, -2)
-    hit_zero = (sup @ np.swapaxes((~positive).astype(float), -1, -2)) > 0.0
-    prod = np.exp(log_prod)
-    prod[hit_zero] = 0.0
-    raw = prod / (1.0 + _pairwise_penalty(setting, values, support))
-    return np.maximum(raw, c_min)
 
 
 def einsum_discrete_penalty(setting, values, support):
@@ -198,14 +199,14 @@ class TestCredibility:
         rng = np.random.default_rng([n_pops, int(100 * c_min), len(landscape)])
         setting, stack, land = credibility_case(rng, landscape, 9, 6, n_pops)
         for values in (stack, stack[0]):
-            got = credibility_from_values(setting, values, land, c_min)
+            got = full_credibility(setting, values, land, c_min)
             assert np.array_equal(got, unfused_credibility(setting, values, land, c_min))
 
     def test_arguments_are_not_written(self):
         rng = np.random.default_rng(17)
         setting, stack, land = credibility_case(rng, "tabular-zeros", 8, 5, 2)
         kept = stack.copy()
-        cred = credibility_from_values(setting, stack, land, 0.05)
+        cred = full_credibility(setting, stack, land, 0.05)
         assert np.array_equal(stack, kept)
         gamma = rng.uniform(0.0, 1.0, size=(8, 8))
         gamma[0] = 0.0  # a dead row
@@ -224,9 +225,9 @@ class TestCredibility:
         rng = np.random.default_rng(19)
         setting, stack, land = credibility_case(rng, "tabular-zeros", 8, 5, 2)
         out = np.full((2, 8, 8), np.nan)
-        cred = credibility_from_values(setting, stack, land, 0.05, out=out)
+        cred = full_credibility(setting, stack, land, 0.05, out=out)
         assert cred is out
-        assert np.array_equal(cred, credibility_from_values(setting, stack, land, 0.05))
+        assert np.array_equal(cred, full_credibility(setting, stack, land, 0.05))
         gamma = rng.uniform(0.0, 1.0, size=(8, 8))
         gamma[0] = 0.0  # a dead row
         expected = compute_social_learning(gamma, cred)
@@ -253,7 +254,7 @@ class TestPairwisePenalty:
         for newborn_share in (0.0, 0.25, 1.0):
             setting, values = mixed_population(rng, kind, n, 6, newborn_share)
             support = np.any(values != 0.0, axis=-1)
-            got = _pairwise_penalty(setting, values, support)
+            got = pairwise_penalty(setting, values, support)
             assert (got == pairwise_loop_penalty(values, support, setting.concepts)).all()
             if kind == "box1":
                 assert (got == tensor_penalty(values, support)).all()
@@ -262,15 +263,15 @@ class TestPairwisePenalty:
         setting, values = mixed_population(np.random.default_rng(3), "box1", 8, 5, 0.0)
         values[[2, 5]] = 0.0
         support = np.any(values != 0.0, axis=-1)
-        pen = _pairwise_penalty(setting, values, support)
+        pen = pairwise_penalty(setting, values, support)
         assert np.all(pen[[2, 5]] == 0.0)
         zero = np.zeros_like(values)
-        assert np.all(_pairwise_penalty(setting, zero, np.zeros((8, 5), bool)) == 0.0)
+        assert np.all(pairwise_penalty(setting, zero, np.zeros((8, 5), bool)) == 0.0)
 
     def test_single_agent_has_zero_penalty(self):
         setting, values = mixed_population(np.random.default_rng(4), "discrete", 1, 5, 0.0)
         support = np.any(values != 0.0, axis=-1)
-        assert np.array_equal(_pairwise_penalty(setting, values, support), [[0.0]])
+        assert np.array_equal(pairwise_penalty(setting, values, support), [[0.0]])
 
     def test_many_distinct_masks_span_several_blocks(self):
         # 150 private masks over 40 experiences exceed one block of masks
@@ -280,7 +281,7 @@ class TestPairwisePenalty:
         values[rng.random((150, 40)) < 0.4] = 0.0
         support = np.any(values != 0.0, axis=-1)
         assert len({row.tobytes() for row in support}) == 150
-        got = _pairwise_penalty(setting, values, support)
+        got = pairwise_penalty(setting, values, support)
         assert (got == tensor_penalty(values, support)).all()
 
     @pytest.mark.parametrize("kind", sorted(PENALTY_SPACES))
@@ -301,7 +302,7 @@ class TestPairwisePenalty:
         stack = np.where(support[..., None], tables, 0.0)
         for values in (stack[0], stack):
             sup = np.any(values != 0.0, axis=-1)
-            got = _pairwise_penalty(setting, values, sup).reshape(-1, 9, 9)
+            got = pairwise_penalty(setting, values, sup).reshape(-1, 9, 9)
             for p, pop in enumerate(values.reshape((-1,) + stack.shape[1:])):
                 want = pairwise_loop_penalty(pop, sup.reshape(-1, 9, 6)[p], concepts)
                 assert np.array_equal(got[p], want)
@@ -316,7 +317,7 @@ class TestPairwisePenalty:
         stack = np.stack([values for _, values in pops])
         support = np.any(stack != 0.0, axis=-1)
         assert len({row.tobytes() for row in support[0]}) > 109
-        got = _pairwise_penalty(setting, stack, support)
+        got = pairwise_penalty(setting, stack, support)
         for p in range(n_pops):
             assert np.array_equal(got[p], einsum_discrete_penalty(setting, stack[p], support[p]))
 
@@ -334,19 +335,19 @@ class TestPairwisePenalty:
             pops.append(other)
         stack = np.stack(pops)
         support = np.any(stack != 0.0, axis=-1)
-        got = _pairwise_penalty(setting, stack, support)
+        got = pairwise_penalty(setting, stack, support)
         assert got.shape == (4, 7, 7)
         for p, values in enumerate(pops):
-            assert np.array_equal(got[p], _pairwise_penalty(setting, values, support[p]))
+            assert np.array_equal(got[p], pairwise_penalty(setting, values, support[p]))
         if kind == "discrete":
             landscape = TabularLikelihood(rng.uniform(0.0, 1.0, size=(6, len(setting.concepts))))
         else:
             landscape = GaussianPeakLikelihood([0.5] * setting.concept_dim, 2.0)
-        cred = credibility_from_values(setting, stack, landscape, 0.05)
+        cred = full_credibility(setting, stack, landscape, 0.05)
         gamma = rng.uniform(0.0, 1.0, size=(7, 7))
         learning = compute_social_learning(gamma, cred)
         for p, values in enumerate(pops):
-            alone = credibility_from_values(setting, values, landscape, 0.05)
+            alone = full_credibility(setting, values, landscape, 0.05)
             assert np.array_equal(cred[p], alone)
             assert np.array_equal(learning[p], compute_social_learning(gamma, alone))
 
@@ -358,7 +359,7 @@ class TestPairwisePenalty:
         landscape = GaussianPeakLikelihood([1.0], 1.0)
         tracemalloc.start()
         try:
-            credibility_from_values(grid_setting(25), values, landscape, 0.0)
+            full_credibility(grid_setting(25), values, landscape, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -373,7 +374,7 @@ class TestPairwisePenalty:
         landscape = GaussianPeakLikelihood([1.0], 1.0)
         tracemalloc.start()
         try:
-            credibility_from_values(grid_setting(25), values, landscape, 0.0)
+            full_credibility(grid_setting(25), values, landscape, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -485,7 +486,7 @@ class TestSocialLearning:
 
     @pytest.mark.parametrize("gamma, cred, want", OVERFLOWING)
     def test_overflowing_rows_stay_stochastic(self, gamma, cred, want):
-        with np.errstate(over="ignore"):
+        with no_warnings():  # the rescue covers the overflow
             lam = compute_social_learning(gamma, cred)
             alias = np.array(cred)
             out = compute_social_learning(gamma, alias, out=alias)
@@ -495,24 +496,30 @@ class TestSocialLearning:
 
     @pytest.mark.parametrize("gamma, cred, want", OVERFLOWING)
     def test_overflowing_rows_stay_stochastic_on_the_table(self, gamma, cred, want):
-        # the 2 x 2 inputs as one block of a 4-agent structure whose rows
-        # have at most N / 2 entries, so that it has a column table
+        # the 2 x 2 inputs as one block of a 4-agent structure whose
+        # column table has gaps
         G, C = np.zeros((4, 4)), np.ones((2, 4, 4))
         G[:2, :2], G[2:, 2:] = gamma, [[1.0, 0.0], [3.0, 1.0]]
         C[:, :2, :2] = cred
         C[1, 3, 2] = 1e308  # an overflowing row of the other population
         table = support_table(G)
-        assert table is not None
-        with np.errstate(over="ignore"):
+        assert not table.full
+        with no_warnings():  # the rescue covers the overflow
             dense = compute_social_learning(G, C)
-            entries = compute_social_learning(
-                G.take(table.gather), C.reshape(2, -1)[:, table.gather], table=table
-            )
+            entries = compute_social_learning(table.entries(G), table.entries(C), table=table)
         assert np.array_equal(dense[:, :2, :2], [want, want])
         assert np.array_equal(dense.sum(axis=-1), np.ones((2, 4)))
         scattered = np.zeros((2, 16))
         scattered[:, table.gather] = entries
         assert np.array_equal(scattered.reshape(2, 4, 4), dense)
+
+    def test_rescued_rows_raise_no_warning(self):
+        gamma, cred = np.ones((2, 2)), [[1e308, 1e308], [1.0, 1.0]]
+        with no_warnings():
+            lam = compute_social_learning(gamma, cred)
+            rows = normalize_rows(cred)
+        assert np.array_equal(lam, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.array_equal(rows, lam)
 
     def test_rows_that_do_not_overflow_keep_their_bits(self):
         rng = np.random.default_rng(31)
@@ -521,7 +528,7 @@ class TestSocialLearning:
         plain = gamma * cred
         plain /= plain.sum(axis=-1, keepdims=True)
         cred[1, 4] = [1e308, 0.0, 3e307, 1.0, 0.0, 1e300]
-        with np.errstate(over="ignore"):
+        with no_warnings():
             lam = compute_social_learning(gamma, cred)
         kept = np.ones((3, 6), dtype=bool)
         kept[1, 4] = False
@@ -563,6 +570,33 @@ class TestSocialLearning:
         assert entry_lower_bound(gamma, c_min) > lam.min()
 
 
+class TestPublicForms:
+    """The (N, N) forms run on the complete structure's table; they equal
+    the dense oracles, dead rows included."""
+
+    @pytest.mark.parametrize("landscape", ["gaussian-peak", "constant-0", "tabular-zeros"])
+    @pytest.mark.parametrize("n_pops", [1, 3])
+    def test_equal_the_dense_oracles(self, landscape, n_pops):
+        rng = np.random.default_rng([n_pops, len(landscape), 41])
+        setting, stack, land = credibility_case(rng, landscape, 9, 6, n_pops)
+        gamma = rng.uniform(0.0, 1.0, size=(9, 9))
+        gamma[0] = 0.0  # a dead row
+        gamma[2, 4:] = 0.0
+        for c_min in (0.0, 0.05):
+            want = unfused_credibility(setting, stack, land, c_min)
+            cred = full_credibility(setting, stack, land, c_min)
+            assert np.array_equal(cred, want)
+            for p, values in enumerate(stack):
+                population = PopulationState.from_values(setting, values).functions
+                assert np.array_equal(compute_credibility(population, land, c_min), want[p])
+            cred[:, 3] = 0.0  # a row dead by its credibility
+            lam = compute_social_learning(gamma, cred)
+            dead = (gamma * cred).sum(axis=-1) <= ZERO_ROW_GUARD
+            assert dead[:, [0, 3]].all()
+            assert np.array_equal(lam, dense_learning(gamma, cred))
+            assert np.all(lam[dead] == 1.0 / 9)
+
+
 class TestNormalizeRows:
     def test_flat_round_printed_rows(self):
         out = normalize_rows(FLAT_ROUND_PRINTED)
@@ -586,7 +620,7 @@ class TestNormalizeRows:
         # the plain quotient gives row 0 = [0, 0, 0]; row 1 keeps its bits
         M = np.array([[1e308, 1e308, 0.0], [1.0, 2.0, 4.0], [1.5e308, 1.0, 2e307]])
         kept = M.copy()
-        with np.errstate(over="ignore"):
+        with no_warnings():  # the rescue covers the overflow
             out = normalize_rows(M)
         assert np.array_equal(M, kept)
         assert np.array_equal(out[0], [0.5, 0.5, 0.0])

@@ -6,9 +6,12 @@ OLD and NEW are epidyn checkouts, or their ``src`` directories.  Both run
 the four presets (test3-creation at ``--horizon 600``) and the creation,
 crowd and naming workload configs of ``perfbench/workloads.py`` at each
 ``--seed`` (5 and 12 by default), each as a fresh ``epidyn run`` process
-with one BLAS thread and no replicate workers.  The workload configs are
-generated once from this checkout's ``perfbench/workloads.py``, which is
-only read, and given to both sides.
+with one BLAS thread and no replicate workers.  Two variants of the naming
+config give one colour likelihood 0 everywhere, on its complete structure
+and on a ring lattice, so that credibility meets exact-zero factors, which
+no preset and no workload does.  The workload configs are generated once
+from this checkout's ``perfbench/workloads.py``, which is only read, and
+given to both sides.
 
 ``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
 and ``manifest.json`` equal without its ``created`` timestamp.  Each
@@ -35,6 +38,7 @@ PRESETS = (
     ("test4-language", ()),
 )
 WORKLOADS = ("creation", "crowd", "naming")
+ZERO_COLOUR = 1  # the colour whose likelihood the zero-likelihood variants set to 0
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -56,11 +60,23 @@ def workload_configs(work: Path, seeds) -> list:
     spec.loader.exec_module(workloads)
     configs = []
     for seed in seeds:
-        for name in WORKLOADS:
+        docs = {name: workloads.generate(name, seed) for name in WORKLOADS}
+        docs.update(zero_likelihood_variants(workloads, seed))
+        for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
-            path.write_bytes(workloads.config_bytes(name, seed))
+            path.write_text(json.dumps(doc, sort_keys=True) + "\n")
             configs.append((f"{name}-seed{seed}", str(path)))
     return configs
+
+
+def zero_likelihood_variants(workloads, seed: int) -> dict:
+    """The naming config with colour ``ZERO_COLOUR``'s likelihood 0 at
+    every wavelength, on its complete structure and on a ring lattice."""
+    doc = workloads.generate("naming", seed)
+    for row in doc["likelihood"]["table"]:
+        row[ZERO_COLOUR] = 0.0
+    ring = workloads.ring_lattice(len(doc["initial"]), workloads.CROWD["neighbours"])
+    return {"naming-zero": doc, "naming-zero-ring": dict(doc, gamma=ring)}
 
 
 def run(src: Path, target: str, args, out: Path) -> None:
