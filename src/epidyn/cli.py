@@ -63,23 +63,14 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, which matches the validation code
         return EXIT_VALIDATION if err.code not in (0, None) else 0
 
-    overrides = {}
-    if args.alpha is not None:
-        overrides["alpha"] = args.alpha
-    if args.likelihood is not None:
-        overrides["likelihood"] = args.likelihood
-    if args.tau is not None:
-        overrides["tau"] = args.tau
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    if args.horizon is not None:
-        overrides["horizon"] = args.horizon
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.sample_size is not None:
-        overrides["sample_size"] = args.sample_size
-    if args.metric is not None:
-        overrides["metric_variant"] = _METRIC_FLAG[args.metric]
+    # every flag left unset keeps the target's value
+    overrides = {
+        key: value
+        for key, value in vars(args).items()
+        if value is not None and key not in ("command", "target", "out")
+    }
+    if "metric" in overrides:
+        overrides["metric_variant"] = _METRIC_FLAG[overrides.pop("metric")]
 
     return run_experiment(args.target, args.out, overrides=overrides)
 

@@ -599,7 +599,7 @@ class RunResult:
 
 # Cap on the bytes of the recorded states a run holds for one trace_record
 # call: 16 steps of the test3-creation stack (2 x 10 x 25 floats); a larger
-# state is traced alone.
+# state is a block of one.
 TRACE_BLOCK_BYTES = 1 << 16
 
 
@@ -618,22 +618,17 @@ def _run_chunk(packed, observer=None):
     state = PopulationState._trusted(setting, stack, initial.t)
     rows = np.empty((len(reps), horizon + 1, len(TRACE_COLUMNS)))
     # the recorded states of a block of steps, traced in one call when the
-    # block is full and at the end; a state past the cap is traced alone,
-    # without a copy
+    # block is full and at the end; a state past the cap is a block of one
     size = max(1, min(horizon + 1, TRACE_BLOCK_BYTES // stack.nbytes))
-    if size > 1:
-        history = np.empty((size,) + stack.shape)
-        times = np.empty((size, 1))
+    history = np.empty((size,) + stack.shape)
+    times = np.empty((size, 1))
 
     def record(k, t, state):
-        if size == 1:
-            rows[:, k] = trace_record(t, reps, state.values, re_target)
-        else:
-            i = k % size
-            history[i], times[i] = state.values, t
-            if i == size - 1 or k == horizon:
-                block = trace_record(times[: i + 1], reps, history[: i + 1], re_target)
-                rows[:, k - i : k + 1] = block.swapaxes(0, 1)
+        i = k % size
+        history[i], times[i] = state.values, t
+        if i == size - 1 or k == horizon:
+            block = trace_record(times[: i + 1], reps, history[: i + 1], re_target)
+            rows[:, k - i : k + 1] = block.swapaxes(0, 1)
         if observer is not None:
             for r, values in zip(reps, state.values):
                 observer(r, PopulationState._trusted(setting, values, state.t))

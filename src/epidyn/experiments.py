@@ -24,7 +24,7 @@ import hashlib
 import json
 import os
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -67,26 +67,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-_CONFIG_KEYS = {
-    "name",
-    "tau",
-    "sample_size",
-    "sigma_e",
-    "sigma_c",
-    "c_min",
-    "horizon",
-    "seed",
-    "replicates",
-    "metric_variant",
-    "drop_zero_social",
-    "gamma",
-    "likelihood",
-    "initial",
-    "experiences",
-    "concepts",
-    "re_target",
-    "notes",
-}
+# a config file's keys: SimulationConfig's fields and the setup's own
+_CONFIG_FIELDS = {f.name for f in fields(SimulationConfig)}
+_REQUIRED_KEYS = ("gamma", "likelihood", "initial", "experiences", "concepts")
+_CONFIG_KEYS = _CONFIG_FIELDS | {*_REQUIRED_KEYS, "name", "re_target", "notes"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,16 +88,7 @@ class ExperimentSetup:
     def to_dict(self) -> dict:
         doc = {
             "name": self.name,
-            "tau": self.config.tau,
-            "sample_size": self.config.sample_size,
-            "sigma_e": self.config.sigma_e,
-            "sigma_c": self.config.sigma_c,
-            "c_min": self.config.c_min,
-            "horizon": self.config.horizon,
-            "seed": self.config.seed,
-            "replicates": self.config.replicates,
-            "metric_variant": self.config.metric_variant,
-            "drop_zero_social": self.config.drop_zero_social,
+            **asdict(self.config),
             "gamma": np.asarray(self.structure).tolist(),
             "likelihood": self.landscape.to_dict(),
             "experiences": self.initial.setting.experiences.tolist(),
@@ -135,29 +110,11 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
     unknown = sorted(set(doc) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    problems = []
-    for key in ("gamma", "likelihood", "initial", "experiences", "concepts"):
-        if key not in doc:
-            problems.append(f"missing required key {key!r}")
-    if problems:
-        raise ConfigError("; ".join(problems))
+    missing = [f"missing required key {key!r}" for key in _REQUIRED_KEYS if key not in doc]
+    if missing:
+        raise ConfigError("; ".join(missing))
 
-    config_kwargs = {
-        k: doc[k]
-        for k in (
-            "tau",
-            "sample_size",
-            "sigma_e",
-            "sigma_c",
-            "c_min",
-            "horizon",
-            "seed",
-            "replicates",
-            "metric_variant",
-            "drop_zero_social",
-        )
-        if k in doc
-    }
+    config_kwargs = {k: doc[k] for k in _CONFIG_FIELDS & doc.keys()}
     try:
         config = SimulationConfig(**config_kwargs).validate()
         setting = KnowledgeSetting(doc["experiences"], concepts_from_dict(doc["concepts"]))
@@ -253,18 +210,10 @@ def preset(name: str, alpha: Optional[float] = None, likelihood: Optional[str] =
 def _with_overrides(setup: ExperimentSetup, overrides: dict) -> ExperimentSetup:
     if not overrides:
         return setup
-    bad = sorted(set(overrides) - set(SimulationConfig.__dataclass_fields__))
+    bad = sorted(set(overrides) - _CONFIG_FIELDS)
     if bad:
         raise ConfigError(f"unknown config overrides: {', '.join(bad)}")
-    return ExperimentSetup(
-        name=setup.name,
-        config=replace(setup.config, **overrides).validate(),
-        structure=setup.structure,
-        landscape=setup.landscape,
-        initial=setup.initial,
-        re_target=setup.re_target,
-        notes=setup.notes,
-    )
+    return replace(setup, config=replace(setup.config, **overrides).validate())
 
 
 def _preset_self_inertia(alpha: float) -> ExperimentSetup:

@@ -212,11 +212,11 @@ class SupportTable(NamedTuple):
     flat index i * N + j, ``own`` the flat positions of the entries (i, i),
     and ``columns`` (N, k + 1) the agents again for the source search,
     padded with N - 1, plus one more N - 1 for a query above the whole row.
-    A :attr:`full` table, N wide because some row covers all N agents, is
-    the row layout itself, a narrower row padded with its own zero entries
-    in place, and holds no (N, N) index array: ``agents`` is a broadcast
-    view, ``gather`` None and ``columns`` one row for all agents.  Only
-    :meth:`entries` and :meth:`weights` tell the two layouts apart.
+    A :attr:`full` table, N wide because some row covers more than N / 2
+    agents, is the row layout itself, each row padded with its own zero
+    entries in place, and holds no (N, N) index array: ``agents`` is a
+    broadcast view, ``gather`` None and ``columns`` one row for all agents.
+    Only :meth:`entries` and :meth:`weights` tell the two layouts apart.
     """
 
     agents: np.ndarray
@@ -227,7 +227,7 @@ class SupportTable(NamedTuple):
     @classmethod
     def complete(cls, n: int) -> "SupportTable":
         """The table of the complete structure of ``n`` agents: the full
-        table of every structure that has a complete row."""
+        table of every structure that has a row wider than ``n`` / 2."""
         agents = np.broadcast_to(np.arange(n), (n, n))
         columns = np.minimum(np.arange(n + 1), n - 1)[None]
         return cls(agents, None, np.arange(n) * (n + 1), columns)
@@ -265,7 +265,7 @@ def support_table(structure: np.ndarray) -> SupportTable:
     support = structure > 0.0
     degree = support.sum(axis=1)
     width = int(degree.max())
-    if width == n:
+    if 2 * width > n:
         return SupportTable.complete(n)
     width = max(width, 1)
     rows, cols = support.nonzero()

@@ -515,16 +515,13 @@ class TestStep:
             assert np.array_equal(fresh.values, reused.values)
             assert not plan.scratch[1, :, 1, 1:].any()
 
-    def test_crowd_step_with_scratch_allocates_only_the_penalty(self):
-        # N = 400, every experience conceptualized, as in a crowd step, under
-        # a complete structure.  With the run's plan and its scratch,
-        # credibility, learning and their cumulative sums take no (N, N)
-        # array of their own (1.22 MiB each); the penalty copied to the
-        # agents remains, and the step peaks near 1.6 MiB.
+    def crowd_step_peak(self, structure):
+        # tracemalloc peak of one N = 400 step on its plan, which must be on
+        # a full table; ``structure(rng)`` gives the structure
         rng = np.random.default_rng(73)
         setting = grid_setting(25)
         state = PopulationState._trusted(setting, rng.uniform(0.5, 10, size=(400, 25, 1)), 0)
-        gamma = rng.uniform(0.0, 1.0, size=(400, 400))
+        gamma = structure(rng)
         cfg = SimulationConfig(tau=0.0, sample_size=50, c_min=0.0)
         landscape = GaussianPeakLikelihood([1.0], 1.0)
         plan = dynamics.step_plan(gamma, 1, 25)
@@ -533,10 +530,24 @@ class TestStep:
         tracemalloc.start()
         try:
             step(state, cfg, gamma, landscape, rngs, plan=plan)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_crowd_step_with_scratch_allocates_only_the_penalty(self):
+        # N = 400, every experience conceptualized, as in a crowd step, under
+        # a complete structure.  With the run's plan and its scratch,
+        # credibility, learning and their cumulative sums take no (N, N)
+        # array of their own (1.22 MiB each); the penalty copied to the
+        # agents remains, and the step peaks near 1.6 MiB.
+        peak = self.crowd_step_peak(lambda rng: rng.uniform(0.0, 1.0, size=(400, 400)))
         assert peak < 2.5 * 2**20
+
+    def test_crowd_step_without_self_influence_peaks_as_a_complete_one(self):
+        # 1 - I: the widest row covers N - 1 agents, so the table is the row
+        # layout, read in place, and not an (N, N - 1) gathered table (whose
+        # step peaked at 4.2 MiB)
+        assert self.crowd_step_peak(lambda rng: 1.0 - np.eye(400)) < 2.5 * 2**20
 
     def test_ring_crowd_step_with_table_peaks_below_one_mib(self):
         # N = 400 on a ring lattice (self + 8 neighbours each side), as in the
@@ -1165,9 +1176,6 @@ class TestSourceSearch:
         assert np.array_equal(sampling.pick_sources(learning.copy(), u, complete), want)
 
     def test_every_structure_gets_a_table(self):
-        gamma = ring_structure(20, 5)  # degree 11, more than N / 2
-        table = sampling.support_table(gamma)
-        assert not table.full and table.columns.shape == (20, 12)
         gamma = ring_structure(20, 4)  # degree 9
         agents, gather, own, columns = table = sampling.support_table(gamma)
         assert not table.full
@@ -1176,6 +1184,12 @@ class TestSourceSearch:
         assert np.all(columns[:, -1] == 19)
         assert np.all(gamma.reshape(-1)[gather] == 1.0)
         assert np.array_equal(agents.reshape(-1)[own], np.arange(20))
+        # a widest row of N / 2 entries still gets a table with gaps: the
+        # other rows are padded with an agent off their support
+        gamma[0, 10] = 1.0
+        table = sampling.support_table(gamma)
+        assert not table.full and table.agents.shape == (20, 10)
+        assert np.array_equal(table.agents[1], [0, 1, 2, 3, 4, 5, 17, 18, 19, 6])
         # a complete structure's table has no gaps and holds no (N, N)
         # index array: it is the row layout itself
         for gamma in (np.ones((20, 20)), np.random.default_rng(2).uniform(0.1, 1.0, (20, 20))):
@@ -1186,17 +1200,16 @@ class TestSourceSearch:
             assert np.array_equal(table.columns, [list(range(20)) + [19]])
             assert np.array_equal(table.own, np.arange(20) * 21)
             assert table.entries(gamma) is gamma
-        # so is the table of a structure with one complete row: the other
-        # rows keep their zero entries in place as their padding
+        # so is the table of a structure with one complete row, or with a
+        # row wider than N / 2: the rows keep their zero entries in place as
+        # their padding
         gamma[3, 7] = 0.0
         gamma[5] = 0.0
         assert sampling.support_table(gamma).full
-        # with no complete row, each row is padded with an agent off its support
-        gamma = 1.0 - np.eye(20)
+        assert sampling.support_table(ring_structure(20, 5)).full  # degree 11
+        gamma = 1.0 - np.eye(20)  # no self-influence
         gamma[3, 7] = 0.0
-        table = sampling.support_table(gamma)
-        assert not table.full and table.agents.shape == (20, 19)
-        assert np.array_equal(table.agents[3], [0, 1, 2, 4, 5, 6, *range(8, 20), 3])
+        assert sampling.support_table(gamma).full
 
     def test_support_table_pads_rows_with_agent_n_minus_1_at_weight_0(self):
         gamma = np.zeros((6, 6))
@@ -1416,7 +1429,7 @@ class TestTraceBlocks:
         cfg, gamma, landscape, state = self.crowd_case(replicates, horizon=7)
         target = None if target is None else np.ones((25, 1))
         rows, finals = per_replicate_run(cfg, gamma, landscape, state, target)
-        # a state of this size is traced alone by default; blocks of three
+        # a state of this size is a block of one by default; blocks of three
         # steps leave a last block of two of the eight records
         for steps in (1, 3):
             monkeypatch.setattr(dynamics, "TRACE_BLOCK_BYTES", steps * replicates * 400 * 25 * 8)

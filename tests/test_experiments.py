@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from epidyn import (
     ConfigError,
     ConstantLikelihood,
     GaussianPeakLikelihood,
+    SimulationConfig,
     analyze,
     compute_credibility,
     compute_social_learning,
@@ -122,6 +124,29 @@ class TestConfigFiles:
             dump_config(s, path)
             s2 = load_config(path)
             assert s2.to_dict() == s.to_dict()
+
+    def test_every_config_field_round_trips(self, tmp_path):
+        config = SimulationConfig(
+            tau=0.25,
+            sample_size=7,
+            sigma_e=0.5,
+            sigma_c=0.3,
+            c_min=0.05,
+            horizon=3,
+            seed=11,
+            replicates=2,
+            metric_variant="consensus-projection",
+            drop_zero_social=True,
+        )
+        # every field away from its default, so none is read back by chance
+        assert all(getattr(config, f.name) != f.default for f in fields(SimulationConfig))
+        s = replace(preset("test2-professor"), config=config)
+        path = tmp_path / "cfg.json"
+        dump_config(s, path)
+        s2 = load_config(path)
+        assert s2.config == config
+        assert list(map(type, astuple(s2.config))) == list(map(type, astuple(config)))
+        assert s2.to_dict() == s.to_dict()
 
     def test_unknown_keys_rejected(self, tmp_path):
         s = preset("test4-language")
@@ -429,6 +454,19 @@ MISSING_OR_MISTYPED = {
 }
 
 
+# each CLI flag, a value, a preset it applies to, and the same as preset keywords
+CLI_FLAGS = [
+    ("--alpha", "0.25", "test1-self-inertia", dict(alpha=0.25)),
+    ("--likelihood", "constant", "test2-professor", dict(likelihood="constant")),
+    ("--tau", "0.3", "test1-self-inertia", dict(tau=0.3)),
+    ("--replicates", "3", "test1-self-inertia", dict(replicates=3)),
+    ("--horizon", "4", "test1-self-inertia", dict(horizon=4)),
+    ("--seed", "9", "test1-self-inertia", dict(seed=9)),
+    ("--sample-size", "7", "test1-self-inertia", dict(sample_size=7)),
+    ("--metric", "consensus", "test1-self-inertia", dict(metric_variant="consensus-projection")),
+]
+
+
 class TestCli:
     def test_run_preset(self, tmp_path, capsys):
         code = cli_main(
@@ -470,6 +508,18 @@ class TestCli:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["metric_variant"] == "consensus-projection"
+
+    @pytest.mark.parametrize("flag, value, name, override", CLI_FLAGS, ids=[f[0] for f in CLI_FLAGS])
+    def test_flag_lands_in_the_resolved_config(self, tmp_path, flag, value, name, override):
+        # the written config is the preset's, changed by this flag only
+        out = tmp_path / "out"
+        argv = ["run", name, "--replicates", "1", "--horizon", "2", flag, value, "--out", str(out)]
+        assert cli_main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        small = dict(replicates=1, horizon=2)
+        want = json.loads(json.dumps(preset(name, **{**small, **override}).to_dict()))
+        assert config == want
+        assert config != json.loads(json.dumps(preset(name, **small).to_dict()))
 
     def test_unknown_preset_is_validation_error(self, tmp_path, capsys):
         code = cli_main(["run", "nope", "--out", str(tmp_path / "x")])

@@ -9,7 +9,8 @@ crowd and naming workload configs of ``perfbench/workloads.py`` at each
 with one BLAS thread and no replicate workers.  Two variants of the naming
 config give one colour likelihood 0 everywhere, on its complete structure
 and on a ring lattice, so that credibility meets exact-zero factors, which
-no preset and no workload does.  The workload configs are generated once
+no preset and no workload does.  A third runs the naming config without
+self-influence (1 - I), a structure whose widest row is N - 1 wide.  The workload configs are generated once
 from this checkout's ``perfbench/workloads.py``, which is only read, and
 given to both sides.
 
@@ -62,6 +63,7 @@ def workload_configs(work: Path, seeds) -> list:
     for seed in seeds:
         docs = {name: workloads.generate(name, seed) for name in WORKLOADS}
         docs.update(zero_likelihood_variants(workloads, seed))
+        docs["naming-no-self"] = no_self_influence_variant(workloads, seed)
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -77,6 +79,15 @@ def zero_likelihood_variants(workloads, seed: int) -> dict:
         row[ZERO_COLOUR] = 0.0
     ring = workloads.ring_lattice(len(doc["initial"]), workloads.CROWD["neighbours"])
     return {"naming-zero": doc, "naming-zero-ring": dict(doc, gamma=ring)}
+
+
+def no_self_influence_variant(workloads, seed: int) -> dict:
+    """The naming config with the structure 1 - I: every agent listens to
+    all others and not to itself."""
+    doc = workloads.generate("naming", seed)
+    n = len(doc["initial"])
+    doc["gamma"] = [[float(i != j) for j in range(n)] for i in range(n)]
+    return doc
 
 
 def run(src: Path, target: str, args, out: Path) -> None:
