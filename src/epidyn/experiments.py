@@ -208,12 +208,13 @@ def preset(name: str, alpha: Optional[float] = None, likelihood: Optional[str] =
 
 
 def _with_overrides(setup: ExperimentSetup, overrides: dict) -> ExperimentSetup:
-    if not overrides:
-        return setup
+    # the config is validated also without overrides: a ready setup may
+    # come with one that breaks a rule
     bad = sorted(set(overrides) - _CONFIG_FIELDS)
     if bad:
         raise ConfigError(f"unknown config overrides: {', '.join(bad)}")
-    return replace(setup, config=replace(setup.config, **overrides).validate())
+    config = replace(setup.config, **overrides) if overrides else setup.config
+    return replace(setup, config=config.validate())
 
 
 def _preset_self_inertia(alpha: float) -> ExperimentSetup:
@@ -463,6 +464,12 @@ def run_experiment(
             print(f"error: {err}")
         return EXIT_VALIDATION
     try:
+        # The manifest depends on the inputs only.  Built after the run, its
+        # spectral report's matrices would follow the freeing of the run's
+        # read-ahead buffer, which raises malloc's mmap threshold, onto a
+        # heap that is not given back.  Compact dumps run json's C encoder;
+        # json.dump with an indent encodes the config value by value.
+        manifest = build_manifest(setup).to_json()
         result = run(
             setup.config,
             setup.structure,
@@ -475,9 +482,7 @@ def run_experiment(
         result.trace.to_csv(os.path.join(out_dir, "trace.csv"))
         result.trace.mean_to_csv(os.path.join(out_dir, "mean.csv"))
         with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            # Compact dumps run json's C encoder; json.dump with an indent
-            # encodes the embedded config value by value in Python.
-            fh.write(build_manifest(setup).to_json() + "\n")
+            fh.write(manifest + "\n")
         summary = summarize(setup, result)
         with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
             fh.write(summary)

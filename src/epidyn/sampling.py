@@ -27,9 +27,15 @@ def agent_streams(seed: int, replicate: int, n_agents: int) -> list:
     The N keys come from one vectorized pass of SeedSequence's hash (see
     :func:`philox_keys`), and each generator's ``bit_generator.seed_seq``
     is a :class:`PhiloxKey` holding its key instead of the SeedSequence.
+    The counter starts at zero, as with ``counter=None``, but comes as one
+    shared array, which Philox copies without converting an int.
     """
     generator, philox = _philox()
-    return [generator(philox(PhiloxKey(key))) for key in philox_keys(seed, replicate, n_agents)]
+    counter = np.zeros(4, np.uint64)
+    return [
+        generator(philox(PhiloxKey(key), counter=counter))
+        for key in philox_keys(seed, replicate, n_agents)
+    ]
 
 
 @functools.cache
@@ -131,17 +137,20 @@ def uniforms(rngs, size: int) -> np.ndarray:
     return rngs.take(size)
 
 
-# Cap on the floats a run reads ahead from its streams at once (512 KiB).
-READ_AHEAD_FLOATS = 1 << 16
+# Bounds on the floats a run reads ahead from its streams at once: 8 MiB
+# over all streams, and 16 KiB of whole steps per stream.
+READ_AHEAD_FLOATS = 1 << 20
+STREAM_AHEAD_FLOATS = 1 << 11
 
 
 class ReadAhead:
     """The generators of a run of ``steps`` steps, each read once per chunk
     of steps: one read of K * B uniforms gives what K reads of B would, so
     a step takes its (S, B) block from the chunk.  A chunk holds at most
-    ``READ_AHEAD_FLOATS`` floats, or one step's block if that is more.  The
-    buffer is reused from chunk to chunk, but a one-step chunk is let go
-    with its block, so that it is not held through the next step.
+    ``READ_AHEAD_FLOATS`` floats over all streams and
+    ``STREAM_AHEAD_FLOATS`` per stream, or one step's block if that is
+    more.  The buffer is reused from chunk to chunk, but a one-step chunk
+    is let go with its block, so that it is not held through the next step.
     """
 
     def __init__(self, generators: Sequence, steps: int):
@@ -155,7 +164,8 @@ class ReadAhead:
 
     def take(self, size: int) -> np.ndarray:
         if self.used == self.chunk.shape[1]:
-            count = max(1, min(self.steps, READ_AHEAD_FLOATS // (len(self) * size)))
+            per_chunk = min(READ_AHEAD_FLOATS // (len(self) * size), STREAM_AHEAD_FLOATS // size)
+            count = max(1, min(self.steps, per_chunk))
             self.steps -= count
             if self.buffer.shape[1] < count * size:
                 self.buffer = np.empty((len(self), count * size))
@@ -263,12 +273,12 @@ def support_table(structure: np.ndarray) -> SupportTable:
     """The structure's :class:`SupportTable`, built once per run."""
     n = len(structure)
     support = structure > 0.0
-    degree = support.sum(axis=1)
+    degree = np.count_nonzero(support, axis=1)
     width = int(degree.max())
     if 2 * width > n:
         return SupportTable.complete(n)
     width = max(width, 1)
-    rows, cols = support.nonzero()
+    rows, cols = np.divmod(np.flatnonzero(support), n)
     slots = np.arange(len(rows)) - (np.cumsum(degree) - degree)[rows]
     columns = np.full((n, width + 1), n - 1, dtype=np.intp)
     columns[rows, slots] = cols

@@ -1363,21 +1363,58 @@ class TestReadAhead:
         whole = one.random(7 * block)
         assert np.array_equal(whole, np.concatenate([many.random(block) for _ in range(7)]))
 
-    @pytest.mark.parametrize("n_streams, steps", [(4, 5), (4, 250), (400, 3), (500, 2)])
-    def test_blocks_equal_per_step_reads_within_the_cap(self, n_streams, steps):
-        block = 150
-        one_step = n_streams * block > sampling.READ_AHEAD_FLOATS // 2
+    @pytest.mark.parametrize("n_streams, steps, block, cap", [
+        (4, 5, 150, None), (4, 250, 150, None), (400, 3, 150, None), (500, 2, 150, None),
+        # one step's block is past the total cap: chunks of one step
+        (4, 5, 150, 500),
+        # the per-stream bound gives chunks of 34 steps, the last of 30
+        (20, 200, 60, None),
+    ], ids=["4-5", "4-250", "400-3", "500-2", "4-5-past-the-cap", "20-200-per-stream"])
+    def test_blocks_equal_per_step_reads_within_the_cap(
+        self, monkeypatch, n_streams, steps, block, cap
+    ):
+        if cap is not None:
+            monkeypatch.setattr(sampling, "READ_AHEAD_FLOATS", cap)
+        total, per_stream = sampling.READ_AHEAD_FLOATS, sampling.STREAM_AHEAD_FLOATS
+        one_step = min(total // (n_streams * block), per_stream // block) <= 1
         ahead = sampling.ReadAhead(agent_streams(3, 1, n_streams), steps)
         plain = agent_streams(3, 1, n_streams)
         for _ in range(steps):
             got = sampling.uniforms(ahead, block)
             assert np.array_equal(got, sampling.uniforms(plain, block))
-            assert got.base.size <= max(sampling.READ_AHEAD_FLOATS, n_streams * block)
+            # at most both bounds, or one step's block if that is more
+            assert got.base.size <= max(total, n_streams * block)
+            assert got.base.shape[1] <= max(per_stream, block)
             # a one-step chunk is not held past its step
             assert (ahead.buffer.size == 0) == one_step
         # no stream read past the run's last step
         for a, b in zip(ahead.generators, plain):
             np.testing.assert_equal(a.bit_generator.state, b.bit_generator.state)
+
+    @pytest.mark.parametrize("horizon, reads", [(10, 1), (30, 3)])
+    def test_crowd_run_reads_each_stream_once_per_chunk(self, monkeypatch, horizon, reads):
+        # the crowd workload's shape: 400 streams of 150 uniforms a step
+        # (tau = 0, m = 50) read 13 steps per chunk
+        streams = []
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng, self.calls = rng, 0
+
+            def random(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.random(*args, **kwargs)
+
+        def counted_streams(*args):
+            streams.extend(Counted(rng) for rng in agent_streams(*args))
+            return streams[-args[-1]:]
+
+        monkeypatch.setattr(dynamics, "agent_streams", counted_streams)
+        rng = np.random.default_rng(22)
+        state = PopulationState.from_values(grid_setting(25), rng.uniform(-10, 10, (400, 25)))
+        cfg = SimulationConfig(tau=0.0, sample_size=50, horizon=horizon, seed=5)
+        run(cfg, ring_structure(400, 8), GaussianPeakLikelihood([6.0], 10.0), state)
+        assert [s.calls for s in streams] == [reads] * 400
 
 
 class TestSupportRun:

@@ -219,6 +219,27 @@ class TestRunExperiment:
             == 2
         )
 
+    def test_invalid_ready_setup_is_validation_error(self, tmp_path, capsys):
+        # a ready setup's config is validated as a file's or an override's is
+        setup = replace(preset("test1-self-inertia"), config=SimulationConfig(tau=3.0))
+        out = tmp_path / "out"
+        assert run_experiment(setup, out) == 2
+        assert capsys.readouterr().out == "error: tau must lie in [0, 1], got 3.0\n"
+        assert not out.exists()
+
+    def test_manifest_is_built_before_the_run(self, tmp_path, monkeypatch):
+        calls = []
+        build, simulate = experiments.build_manifest, experiments.run
+        monkeypatch.setattr(experiments, "build_manifest",
+                            lambda setup: calls.append("build_manifest") or build(setup))
+        monkeypatch.setattr(experiments, "run",
+                            lambda *a, **k: calls.append("run") or simulate(*a, **k))
+        assert run_experiment(
+            "test1-self-inertia", tmp_path / "out", overrides=dict(replicates=1, horizon=2),
+            quiet=True,
+        ) == 0
+        assert calls == ["build_manifest", "run"]
+
     def test_runtime_failure_exit_code(self, tmp_path):
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where the output directory should go")

@@ -10,9 +10,12 @@ with one BLAS thread and no replicate workers.  Two variants of the naming
 config give one colour likelihood 0 everywhere, on its complete structure
 and on a ring lattice, so that credibility meets exact-zero factors, which
 no preset and no workload does.  A third runs the naming config without
-self-influence (1 - I), a structure whose widest row is N - 1 wide.  The workload configs are generated once
-from this checkout's ``perfbench/workloads.py``, which is only read, and
-given to both sides.
+self-influence (1 - I), a structure whose widest row is N - 1 wide.  A
+fourth, ``crowd-long``, runs the crowd config at horizon ``CROWD_LONG``, so
+that its streams are read in several chunks of steps (13, 13 and 4) and a
+chunk ends in the middle of the run.  The workload configs are generated
+once from this checkout's ``perfbench/workloads.py``, which is only read,
+and given to both sides.
 
 ``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
 and ``manifest.json`` equal without its ``created`` timestamp.  Each
@@ -40,6 +43,7 @@ PRESETS = (
 )
 WORKLOADS = ("creation", "crowd", "naming")
 ZERO_COLOUR = 1  # the colour whose likelihood the zero-likelihood variants set to 0
+CROWD_LONG = 30  # the horizon of the crowd-long variant
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -64,6 +68,7 @@ def workload_configs(work: Path, seeds) -> list:
         docs = {name: workloads.generate(name, seed) for name in WORKLOADS}
         docs.update(zero_likelihood_variants(workloads, seed))
         docs["naming-no-self"] = no_self_influence_variant(workloads, seed)
+        docs["crowd-long"] = dict(docs["crowd"], horizon=CROWD_LONG)
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
