@@ -14,8 +14,7 @@ out to be; a run reads the blocks of a chunk of steps in one read per
 stream, which gives the same numbers.  The agents that social observations
 copy are found by one search of all the streams' queries at once (see
 :mod:`epidyn.sampling`).  Credibility, the learning matrix and that search
-work on the structure's column table, the entries of each row's support,
-with the bits of the full (N, N) forms.
+work on the structure's column table, the entries of each row's support.
 Replicates are stepped together as one (R, N, E, l) stack, and each
 population of the stack rounds as it would alone.
 """
@@ -453,9 +452,8 @@ class StepPlan(NamedTuple):
     structure on it, the source search's
     :func:`~epidyn.sampling.stream_offsets` (``start``, ``base``,
     ``columns``), the refit's ``cells`` offsets, one per agent of the
-    stack, and the (2, R, N, N) ``scratch`` that holds the log-likelihood
-    products and the row layout of the learning weights, zero off the
-    table (see :func:`compute_social_learning`)."""
+    stack, and the (R, N, k) ``scratch`` on the table that each step's
+    credibility, learning and cumulative sums are written to in turn."""
 
     shape: Tuple[int, int, int]
     structure: np.ndarray
@@ -476,7 +474,7 @@ def step_plan(structure: np.ndarray, n_pops: int, n_exp: int) -> StepPlan:
     entries = table.entries(structure)
     offsets = stream_offsets(n_pops * n, table)
     cells = n_exp * np.arange(n_pops * n)[:, None]
-    scratch = np.zeros((2, n_pops, n, n))
+    scratch = np.empty((n_pops,) + table.agents.shape)
     return StepPlan((n_pops, n, n_exp), structure, table, entries, *offsets, cells, scratch)
 
 
@@ -499,7 +497,7 @@ def step(
     Credibility, learning and the source search work on the structure's
     support table, the entries of each row's support.  ``plan``, the run's
     :func:`step_plan` of this ``structure``, holds the table, the
-    structure validated and the scratch arrays for all the run's steps;
+    structure validated and the scratch array for all the run's steps;
     without one, the structure is validated here (MatrixError) and the
     plan built for this step alone.
     """
@@ -516,13 +514,13 @@ def step(
         raise ConfigError("the plan was built for another structure or stack")
     if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
-    table, scratch = plan.table, plan.scratch
+    table = plan.table
     cred = credibility_from_values(
-        state.setting, stack, landscape, config.c_min, table, scratch[0]
+        state.setting, stack, landscape, config.c_min, table, plan.scratch
     )
-    learning = compute_social_learning(plan.entries, cred, scratch[1], table, checked=True)
+    learning = compute_social_learning(plan.entries, cred, cred, table, checked=True)
     offsets, cells = (plan.start, plan.base, plan.columns), plan.cells
-    del cred, plan, scratch  # spent: a step's own plan is not held through the draws
+    del cred, plan  # a step's own plan is not held through the draws
     block = uniforms(rngs, _block_width(state.setting) * m)
     sources = pick_sources(learning, block[:, m : 2 * m], table, offsets)
     del learning  # spent
@@ -536,8 +534,8 @@ def step(
     return PopulationState._trusted(state.setting, new_values.reshape(values.shape), state.t + 1)
 
 
-# Cap on R * N * N for one chunk of replicates, so that each of its stacked
-# (R, N, N) matrices stays within 8 MB.
+# Cap on R * N * N for one chunk of replicates, so that its credibility rows
+# (at most one per agent) and its (R, N, k) scratch stay within 8 MB.
 CHUNK_FLOATS = 1 << 20
 
 

@@ -7,10 +7,10 @@ j, and lambda_ij the resulting row-stochastic sampling weight.
 lambda_ij is exactly 0 wherever gamma_ij is 0 (unless the row falls back to
 the uniform row), so credibility and learning are built on the structure's
 column table (see :func:`epidyn.sampling.support_table`): the (N, k)
-entries of each row's support, k the widest row's degree, with the bits of
-the same entries of the full (N, N) forms.  The public (N, N) forms are the
-same computation on the complete structure's table, which is the row layout
-itself.
+entries of each row's support, k the widest row's degree.  Credibility is
+computed once per distinct (population, support mask) row and gathered on
+the table; learning sums each row over its table entries.  The public
+(N, N) forms lay the same entries out in full.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ from .knowledge import (
     LikelihoodLandscape,
     usage_penalty,
 )
-from .sampling import SupportTable
+from .sampling import SupportTable, support_table
 
 # Row sums below this are treated as zero; products of many likelihoods can
 # denormalize long before reaching exact zero.
 ZERO_ROW_GUARD = 1e-300
-
-ROW_SUM_TOL = 1e-12
 
 
 class MatrixError(ValueError):
@@ -50,15 +48,19 @@ def validate_structure(gamma) -> np.ndarray:
     if M.size == 0:
         # no agent, so no uniform row 1/N for a learning matrix to fall back to
         raise MatrixError("structure matrix must have at least one agent")
-    if not _finite_nonnegative(M):
-        raise MatrixError("structure matrix entries must be finite and nonnegative")
+    _checked_max(M, "structure matrix entries")
     return M
 
 
-def _finite_nonnegative(M: np.ndarray) -> bool:
-    # one min and one max reduction; a NaN entry makes both NaN, and NaN
-    # fails both comparisons
-    return M.size == 0 or (M.min() >= 0.0 and M.max() < np.inf)
+def _checked_max(M: np.ndarray, name: str) -> float:
+    # the largest entry as a Python float (0 if none), after one min and
+    # one max check that every entry is finite and nonnegative (NaN fails)
+    if M.size == 0:
+        return 0.0
+    top = float(M.max())
+    if not (M.min() >= 0.0 and top < np.inf):
+        raise MatrixError(f"{name} must be finite and nonnegative")
+    return top
 
 
 def validate_stochastic(A, tol: float = 1e-9) -> np.ndarray:
@@ -107,98 +109,103 @@ def credibility_from_values(
     """Tensor form of :func:`compute_credibility` for a prestacked
     (..., N, n_experiences, l) value array: the (..., N, k) entries of one
     matrix per population on the structure's support ``table`` (see
-    :func:`epidyn.sampling.support_table`).  The products stay stacked, one
-    per population, so each matrix rounds as it would alone.  The full
-    log-likelihood products are taken, into the (..., N, N) ``out`` if
-    given, and the entries read from them; the rest is done on the table.
-    """
-    support = np.any(values != 0.0, axis=-1)
+    :func:`epidyn.sampling.support_table`), written to ``out`` if given.
+    The elementwise work runs on the rows of the distinct (population,
+    mask) keys (see :func:`_key_rows`), gathered on the table once; an
+    entry (i, i), which carries no penalty, is max(exp(L_ii), c_min)."""
+    support = np.logical_or.reduce(values != 0.0, axis=-1)  # np.any, without its wrapper
     lik = landscape.per_population(setting, values)
-
-    positive = lik > 0.0
-    safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
-    sup = support.astype(float)
-    prod = np.matmul(sup, np.swapaxes(safe_log, -1, -2), out=out)
-    cred = table.entries(prod)
+    cred, pen, owner = _key_rows(setting, values, support, lik)
     np.exp(cred, out=cred)
-    if not positive.all():
-        # an exact-zero factor: a concept of j on an experience i conceptualizes
-        hit = sup @ np.swapaxes((~positive).astype(float), -1, -2)
-        cred[table.entries(hit) > 0.0] = 0.0
-        del hit  # not held through the penalty
-    # penalty (i, j) from the row of i's mask, 0 on the entries (i, i)
-    rows, owner = _penalty_rows(setting, values, support)
-    if len(rows) == len(owner):  # every mask its own: the rows are the agents' rows
-        pen = table.entries(rows.reshape(prod.shape))
-    else:
-        pen = table.entries(rows, owner.reshape(support.shape[:-1]))
-    pen.reshape(pen.shape[:-2] + (-1,))[..., table.own] = 0.0
+    n, width = table.agents.shape
+    diagonal = table.own // width  # the rows i with an entry (i, i)
+    diag = cred.take(owner[..., diagonal] * n + diagonal)
     pen += 1.0
     np.divide(cred, pen, out=cred)
-    return np.maximum(cred, c_min, out=cred)
+    np.maximum(cred, c_min, out=cred)
+    cred = table.entries(cred, owner, out)
+    cred.reshape(cred.shape[:-2] + (-1,))[..., table.own] = np.maximum(diag, c_min, out=diag)
+    return cred
 
 
-def _penalty_rows(setting, values: np.ndarray, support: np.ndarray):
-    """Penalty of agent j as seen by agent i, per population of the
-    (..., N, E, l) stack: variety of j's nonzero concepts over the
-    experiences i has conceptualized, before the diagonal is zeroed.
+def _key_rows(setting, values: np.ndarray, support: np.ndarray, lik: np.ndarray):
+    """Row i of credibility depends on i only through its population and
+    its support mask, but for the entry (i, i).  So each distinct
+    (population, mask) key of the (..., N, E, l) stack gets its 0/1 mask
+    times its population's log-likelihoods (-inf where one is exactly 0;
+    one BLAS product per population) and its penalty row.  Returns these
+    (K, N) rows and the (..., N) key of each agent."""
+    n, n_exp = support.shape[-2:]
+    masks, owner, bounds = [], [], [0]
+    for rows in support.reshape(-1, n * n_exp):
+        flat, keys = rows.tobytes(), {}
+        owner += [keys.setdefault(flat[s : s + n_exp], len(keys)) + bounds[-1]
+                  for s in range(0, n * n_exp, n_exp)]
+        masks += keys
+        bounds.append(len(masks))
+    masks = np.frombuffer(b"".join(masks), dtype=bool).reshape(len(masks), n_exp)
+    owner = np.array(owner).reshape(support.shape[:-1])
+    # first, so that the penalty's temporaries are freed before these rows
+    pen = _penalty_rows(setting, values, support, masks, bounds)
+    sel = masks.astype(float)
+    positive = lik > 0.0
+    safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
+    safe_log = safe_log.reshape(-1, n, n_exp)
+    zero = None if positive.all() else (~positive).reshape(-1, n, n_exp).astype(float)
+    log = np.empty((len(masks), n))
+    for p, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(sel[s:e], safe_log[p].T, out=log[s:e])
+        if zero is not None:
+            # an exact-zero factor: a concept of j on an experience i conceptualizes
+            log[s:e][sel[s:e] @ zero[p].T > 0.0] = -np.inf
+    return log, pen, owner
 
-    Row i depends on i only through its population and its support mask,
-    so each distinct (population, mask) pair is evaluated once against its
-    own population.  Returns the (K, N) rows of the K distinct pairs and
-    the (R * N,) ``owner``, the row of each agent of the stack.
-    """
+
+def _penalty_rows(setting, values, support, masks, bounds) -> np.ndarray:
+    # the (K, N) variety of j's nonzero concepts over each key's mask (see
+    # _key_rows); population p's keys are bounds[p]:bounds[p + 1]
     n, n_exp, dim = values.shape[-3:]
     pops = values.reshape(-1, n, n_exp, dim)
-    keys = {}
-    owner = [
-        keys.setdefault((p, row.tobytes()), len(keys))
-        for p, rows in enumerate(support.reshape(-1, n, n_exp))
-        for row in rows
-    ]
-    pop = np.array([p for p, _ in keys])
-    masks = np.frombuffer(b"".join(mask for _, mask in keys), dtype=bool).reshape(len(keys), -1)
-
+    spans = list(zip(bounds, bounds[1:]))
     concepts = setting.concepts
+    pen = np.empty((len(masks), n))
     if isinstance(concepts, DiscreteConcepts):
-        # distinct nonzero concepts of j over the mask, from a presence
-        # count; a population's keys are contiguous
+        # distinct nonzero concepts of j over the mask, from a presence count
+        sel = masks.astype(float)
         idx = concepts.index_of(pops.reshape(-1, dim)).reshape(pops.shape[:-1])
         n_c = len(concepts) - 1
         onehot = (idx[..., None] == np.arange(1, n_c + 1)).astype(float)
-        first = np.searchsorted(pop, np.arange(len(pops) + 1))
         # masks in blocks, so the (masks, N * C) counts stay near one megabyte;
         # the counts are small integers, so the BLAS product is exact
         block = max(1, (1 << 17) // max(1, n * n_c))
-        pen = np.empty((len(masks), n))
-        for p, (s, e) in enumerate(zip(first[:-1], first[1:])):
+        for p, (s, e) in enumerate(spans):
             per_exp = onehot[p].transpose(1, 0, 2).reshape(n_exp, n * n_c)
             for b in range(s, e, block):
-                sel = masks[b : min(b + block, e)]
-                used = (sel.astype(float) @ per_exp > 0.0).reshape(len(sel), n, n_c)
-                pen[b : b + len(sel)] = np.maximum(used.sum(axis=-1) - 1, 0)
+                part = sel[b : min(b + block, e)]
+                used = (part @ per_exp > 0.0).reshape(len(part), n, n_c)
+                pen[b : b + len(part)] = np.maximum(used.sum(axis=-1) - 1, 0)
     elif concepts.dim == 1:
         present = support.reshape(pops.shape[:-1])
         highs = np.where(present, pops[..., 0], -np.inf)
         lows = np.where(present, pops[..., 0], np.inf)
-        # masks in blocks, so the (masks, N, E) slab stays near one megabyte
+        # masks in blocks, so the (masks, N, E) slab stays near one megabyte;
+        # a mask that meets none of j's concepts spans -inf - inf = -inf
         block = max(1, (1 << 17) // (n * n_exp))
-        pen = np.empty((len(masks), n))
+        pop = np.repeat(np.arange(len(spans)), np.diff(bounds))
         for s in range(0, len(masks), block):
-            sel, own = masks[s : s + block, None, :], pop[s : s + block]
+            part, own = masks[s : s + block, None, :], pop[s : s + block]
             span = (
-                np.where(sel, highs[own], -np.inf).max(axis=2)
-                - np.where(sel, lows[own], np.inf).min(axis=2)
+                np.where(part, highs[own], -np.inf).max(axis=2)
+                - np.where(part, lows[own], np.inf).min(axis=2)
             )
-            pen[s : s + block] = np.where(np.isfinite(span), np.maximum(span, 0.0), 0.0)
+            np.maximum(span, 0.0, out=pen[s : s + block])
     else:
-        pen = np.array(
-            [
+        for p, (s, e) in enumerate(spans):
+            pen[s:e] = [
                 [usage_penalty(v[m], concepts) if m.any() else 0.0 for v in pops[p]]
-                for p, m in zip(pop, masks)
+                for m in masks[s:e]
             ]
-        )
-    return pen, np.array(owner)
+    return pen
 
 
 def compute_social_learning(
@@ -218,54 +225,61 @@ def compute_social_learning(
     ``out``, if given, is the float array of the credibility's shape the
     result is written to; it may be the credibility itself.
 
-    These (N, N) matrices are the same computation on the complete
-    structure's table.  With a support ``table`` (see
-    :func:`epidyn.sampling.support_table`), ``gamma``, ``credibility`` and
-    the result hold only the table's entries, (N, k) and (..., N, k); a dead
-    row, uniform over all N agents, is all zero there.  Each row sum is
-    taken over the full row, zeros included, so that it has the bits of the
-    (N, N) form's sum: ``out``, if given, is then a (..., N, N) float
-    array, zero off the table, that the weights are laid out in.
+    Each row is summed over its entries on the structure's support table
+    (see :func:`epidyn.sampling.support_table`).  With a ``table``, the
+    inputs and the result hold only those entries, (N, k) and (..., N, k),
+    and a dead row, uniform over all N agents, is all zero there.
     """
     G = np.asarray(gamma, dtype=float)
     C = np.asarray(credibility, dtype=float)
     if table is not None:
         return _learning(G, C, out, table, checked)[0]
     G = G if checked else validate_structure(G)
-    if out is not None and np.may_share_memory(out, C):
-        C = C.copy()  # an overflowing row is rebuilt from the credibility
-    learning, dead = _learning(G, C, out, SupportTable.complete(len(G)), True)
+    table = support_table(G)
+    if table.full or C.shape[-2:] != G.shape:  # _learning refuses a mismatch
+        learning, dead = _learning(G, C, out, table, True)
+    else:
+        _checked_max(C, "credibility entries")  # off the table too
+        entries, dead = _learning(table.entries(G), table.entries(C), None, table, True)
+        learning = np.empty(C.shape) if out is None else out
+        learning.fill(0.0)
+        learning.reshape(C.shape[:-2] + (-1,))[..., table.gather] = entries
     learning[dead] = 1.0 / len(G)
     return learning
 
 
-def _learning(G, C, rows, table, checked):
+def _learning(G, C, out, table, checked):
     # compute_social_learning on the table, and the mask of its dead rows
     if G.shape != table.agents.shape or C.shape[-2:] != G.shape:
         raise MatrixError(
             f"dimension mismatch: structure entries {G.shape} on a table of "
             f"{table.agents.shape}, credibility {C.shape}"
         )
-    if not (checked or _finite_nonnegative(G)):
-        raise MatrixError("structure entries must be finite and nonnegative")
-    if not _finite_nonnegative(C):
-        raise MatrixError("credibility entries must be finite and nonnegative")
-    n = len(G)
-    if rows is None:
-        rows = np.zeros(C.shape[:-1] + (n,))
-    with np.errstate(over="ignore"):  # an overflowing row is rescued below
-        w = table.weights(G, C, rows)
-        sums = rows.sum(axis=-1)
-    over = np.nonzero(sums == np.inf)
-    if len(over[0]):
-        w[over] = _scaled_products(G[over[-1]], C[over])
-        # summed over the full row layout, as the (N, N) form sums them
-        layout = np.zeros((len(over[0]), n))
-        layout[np.arange(len(layout))[:, None], table.agents[over[-1]]] = w[over]
-        sums[over] = layout.sum(axis=-1)
+    top = float(G.max()) if checked else _checked_max(G, "structure entries")
+    # Python floats: a product past the range is inf, with no warning
+    top *= _checked_max(C, "credibility entries")
+    if top * G.shape[-1] < 1e308:  # no product, nor a sum of k of them, overflows
+        w = np.multiply(G, C, out=out)
+        sums = w.sum(axis=-1)
+    else:
+        w, sums = _rescued_products(G, C, out)
     dead = sums <= ZERO_ROW_GUARD
     sums[dead] = np.inf  # a dead row's entries become 0
     return np.divide(w, sums[..., None], out=w), dead
+
+
+def _rescued_products(G, C, out):
+    # G * C and its row sums, a row whose products or sum overflow rescaled
+    if out is not None and np.may_share_memory(out, C):
+        C = C.copy()  # an overflowing row is rebuilt from the credibility
+    with np.errstate(over="ignore"):  # an overflowing row is rescued below
+        w = np.multiply(G, C, out=out)
+        sums = w.sum(axis=-1)
+    over = np.nonzero(sums == np.inf)
+    if len(over[0]):
+        w[over] = _scaled_products(G[over[-1]], C[over])
+        sums[over] = w[over].sum(axis=-1)
+    return w, sums
 
 
 def _scaled_products(g: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -287,16 +301,9 @@ def normalize_rows(M) -> np.ndarray:
     whose sum overflows is rescaled first, as in
     :func:`compute_social_learning`."""
     A = _square(M, "matrix")
-    if not _finite_nonnegative(A):
-        raise MatrixError("entries must be finite and nonnegative")
-    with np.errstate(over="ignore"):  # a row whose sum overflows is rescued below
-        sums = A.sum(axis=-1, keepdims=True)
-    over = np.flatnonzero(sums == np.inf)
-    if len(over):
-        A = A.copy()  # not written over the caller's matrix
-        A[over] = _scaled_products(A[over], 1.0)
-        sums[over] = A[over].sum(axis=-1, keepdims=True)
-    return _rows_or_uniform(A, 0.0, sums=sums)
+    _checked_max(A, "entries")
+    w, sums = _rescued_products(A, np.broadcast_to(1.0, A.shape), None)  # w a copy of A
+    return _rows_or_uniform(w, 0.0, sums=sums[:, None])
 
 
 def _rows_or_uniform(w: np.ndarray, guard: float, sums=None) -> np.ndarray:

@@ -398,9 +398,10 @@ class GaussianPeakLikelihood(LikelihoodLandscape):
 
     def per_population(self, setting, values):
         v = np.asarray(values, dtype=float)
-        d2 = np.sum((v - self.center) ** 2, axis=-1)
+        # plain reductions: np.sum and np.any cost more in wrappers than in work here
+        d2 = ((v - self.center) ** 2).sum(axis=-1)
         out = np.exp(-d2 / self.width)
-        out[~np.any(v != 0.0, axis=-1)] = 0.5
+        out[~np.logical_or.reduce(v != 0.0, axis=-1)] = 0.5
         return out
 
     def to_dict(self) -> dict:

@@ -226,7 +226,7 @@ class SupportTable(NamedTuple):
     agents, is the row layout itself, each row padded with its own zero
     entries in place, and holds no (N, N) index array: ``agents`` is a
     broadcast view, ``gather`` None and ``columns`` one row for all agents.
-    Only :meth:`entries` and :meth:`weights` tell the two layouts apart.
+    :meth:`entries` tells the two layouts apart.
     """
 
     agents: np.ndarray
@@ -246,27 +246,17 @@ class SupportTable(NamedTuple):
     def full(self) -> bool:
         return self.gather is None
 
-    def entries(self, matrices: np.ndarray, owner: Optional[np.ndarray] = None) -> np.ndarray:
+    def entries(self, matrices: np.ndarray, owner=None, out=None) -> np.ndarray:
         """The (..., N, k) entries on the table of (..., N, N) ``matrices``
         (the matrices themselves for a full table), or, with an (..., N)
-        ``owner``, of the matrices whose row i is ``matrices[owner[..., i]]``."""
+        ``owner``, of the matrices whose row i is ``matrices[owner[..., i]]``,
+        gathered into ``out`` if given."""
         if self.full:
-            return matrices if owner is None else matrices.take(owner, axis=0)
+            return matrices if owner is None else matrices.take(owner, axis=0, out=out)
         n = len(self.agents)
         if owner is None:
             return matrices.reshape(matrices.shape[:-2] + (n * n,)).take(self.gather, axis=-1)
-        return matrices.take(owner[..., None] * n + self.agents)
-
-    def weights(self, entries: np.ndarray, credibility: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The products entries * credibility on the table, also laid out in
-        the (..., N, N) ``rows``, which are zero off the table and stay so
-        (for a full table, the products are written there only)."""
-        if self.full:
-            return np.multiply(entries, credibility, out=rows)
-        n = len(self.agents)
-        products = entries * credibility
-        rows.reshape(-1, n * n)[:, self.gather] = products.reshape(-1, *self.gather.shape)
-        return products
+        return matrices.take(owner[..., None] * n + self.agents, out=out)
 
 
 def support_table(structure: np.ndarray) -> SupportTable:

@@ -7,7 +7,7 @@ from epidyn import (
     KnowledgeSetting,
     TabularLikelihood,
 )
-from epidyn.influence import ZERO_ROW_GUARD, _penalty_rows
+from epidyn.influence import ZERO_ROW_GUARD, _key_rows
 
 
 @pytest.fixture
@@ -75,10 +75,10 @@ def random_stochastic(rng, n):
 
 def pairwise_penalty(setting, values, support):
     """The penalty matrices of an (..., N, E, l) stack, (..., N, N) with a
-    zero diagonal: each agent's row of ``_penalty_rows`` copied out.  The
-    dense form that credibility's table replaced, kept as the penalty
+    zero diagonal: each agent's penalty row of ``_key_rows`` copied out.
+    The dense form that credibility's table replaced, kept as the penalty
     oracle."""
-    rows, owner = _penalty_rows(setting, values, support)
+    _, rows, owner = _key_rows(setting, values, support, np.ones(support.shape))
     n = support.shape[-2]
     pen = rows[owner].reshape(support.shape[:-1] + (n,))
     pen[..., np.arange(n), np.arange(n)] = 0.0

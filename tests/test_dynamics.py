@@ -39,7 +39,7 @@ from epidyn.dynamics import (
     _normal_ppf,
     _refit,
 )
-from epidyn.influence import ZERO_ROW_GUARD, _penalty_rows, credibility_from_values
+from epidyn.influence import ZERO_ROW_GUARD, _key_rows, credibility_from_values
 from epidyn.metrics import trace_record
 
 
@@ -506,14 +506,14 @@ class TestStep:
         kernel = experience_kernel(setting, 1.0)
         rngs_a, rngs_b = (agent_streams(3, 0, 4 * n_pops) for _ in range(2))
         plan = dynamics.step_plan(gamma, n_pops, 5)
-        # the log-likelihood products need no zeros, and the dead row stays
-        # zero in the row layout
-        plan.scratch[0] = np.nan
+        # every step writes all of the scratch before it reads it, and the
+        # dead row's learning entries are all zero on the table
+        plan.scratch[...] = np.nan
         for _ in range(3):
             fresh = step(fresh, cfg, gamma, landscape, rngs_a, kernel)
             reused = step(reused, cfg, gamma, landscape, rngs_b, kernel, plan=plan)
             assert np.array_equal(fresh.values, reused.values)
-            assert not plan.scratch[1, :, 1, 1:].any()
+            assert not plan.scratch[:, 1].any()
 
     def crowd_step_peak(self, structure):
         # tracemalloc peak of one N = 400 step on its plan, which must be on
@@ -536,10 +536,10 @@ class TestStep:
 
     def test_crowd_step_with_scratch_allocates_only_the_penalty(self):
         # N = 400, every experience conceptualized, as in a crowd step, under
-        # a complete structure.  With the run's plan and its scratch,
-        # credibility, learning and their cumulative sums take no (N, N)
-        # array of their own (1.22 MiB each); the penalty copied to the
-        # agents remains, and the step peaks near 1.6 MiB.
+        # a complete structure.  With the run's plan, credibility, learning
+        # and their cumulative sums go to its (R, N, N) buffer and take no
+        # (N, N) array of their own (1.22 MiB each); the agents share one
+        # penalty row, and the step peaks at 1.62 MiB.
         peak = self.crowd_step_peak(lambda rng: rng.uniform(0.0, 1.0, size=(400, 400)))
         assert peak < 2.5 * 2**20
 
@@ -570,8 +570,8 @@ class TestStep:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        # the row layout of the sums is left zero off the table
-        assert not plan.scratch[1, 0][gamma == 0.0].any()
+        # the run's one buffer is on the table
+        assert plan.scratch.shape == (1, 400, 17)
 
     def test_structure_validated_once_per_step(self, monkeypatch):
         import epidyn.dynamics as dynamics
@@ -1284,38 +1284,93 @@ class TestTableLayer:
                 assert np.any(gamma.take(table.gather) == 0.0)  # padded
             lik = landscape.per_population(setting, stack)
             assert (lik == 0.0).any() == zero_likelihood
-            rows, owner = _penalty_rows(setting, stack, stack.any(axis=-1))
-            assert (len(rows) == len(owner)) == (masks == "own")
+            _, rows, owner = _key_rows(setting, stack, stack.any(axis=-1), lik)
+            assert (len(rows) == owner.size) == (masks == "own")
             for c_min in (0.0, 0.05):
                 full = credibility_from_values(setting, stack, landscape, c_min, complete)
-                buffer = np.full((n_pops, n, n), np.nan)
+                buffer = np.full((n_pops,) + table.agents.shape, np.nan)
                 cred = credibility_from_values(setting, stack, landscape, c_min, table, buffer)
                 assert np.array_equal(cred, table.entries(full))
-                assert (cred is buffer) == table.full
+                assert cred is buffer
                 if n_pops == 1:
                     alone = credibility_from_values(setting, stack[0], landscape, c_min, table)
                     assert np.array_equal(alone, table.entries(full)[0])
 
                 learning = compute_social_learning(gamma, full)
-                rows = np.zeros((n_pops, n, n))
-                got = compute_social_learning(table.entries(gamma), cred, rows, table)
-                # the weights are laid out in the rows, which stay zero off the table
-                assert (got is rows) == table.full
-                assert not rows[:, gamma == 0.0].any()
+                out = np.full(cred.shape, np.nan)
+                got = compute_social_learning(table.entries(gamma), cred, out, table)
+                assert got is out
                 dead = (gamma * full).sum(axis=-1) <= ZERO_ROW_GUARD
                 if structure != "complete":
                     assert dead[:, 5 if structure == "ring" else n - 2].all()
                 assert np.array_equal(got[~dead], table.entries(learning)[~dead])
                 assert np.all(got[dead] == 0.0)
                 assert np.all(learning[dead] == 1.0 / n)
-                # without a row buffer one is allocated
+                # without a buffer one is allocated; the credibility may
+                # take the result, as in a step
                 again = compute_social_learning(table.entries(gamma), cred, table=table)
                 assert np.array_equal(again, got)
+                in_place = compute_social_learning(table.entries(gamma), cred, cred, table)
+                assert in_place is cred and np.array_equal(in_place, got)
 
                 u = np.random.default_rng(1).random((n_pops * n, 40))
                 u[:, -1] = np.nextafter(1.0, 0.0)
                 want = searchsorted_sources(learning, u)
                 assert np.array_equal(sampling.pick_sources(got, u, table), want)
+
+    @pytest.mark.parametrize("kind", ["box1", "discrete"])
+    @pytest.mark.parametrize("structure", ["no-self", "ring-no-self"])
+    def test_population_rounds_alike_alone_and_in_a_stack(self, kind, structure):
+        # credibility runs once per distinct (population, mask) key, with
+        # one BLAS product per population: a population's entries have the
+        # same bits alone and among others whose masks differ
+        setting, stack, _, landscape = table_case(kind, "complete", 3, True)
+        n = stack.shape[1]
+        rng = np.random.default_rng(len(kind))
+        stack[1][rng.random(stack.shape[1:3]) < 0.4] = 0.0  # masks of its own
+        stack[2, 3:9] = stack[2, 3:4]  # one mask shared by six agents
+        gamma = 1.0 - np.eye(n)
+        if structure == "ring-no-self":
+            gamma = ring_structure(n, 3) - np.eye(n)
+            gamma[0, n // 2] = 1.0  # the other rows pad, some with agent i itself
+        table = sampling.support_table(gamma)
+        assert table.full == (structure == "no-self")
+        # no row has an (i, i) entry of the structure
+        assert not table.entries(gamma).reshape(-1)[table.own].any()
+        assert (landscape.per_population(setting, stack) == 0.0).any()
+        support = stack.any(axis=-1)
+        keys = [len(_key_rows(setting, stack[p], support[p], np.ones(support[p].shape))[0])
+                for p in range(3)]
+        assert len(set(keys)) == 3
+        entries = table.entries(gamma)
+        cred = credibility_from_values(setting, stack, landscape, 0.05, table)
+        learning = compute_social_learning(entries, cred, table=table)
+        for p in range(3):
+            alone = credibility_from_values(setting, stack[p], landscape, 0.05, table)
+            assert np.array_equal(alone, cred[p])
+            assert np.array_equal(compute_social_learning(entries, alone, table=table), learning[p])
+
+    def test_ring_step_plan_and_step_stay_small_at_n_2000(self):
+        # N = 2000, k = 17, E = 25: the plan holds the table and one (R, N, k)
+        # buffer, where it held a (2, R, N, N) scratch array (61 MiB).  Plan
+        # and step together peak at 6.18 MiB (tracemalloc, numpy 2.4.6): the
+        # structure's 0/1 support that the table is built from (3.8 MiB) and
+        # the step's block of uniforms (2.3 MiB) are the largest arrays.
+        rng = np.random.default_rng(2000)
+        setting = grid_setting(25)
+        state = PopulationState._trusted(setting, rng.uniform(0.5, 10, size=(2000, 25, 1)), 0)
+        gamma = ring_structure(2000, 8)
+        cfg = SimulationConfig(tau=0.0, sample_size=50, c_min=0.0)
+        rngs = agent_streams(5, 0, 2000)
+        tracemalloc.start()
+        try:
+            plan = dynamics.step_plan(gamma, 1, 25)
+            step(state, cfg, gamma, GaussianPeakLikelihood([6.0], 10.0), rngs, plan=plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.scratch.shape == (1, 2000, 17)
+        assert peak < 9.25 * 2**20
 
     def test_table_learning_refuses_bad_entries(self):
         gamma = ring_structure(8, 1)

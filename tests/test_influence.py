@@ -234,6 +234,21 @@ class TestCredibility:
         # the credibility itself may take the learning matrix
         assert compute_social_learning(gamma, cred, out=cred) is cred
         assert np.array_equal(cred, expected)
+        # on a table with gaps, the (R, N, k) buffer takes both in turn
+        gamma = np.eye(8) + np.eye(8, k=1) + np.eye(8, k=-3)
+        gamma[0] = 0.0
+        table = support_table(gamma)
+        assert not table.full
+        out = np.full((2,) + table.agents.shape, np.nan)
+        cred = credibility_from_values(setting, stack, land, 0.05, table, out)
+        assert cred is out
+        full = full_credibility(setting, stack, land, 0.05)
+        assert np.array_equal(cred, table.entries(full))
+        learning = compute_social_learning(table.entries(gamma), cred, cred, table)
+        assert learning is out
+        dense = compute_social_learning(gamma, full)
+        assert np.array_equal(learning[:, 1:], table.entries(dense)[:, 1:])
+        assert np.all(learning[:, 0] == 0.0) and np.all(dense[:, 0] == 1.0 / 8)
 
     def test_long_products_accumulate_in_log_space(self):
         # 2000 factors of 0.5 underflow pairwise products but not log sums
@@ -520,6 +535,32 @@ class TestSocialLearning:
             rows = normalize_rows(cred)
         assert np.array_equal(lam, [[0.5, 0.5], [0.5, 0.5]])
         assert np.array_equal(rows, lam)
+
+    def test_a_normal_step_never_enters_the_rescue(self, monkeypatch):
+        # credibility is at most 1, so max(G) * max(C) * k stays far below
+        # the overflow bound: no step pays for the overflow guard
+        import epidyn.dynamics as dynamics
+        import epidyn.influence as influence
+
+        calls = []
+        rescue = influence._rescued_products
+        monkeypatch.setattr(
+            influence, "_rescued_products", lambda *a: calls.append(1) or rescue(*a)
+        )
+        compute_social_learning(np.ones((2, 2)), [[1e308, 1e308], [1.0, 1.0]])
+        assert calls == [1]  # an overflowing row still takes it
+        calls.clear()
+        n = 40
+        ring = np.zeros((n, n))
+        for d in range(-8, 9):
+            ring[np.arange(n), (np.arange(n) + d) % n] = 2.0
+        setting = grid_setting(25)
+        values = np.random.default_rng(5).uniform(-10, 10, size=(n, 25))
+        state = dynamics.PopulationState.from_values(setting, values)
+        cfg = dynamics.SimulationConfig(tau=0.1, sample_size=20, c_min=0.01, horizon=3)
+        for gamma in (ring, np.ones((n, n))):
+            dynamics.run(cfg, gamma, GaussianPeakLikelihood([6.0], 10.0), state)
+        assert calls == []
 
     def test_rows_that_do_not_overflow_keep_their_bits(self):
         rng = np.random.default_rng(31)

@@ -13,9 +13,12 @@ no preset and no workload does.  A third runs the naming config without
 self-influence (1 - I), a structure whose widest row is N - 1 wide.  A
 fourth, ``crowd-long``, runs the crowd config at horizon ``CROWD_LONG``, so
 that its streams are read in several chunks of steps (13, 13 and 4) and a
-chunk ends in the middle of the run.  The workload configs are generated
-once from this checkout's ``perfbench/workloads.py``, which is only read,
-and given to both sides.
+chunk ends in the middle of the run.  A fifth, ``crowd-holes``, sets
+about a third of the crowd config's initial entries to 0, so that its
+agents hold many distinct support masks on a ring table in a box space,
+where the crowd config gives them all one.  The workload configs are
+generated once from this checkout's ``perfbench/workloads.py``, which is
+only read, and given to both sides.
 
 ``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
 and ``manifest.json`` equal without its ``created`` timestamp.  Each
@@ -29,6 +32,7 @@ import argparse
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -44,6 +48,7 @@ PRESETS = (
 WORKLOADS = ("creation", "crowd", "naming")
 ZERO_COLOUR = 1  # the colour whose likelihood the zero-likelihood variants set to 0
 CROWD_LONG = 30  # the horizon of the crowd-long variant
+HOLE_SHARE = 1 / 3  # the share of initial entries the crowd-holes variant sets to 0
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -69,6 +74,7 @@ def workload_configs(work: Path, seeds) -> list:
         docs.update(zero_likelihood_variants(workloads, seed))
         docs["naming-no-self"] = no_self_influence_variant(workloads, seed)
         docs["crowd-long"] = dict(docs["crowd"], horizon=CROWD_LONG)
+        docs["crowd-holes"] = crowd_holes_variant(workloads, seed)
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -92,6 +98,18 @@ def no_self_influence_variant(workloads, seed: int) -> dict:
     doc = workloads.generate("naming", seed)
     n = len(doc["initial"])
     doc["gamma"] = [[float(i != j) for j in range(n)] for i in range(n)]
+    return doc
+
+
+def crowd_holes_variant(workloads, seed: int) -> dict:
+    """The crowd config with each initial entry set to 0 with probability
+    ``HOLE_SHARE``, drawn from the seed alone."""
+    doc = workloads.generate("crowd", seed)
+    rng = random.Random(f"crowd-holes:{seed}")
+    for table in doc["initial"]:
+        for entry in table:
+            if rng.random() < HOLE_SHARE:
+                entry[:] = [0.0] * len(entry)
     return doc
 
 
