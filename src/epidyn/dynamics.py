@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -478,6 +478,14 @@ def step_plan(structure: np.ndarray, n_pops: int, n_exp: int) -> StepPlan:
     return StepPlan((n_pops, n, n_exp), structure, table, entries, *offsets, cells, scratch)
 
 
+def _checked_structure(structure, n: int) -> np.ndarray:
+    # the validated (n, n) structure (MatrixError), or ConfigError on its shape
+    G = np.asarray(structure, dtype=float)
+    if G.shape != (n, n):
+        raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
+    return validate_structure(G)
+
+
 def step(
     state: PopulationState,
     config: SimulationConfig,
@@ -506,10 +514,7 @@ def step(
     n_pops, n, n_exp = stack.shape[:3]
     m = config.sample_size
     if plan is None:
-        G = np.asarray(structure, dtype=float)
-        if G.shape != (n, n):
-            raise ConfigError(f"structure matrix has shape {G.shape} for {n} agents")
-        plan = step_plan(validate_structure(G), n_pops, n_exp)
+        plan = step_plan(_checked_structure(structure, n), n_pops, n_exp)
     elif plan.structure is not structure or plan.shape != stack.shape[:3]:
         raise ConfigError("the plan was built for another structure or stack")
     if len(rngs) != n_pops * n:
@@ -545,41 +550,36 @@ def run(
     landscape: LikelihoodLandscape,
     initial: PopulationState,
     re_target: Optional[np.ndarray] = None,
-    observer: Optional[Callable[[int, PopulationState], None]] = None,
     n_jobs: int = 1,
 ) -> "RunResult":
     """Replicated simulation producing the metric trace.
 
     Each replicate runs the dynamic for ``config.horizon`` steps from the
     initial state and records the metrics at t = 0 and after every step.
-    Contiguous chunks of replicates step as one (R, N, E, l) stack: one
-    chunk, or one per worker when ``n_jobs`` > 1, cut to R * N * N <=
-    ``CHUNK_FLOATS``.  Streams derive from (seed, replicate) and each
-    population of a stack rounds as it would alone, so the trace does not
-    depend on the replicate count, the chunks or their order.
-    ``observer(replicate, state)`` is called at every recorded point,
-    replicate by replicate (chunks of one), and forces a single process.
+    Contiguous chunks of ceil(R / ``n_jobs``) replicates, cut to R * N * N
+    <= ``CHUNK_FLOATS``, step as one (R, N, E, l) stack, in worker
+    processes when ``n_jobs`` > 1.  Streams derive from (seed, replicate)
+    and each population of a stack rounds as it would alone, so the trace
+    does not depend on the replicate count, the chunks or their order.
+    The structure's shape and entries are checked before any stream is
+    built (ConfigError, MatrixError).
     """
     config.validate()
-    args = (config, validate_structure(structure), landscape, initial, re_target)
+    structure = _checked_structure(structure, initial.n_agents)
+    args = (config, structure, landscape, initial, re_target)
     reps = config.replicates
-    parallel = n_jobs > 1 and observer is None
-    if observer is not None:
-        size = 1
-    else:
-        size = -(-reps // n_jobs) if parallel else reps
-    size = max(1, min(size, CHUNK_FLOATS // initial.n_agents**2))
-    chunks = [range(s, min(s + size, reps)) for s in range(0, reps, size)]
-    if parallel:
+    size = max(1, min(-(-reps // max(1, n_jobs)), CHUNK_FLOATS // initial.n_agents**2))
+    chunks = [(range(s, min(s + size, reps)), *args) for s in range(0, reps, size)]
+    if n_jobs > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_run_chunk, [(c, *args) for c in chunks]))
+            results = list(pool.map(_run_chunk, chunks))
     else:
-        results = [_run_chunk((c, *args), observer) for c in chunks]
-    rows = np.concatenate([rows for rows, _ in results])
+        results = [_run_chunk(chunk) for chunk in chunks]
+    grid = np.concatenate([grid for grid, _ in results])
     finals = np.concatenate([final for _, final in results])
-    return RunResult(MetricTrace(rows), finals)
+    return RunResult(MetricTrace(grid), finals)
 
 
 @dataclass(frozen=True, eq=False)
@@ -601,38 +601,30 @@ class RunResult:
 TRACE_BLOCK_BYTES = 1 << 16
 
 
-def _run_chunk(packed, observer=None):
-    # the replicates of range ``reps`` as one stack; rows replicate-major
+def _run_chunk(packed):
+    # the replicates of range ``reps`` as one stack; its (R, T + 1, 5) grid
     reps, config, structure, landscape, initial, re_target = packed
-    setting = initial.setting
     horizon = config.horizon
     rngs = ReadAhead(
         [g for r in reps for g in agent_streams(config.seed, r, initial.n_agents)],
         horizon,
     )
-    kernel = experience_kernel(setting, config.sigma_e) if config.tau > 0.0 else None
+    kernel = experience_kernel(initial.setting, config.sigma_e) if config.tau > 0.0 else None
     plan = step_plan(structure, len(reps), initial.values.shape[1])
     stack = np.repeat(initial.values[None], len(reps), axis=0)
-    state = PopulationState._trusted(setting, stack, initial.t)
-    rows = np.empty((len(reps), horizon + 1, len(TRACE_COLUMNS)))
+    state = PopulationState._trusted(initial.setting, stack, initial.t)
+    grid = np.empty((len(reps), horizon + 1, len(TRACE_COLUMNS)))
     # the recorded states of a block of steps, traced in one call when the
     # block is full and at the end; a state past the cap is a block of one
     size = max(1, min(horizon + 1, TRACE_BLOCK_BYTES // stack.nbytes))
     history = np.empty((size,) + stack.shape)
     times = np.empty((size, 1))
-
-    def record(k, t, state):
+    for k in range(horizon + 1):
+        if k:
+            state = step(state, config, structure, landscape, rngs, kernel=kernel, plan=plan)
         i = k % size
-        history[i], times[i] = state.values, t
+        history[i], times[i] = state.values, state.t
         if i == size - 1 or k == horizon:
             block = trace_record(times[: i + 1], reps, history[: i + 1], re_target)
-            rows[:, k - i : k + 1] = block.swapaxes(0, 1)
-        if observer is not None:
-            for r, values in zip(reps, state.values):
-                observer(r, PopulationState._trusted(setting, values, state.t))
-
-    record(0, state.t, state)
-    for k in range(1, horizon + 1):
-        state = step(state, config, structure, landscape, rngs, kernel=kernel, plan=plan)
-        record(k, state.t, state)
-    return rows.reshape(-1, len(TRACE_COLUMNS)), state.values
+            grid[:, k - i : k + 1] = block.swapaxes(0, 1)
+    return grid, state.values

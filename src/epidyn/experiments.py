@@ -53,7 +53,6 @@ from .knowledge import (
     grid_setting,
     landscape_from_dict,
 )
-from .metrics import equilibrium_shift
 from .sampling import SupportTable
 
 PRESET_NAMES = (
@@ -121,13 +120,7 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         landscape = landscape_from_dict(doc["likelihood"])
         landscape.check_setting(setting)
         initial = PopulationState.from_values(setting, doc["initial"])
-        gamma = np.asarray(doc["gamma"], dtype=float)
-        if gamma.shape != (initial.n_agents, initial.n_agents):
-            raise ConfigError(
-                f"gamma must be {initial.n_agents}x{initial.n_agents}, "
-                f"got {gamma.shape}"
-            )
-        validate_structure(gamma)
+        gamma = _checked_gamma(doc["gamma"], initial.n_agents)
         re_target = None
         if "re_target" in doc:
             re_target = _target_table(doc["re_target"], setting)
@@ -145,6 +138,15 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         re_target=re_target,
         notes=tuple(notes),
     )
+
+
+def _checked_gamma(raw, n_agents: int) -> np.ndarray:
+    # an N x N structure as validate_structure accepts it, or ValueError
+    gamma = np.asarray(raw, dtype=float)
+    if gamma.shape != (n_agents, n_agents):
+        raise ConfigError(f"gamma must be {n_agents}x{n_agents}, got {gamma.shape}")
+    validate_structure(gamma)
+    return gamma
 
 
 def _target_table(raw, setting) -> np.ndarray:
@@ -388,20 +390,14 @@ def build_manifest(setup: ExperimentSetup) -> dict:
     return manifest
 
 
-def _metric_column(setup: ExperimentSetup) -> str:
-    return (
-        "d_consensus"
-        if setup.config.metric_variant == "consensus-projection"
-        else "d_nearest"
-    )
-
-
 def summarize(setup: ExperimentSetup, result: RunResult) -> str:
     """Human-readable closing summary: final distances, fitted rate, and the
     per-agent initial-to-equilibrium shifts."""
     mean = result.trace.mean_rows()
-    column = _metric_column(setup)
-    series = result.trace.mean_column(column)
+    if setup.config.metric_variant == "consensus-projection":
+        column, series = "d_consensus", mean[:, 1]
+    else:
+        column, series = "d_nearest", mean[:, 2]
     lines = [
         f"experiment: {setup.name}",
         f"replicates: {setup.config.replicates}   steps: {setup.config.horizon}",
@@ -424,16 +420,20 @@ def summarize(setup: ExperimentSetup, result: RunResult) -> str:
 
 def mean_equilibrium_shifts(setup: ExperimentSetup, result: RunResult) -> np.ndarray:
     """Replicate-averaged distance between each agent's initial function and
-    the final shared function of its replicate."""
-    setting = setup.initial.setting
-    shifts = np.zeros(setup.initial.n_agents)
-    equilibria = result.equilibria()
-    for eq in equilibria:
-        # across-agent means can fall between the points of a discrete space
-        k_eq = KnowledgeFunction(setting, setting.concepts.project(eq))
-        for i, k0 in enumerate(setup.initial.functions):
-            shifts[i] += equilibrium_shift(k0, k_eq)
-    return shifts / len(equilibria)
+    the final shared function of its replicate.
+
+    The R equilibria are projected onto the concept space at once: an
+    across-agent mean can fall between the points of a discrete space.  Each
+    agent's squared distance is one stacked matmul of its flattened
+    difference with itself, the BLAS dot that ``np.linalg.norm`` takes in
+    :func:`~epidyn.metrics.equilibrium_shift`, and the replicates' distances
+    are added in order, so each mean has the bits of the per-agent form.
+    """
+    equilibria = setup.initial.setting.concepts.project(result.equilibria())
+    diffs = setup.initial.values - equilibria[:, None]
+    flat = diffs.reshape(diffs.shape[:2] + (1, -1))
+    squares = np.matmul(flat, flat.swapaxes(-1, -2))[..., 0, 0]
+    return sum(np.sqrt(squares)) / len(equilibria)
 
 
 def run_experiment(
@@ -533,5 +533,11 @@ def resolve_target(target, overrides: Optional[dict] = None) -> ExperimentSetup:
         return preset(target, alpha=alpha, likelihood=likelihood, **overrides)
     if alpha is not None or likelihood is not None:
         raise ConfigError("alpha/likelihood overrides require a preset name")
-    setup = target if isinstance(target, ExperimentSetup) else load_config(target)
-    return _with_overrides(setup, overrides)
+    if not isinstance(target, ExperimentSetup):
+        return _with_overrides(load_config(target), overrides)
+    # a ready setup's structure is checked as a config file's is
+    try:
+        _checked_gamma(target.structure, target.initial.n_agents)
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+    return _with_overrides(target, overrides)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .knowledge import KnowledgeFunction, knowledge_distance, sorted_distinct
+from .knowledge import KnowledgeFunction, knowledge_distance
 
 TRACE_COLUMNS = ("t", "replicate", "d_consensus", "d_nearest", "relative_entropy")
 
@@ -101,47 +101,41 @@ def relative_entropy(state, target) -> float:
 class MetricTrace:
     """Per-step metric records across replicates.
 
-    ``rows`` has one row per (replicate, t) with columns
-    t, replicate, d_consensus, d_nearest, relative_entropy.
+    ``grid`` is the (replicates, recorded steps, 5) array a run records,
+    replicate r in ``grid[r]``, with columns t, replicate, d_consensus,
+    d_nearest, relative_entropy.  ``rows`` is its replicate-major
+    (replicates * steps, 5) view, one row per (replicate, t).
     """
 
-    rows: np.ndarray
+    grid: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != len(TRACE_COLUMNS):
-            raise ValueError(f"trace rows must have columns {TRACE_COLUMNS}")
-        object.__setattr__(self, "rows", rows)
+        grid = np.asarray(self.grid, dtype=float)
+        if grid.ndim != 3 or grid.shape[2] != len(TRACE_COLUMNS) or grid.size == 0:
+            raise ValueError(f"a trace is a nonempty (replicates, steps, 5) grid, not {grid.shape}")
+        object.__setattr__(self, "grid", grid)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.grid.reshape(-1, len(TRACE_COLUMNS))
 
     @property
     def times(self) -> np.ndarray:
-        return sorted_distinct(self.rows[:, 0]).astype(int)
+        return self.grid[0, :, 0].astype(int)
 
     @property
     def n_replicates(self) -> int:
-        return len(sorted_distinct(self.rows[:, 1]))
+        return len(self.grid)
 
     def replicate(self, r: int) -> np.ndarray:
-        sel = self.rows[self.rows[:, 1] == r]
-        return sel[np.argsort(sel[:, 0])]
+        return self.grid[r]
 
     def mean_rows(self) -> np.ndarray:
         """Per-t averages over replicates: columns t, d_consensus, d_nearest,
-        relative_entropy.
-
-        Requires exactly one row per (t, replicate) pair, as ``run`` records
-        them, and raises ValueError otherwise.  Each average adds the
-        replicates in ascending order.
-        """
-        ts, reps = sorted_distinct(self.rows[:, 0]), sorted_distinct(self.rows[:, 1])
-        rows = self.rows[np.lexsort((self.rows[:, 0], self.rows[:, 1]))]
-        keys = np.column_stack([np.tile(ts, len(reps)), np.repeat(reps, len(ts))])
-        if not np.array_equal(rows[:, :2], keys):
-            raise ValueError("trace needs exactly one row per (t, replicate)")
-        grid = rows.reshape(len(reps), len(ts), len(TRACE_COLUMNS))
-        out = np.empty((len(ts), 4))
-        out[:, 0] = ts
-        out[:, 1:] = grid[:, :, 2:].mean(axis=0)
+        relative_entropy.  Each average adds the replicates in order."""
+        out = np.empty((self.grid.shape[1], 4))
+        out[:, 0] = self.grid[0, :, 0]
+        out[:, 1:] = self.grid[:, :, 2:].mean(axis=0)
         return out
 
     def mean_column(self, name: str) -> np.ndarray:

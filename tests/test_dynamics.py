@@ -640,17 +640,14 @@ class TestRun:
         rows, _ = per_replicate_run(cfg, gamma, ConstantLikelihood(1.0), state, None)
         assert np.array_equal(result.trace.rows, rows, equal_nan=True)
 
-    def test_observer_sees_every_recorded_state(self):
-        seen = []
-        state = two_agent_state()
-        run(
-            self.small_cfg(replicates=2, horizon=4),
-            np.full((2, 2), 0.5),
-            ConstantLikelihood(1.0),
-            state,
-            observer=lambda r, s: seen.append((r, s.t)),
-        )
-        assert seen == [(r, t) for r in range(2) for t in range(5)]
+    @pytest.mark.parametrize("n", [3, 1])
+    def test_structure_of_another_size_refused_before_any_stream(self, monkeypatch, n):
+        built = []
+        monkeypatch.setattr(dynamics, "agent_streams", lambda *args: built.append(args))
+        message = rf"^structure matrix has shape \({n}, {n}\) for 2 agents$"
+        with pytest.raises(ConfigError, match=message):
+            run(self.small_cfg(), np.ones((n, n)), ConstantLikelihood(1.0), two_agent_state())
+        assert built == []
 
     def test_parallel_matches_sequential(self):
         state = two_agent_state()
@@ -1529,17 +1526,13 @@ class TestTraceBlocks:
             assert np.array_equal(got.trace.rows, rows, equal_nan=True)
             assert np.array_equal(got.final_values, finals)
 
-    def test_observer_sees_every_state_in_order_within_blocks(self, monkeypatch):
+    def test_blocks_of_two_replicates_equal_per_replicate_run(self, monkeypatch):
+        # blocks of two steps of a two-replicate stack, the last one full
         cfg, gamma, landscape, state = self.crowd_case(2, horizon=5)
         monkeypatch.setattr(dynamics, "TRACE_BLOCK_BYTES", 4 * 400 * 25 * 8)
         target = np.ones((25, 1))
-        seen = []
-        got = run(cfg, gamma, landscape, state, re_target=target,
-                  observer=lambda r, s: seen.append((r, s.t, s.values.copy())))
-        assert [(r, t) for r, t, _ in seen] == [(r, t) for r in range(2) for t in range(6)]
-        # each observed state is the one its trace row was recorded from
-        per_step = [trace_record(t, r, values, target) for r, t, values in seen]
-        assert np.array_equal(got.trace.rows, np.array(per_step))
+        got = run(cfg, gamma, landscape, state, re_target=target)
+        assert got.trace.grid.shape == (2, 6, 5)
         rows, _ = per_replicate_run(cfg, gamma, landscape, state, target)
         assert np.array_equal(got.trace.rows, rows)
 

@@ -11,14 +11,23 @@ import pytest
 
 from epidyn import experiments
 from epidyn import (
+    BoxConcepts,
     ConfigError,
     ConstantLikelihood,
+    DiscreteConcepts,
+    ExperimentSetup,
     GaussianPeakLikelihood,
+    KnowledgeFunction,
+    KnowledgeSetting,
+    MetricTrace,
+    PopulationState,
+    RunResult,
     SimulationConfig,
     analyze,
     compute_credibility,
     compute_social_learning,
     dump_config,
+    equilibrium_shift,
     fit_decay_rate,
     load_config,
     mean_equilibrium_shifts,
@@ -226,6 +235,25 @@ class TestRunExperiment:
         assert run_experiment(setup, out) == 2
         assert capsys.readouterr().out == "error: tau must lie in [0, 1], got 3.0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("structure, message", [
+        (np.ones((3, 3)), "gamma must be 2x2, got (3, 3)"),
+        (np.array([[0.5, -0.5], [0.5, 0.5]]),
+         "structure matrix entries must be finite and nonnegative"),
+    ])
+    def test_ready_setup_with_bad_structure_is_validation_error(
+        self, tmp_path, capsys, structure, message
+    ):
+        # checked as a config file's gamma is, with the same message
+        setup = replace(preset("test1-self-inertia"), structure=structure)
+        out = tmp_path / "out"
+        assert run_experiment(setup, out) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not out.exists()
+        doc = dict(setup.to_dict(), gamma=structure.tolist())
+        with pytest.raises(ConfigError) as err:
+            setup_from_dict(doc)
+        assert str(err.value) == message
 
     def test_manifest_is_built_before_the_run(self, tmp_path, monkeypatch):
         calls = []
@@ -609,7 +637,44 @@ class TestCli:
         assert manifest["config"]["likelihood"]["variant"] == "constant"
 
 
+def per_agent_shifts(setup, result):
+    """The per-agent loop that mean_equilibrium_shifts replaced, kept as its
+    reference."""
+    setting = setup.initial.setting
+    shifts = np.zeros(setup.initial.n_agents)
+    equilibria = result.equilibria()
+    for eq in equilibria:
+        k_eq = KnowledgeFunction(setting, setting.concepts.project(eq))
+        for i, k0 in enumerate(setup.initial.functions):
+            shifts[i] += equilibrium_shift(k0, k_eq)
+    return shifts / len(equilibria)
+
+
 class TestAudienceShifts:
+    @pytest.mark.parametrize("space", ["box", "discrete"])
+    @pytest.mark.parametrize("replicates", [2, 9])
+    def test_shifts_equal_per_agent_loop(self, space, replicates):
+        rng = np.random.default_rng(replicates)
+        n, n_exp = 12, 40
+        if space == "box":
+            concepts = BoxConcepts([-3.0, 0.0, -1.0], [3.0, 1e3, 1.0])
+            draw = lambda *shape: rng.uniform(-4.0, 4.0, shape + (3,)) * [1.0, 300.0, 1.0]
+        else:
+            # means of listed points fall between them and are projected
+            points = np.vstack([[0.0, 0.0], rng.uniform(-5.0, 5.0, (6, 2))])
+            concepts = DiscreteConcepts(points)
+            draw = lambda *shape: points[rng.integers(0, 7, shape)]
+        setting = KnowledgeSetting(np.arange(n_exp)[:, None], concepts)
+        initial = PopulationState.from_values(setting, concepts.project(draw(n, n_exp)))
+        setup = ExperimentSetup(
+            "shifts", SimulationConfig(replicates=replicates), np.ones((n, n)),
+            ConstantLikelihood(1.0), initial,
+        )
+        finals = concepts.project(draw(replicates, n, n_exp))
+        result = RunResult(MetricTrace(np.zeros((replicates, 1, 5))), finals)
+        assert np.array_equal(mean_equilibrium_shifts(setup, result),
+                              per_agent_shifts(setup, result))
+
     def test_concave_shifts_match_published_exactly(self):
         s = preset("test2-professor", likelihood="concave", replicates=30)
         result = run(s.config, s.structure, s.landscape, s.initial)

@@ -266,11 +266,11 @@ class TestIdealizedContraction:
 
 class TestMetricTrace:
     def build(self):
-        rows = []
-        for r in range(2):
-            for t in range(3):
-                rows.append([t, r, 2.0 - t + r, 3.0 - t, -0.5 + 0.1 * t])
-        return MetricTrace(np.array(rows, dtype=float))
+        grid = [
+            [[t, r, 2.0 - t + r, 3.0 - t, -0.5 + 0.1 * t] for t in range(3)]
+            for r in range(2)
+        ]
+        return MetricTrace(np.array(grid, dtype=float))
 
     def test_schema_enforced(self):
         with pytest.raises(ValueError):
@@ -296,27 +296,28 @@ class TestMetricTrace:
         return out
 
     @pytest.mark.parametrize("n_reps, with_target", [(13, False), (3, True)])
-    def test_mean_rows_equal_per_t_scan_on_shuffled_rows(self, n_reps, with_target):
+    def test_grid_mean_rows_equal_per_t_scan(self, n_reps, with_target):
         rng = np.random.default_rng(83 + n_reps)
-        rows = np.array(
+        grid = np.array(
             [
-                [t, r, *(rng.lognormal(size=2) * 10.0 ** rng.integers(-6, 7, 2)),
-                 -rng.random() if with_target else np.nan]
-                for r in range(n_reps)  # replicate-major, as run records rows
-                for t in range(40)
+                [
+                    [t, r, *(rng.lognormal(size=2) * 10.0 ** rng.integers(-6, 7, 2)),
+                     -rng.random() if with_target else np.nan]
+                    for t in range(40)
+                ]
+                for r in range(n_reps)
             ]
         )
-        expected = self.per_t_means(rows)
-        got = MetricTrace(rows[rng.permutation(len(rows))]).mean_rows()
-        assert np.array_equal(got, expected, equal_nan=True)
+        trace = MetricTrace(grid)
+        expected = self.per_t_means(trace.rows)
+        assert np.array_equal(trace.mean_rows(), expected, equal_nan=True)
 
-    def test_mean_rows_rejects_ragged_trace(self):
+    def test_trace_refuses_anything_but_a_nonempty_grid(self):
         rows = self.build().rows
-        moved = rows.copy()
-        moved[0, 0] = 1.0  # replicate 0 now has t = 1 twice and no t = 0
-        for bad in (rows[1:], np.vstack([rows, rows[:1]]), moved):
-            with pytest.raises(ValueError):
-                MetricTrace(bad).mean_rows()
+        for bad in (rows, rows[None, :, :4], rows[None, None], np.zeros((0, 3, 5)),
+                    np.zeros((2, 0, 5))):
+            with pytest.raises(ValueError, match="grid"):
+                MetricTrace(bad)
 
     def test_replicate_rows_sorted_by_time(self):
         trace = self.build()
@@ -358,7 +359,7 @@ class TestMetricTrace:
         rows[3::13, 3] = math.inf
         rows[4::17, 3] = -math.inf
         rows[5, 1] = -0.0
-        trace = MetricTrace(rows)
+        trace = MetricTrace(rows[None])
         trace.to_csv(tmp_path / "trace.csv")
         reference(tmp_path / "want.csv", TRACE_COLUMNS, rows, (0, 1))
         assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

@@ -16,7 +16,11 @@ that its streams are read in several chunks of steps (13, 13 and 4) and a
 chunk ends in the middle of the run.  A fifth, ``crowd-holes``, sets
 about a third of the crowd config's initial entries to 0, so that its
 agents hold many distinct support masks on a ring table in a box space,
-where the crowd config gives them all one.  The workload configs are
+where the crowd config gives them all one.  ``naming-reps`` runs the
+naming config at ``NAMING_REPS`` replicates, so that ``summary.txt``
+projects several discrete equilibria, and ``crowd-chunks`` the crowd config
+at ``CROWD_CHUNKS`` replicates and horizon 3, whose trace grid is built
+from two chunks of replicates (6 and 1).  The workload configs are
 generated once from this checkout's ``perfbench/workloads.py``, which is
 only read, and given to both sides.
 
@@ -49,6 +53,8 @@ WORKLOADS = ("creation", "crowd", "naming")
 ZERO_COLOUR = 1  # the colour whose likelihood the zero-likelihood variants set to 0
 CROWD_LONG = 30  # the horizon of the crowd-long variant
 HOLE_SHARE = 1 / 3  # the share of initial entries the crowd-holes variant sets to 0
+NAMING_REPS = 3  # the replicates of the naming-reps variant
+CROWD_CHUNKS = 7  # the replicates of the crowd-chunks variant
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -75,6 +81,8 @@ def workload_configs(work: Path, seeds) -> list:
         docs["naming-no-self"] = no_self_influence_variant(workloads, seed)
         docs["crowd-long"] = dict(docs["crowd"], horizon=CROWD_LONG)
         docs["crowd-holes"] = crowd_holes_variant(workloads, seed)
+        docs["naming-reps"] = dict(docs["naming"], replicates=NAMING_REPS)
+        docs["crowd-chunks"] = dict(docs["crowd"], replicates=CROWD_CHUNKS, horizon=3)
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
