@@ -313,7 +313,8 @@ def draw_sample(
     e_idx, concepts, keep = _draw_rows(
         state.setting, state.values[None], config, block, sources, [i], kernel
     )
-    return Sample(e_idx[0, keep[0]], concepts[0, keep[0]])
+    keep = slice(None) if keep is None else keep[0]
+    return Sample(e_idx[0, keep], concepts[0, keep])
 
 
 def _block_width(setting: KnowledgeSetting) -> int:
@@ -327,7 +328,7 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     populations.  ``agents`` holds flat indices r * N + a; agent
     ``agents[k]`` reads row k of ``block`` and copies social observations
     from the flat agents ``sources[k]`` of its own population (see
-    :func:`pick_sources`).
+    :func:`pick_sources`); ``sources`` is spent, overwritten.
 
     Each row of ``block`` holds (2 + w) * m uniforms of one stream, w = l
     for a box and 1 for a discrete space, read as 2 + w rows of m slots:
@@ -335,7 +336,8 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     agent of a social slot, the experience of an individual one) and
     ``rest`` (the experience of a social slot, the concept of an individual
     one).  Returns (k, m) experience indices, (k, m, l) concepts and the
-    (k, m) mask of the observations kept.
+    (k, m) mask of the observations kept, None when all are.  Under tau = 0
+    no slot is individual and the ``split`` row is not read.
     """
     n_exp, dim = values.shape[2:]
     flat = values.reshape(-1, n_exp, dim)
@@ -344,14 +346,19 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     agents = np.asarray(agents)
     u = block.reshape(len(agents), -1, m)
 
-    individual = u[:, 0] < config.tau
     # the products cast to integers (truncated) as they are written, with
     # no float copy of the (k, m) block
-    e_idx = np.empty(individual.shape, dtype=np.intp)
+    e_idx = np.empty((len(agents), m), dtype=np.intp)
     np.multiply(u[:, 2], n_exp, out=e_idx, casting="unsafe")
     np.minimum(e_idx, n_exp - 1, out=e_idx)
-    concepts = flat[sources, e_idx]
-    rows, slots = individual.nonzero()
+    # each social slot's cell E * source + experience, written over the
+    # spent sources, gathered from the flat (R * N * E, l) table
+    sources *= n_exp
+    sources += e_idx
+    concepts = values.reshape(-1, dim).take(sources, axis=0)
+    rows = slots = np.empty(0, dtype=np.intp)
+    if config.tau > 0.0:  # no uniform falls below tau = 0
+        rows, slots = (u[:, 0] < config.tau).nonzero()
     if len(rows):
         if kernel is None:
             kernel = experience_kernel(setting, config.sigma_e)
@@ -364,10 +371,10 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
         explore = _truncated_gaussian if box else _discrete_gaussian
         centers = flat[agents[rows], picked]
         concepts[rows, slots] = explore(u[rows, 2:, slots], centers, config.sigma_c, setting.concepts)
-    if config.drop_zero_social:
-        keep = individual | concepts.any(axis=-1)
-    else:
-        keep = np.ones(individual.shape, dtype=bool)
+    if not config.drop_zero_social:
+        return e_idx, concepts, None
+    keep = concepts.any(axis=-1)
+    keep[rows, slots] = True  # an individual observation is kept
     return e_idx, concepts, keep
 
 
@@ -387,62 +394,45 @@ def _refit(setting, values, e_idx, concepts, keep, cells=None) -> np.ndarray:
     """Per-experience least-squares fit of K agents' samples at once.
 
     Row a of the (K, m) ``e_idx``, (K, m, l) ``concepts`` and (K, m)
-    ``keep`` is the sample of agent a, whose table is ``values[a]``.  A
-    sampled experience takes the minimizer of the summed squared distance
-    to its observations: their mean for a box space (clamped as a numerical
-    safety), the listed point nearest the mean for a discrete space (exact
-    ties to the lowest concept index).  The others keep their value.  The
-    samples are stacked with disjoint index offsets, so each agent's sums
-    run over its own observations in sample order: ``cells``, the (K, 1)
-    offsets n_exp * a, may come built once for a run's steps.  Returns a
-    new array.
+    ``keep`` (None when every observation is kept) is the sample of agent
+    a, whose table is ``values[a]``.  A sampled experience takes the
+    minimizer of the summed squared distance to its observations: their
+    mean for a box space (clamped as a numerical safety), the listed point
+    nearest the mean for a discrete space (exact ties to the lowest concept
+    index).  The others keep their value.  The samples are stacked with
+    disjoint index offsets, so each agent's sums run over its own
+    observations in sample order: ``cells``, the (K, 1) offsets n_exp * a,
+    may come built once for a run's steps.  Returns a new array.
+
+    Identical observations must reproduce their value bit for bit, so that
+    a consensus population is exactly absorbing, but summed means round.
+    So each sampled cell first takes one of its observations, and only a
+    cell where some observation differs from it takes the mean.
     """
     n, n_exp, dim = values.shape
     if cells is None:
         cells = n_exp * np.arange(n)[:, None]
-    cells = e_idx + cells
-    if keep.all():
-        cells, observed = cells.reshape(-1), concepts.reshape(-1, dim)
-    else:
-        cells, observed = cells[keep], concepts[keep]
-    seen, means = _cell_means(cells, observed, n * n_exp)
+    cells, observed = (e_idx + cells).reshape(-1), concepts.reshape(-1, dim)
+    if keep is not None:  # by take: a boolean-mask gather of (K, m) rows is far slower
+        kept = np.flatnonzero(keep)
+        cells, observed = cells.take(kept), observed.take(kept, axis=0)
     new_values = np.array(values, copy=True)
-    # a box keeps componentwise means (the projection is numerical safety
-    # only); a discrete space takes the listed point nearest the mean
-    new_values.reshape(-1, dim)[seen] = setting.concepts.project(means)
+    table = new_values.reshape(-1, dim)
+    differs = np.zeros(len(cells), dtype=bool)
+    for column, c in zip(table.T, observed.T):
+        column[cells] = c  # of a cell's observations, the last written stays
+        differs |= column.take(cells) != c
+    divided = np.flatnonzero(np.bincount(cells, weights=differs, minlength=len(table)) > 0.0)
+    if len(divided):
+        counts = np.bincount(cells, minlength=len(table)).take(divided)
+        means = np.empty((len(divided), dim))
+        for mean, c in zip(means.T, observed.T):
+            sums = np.bincount(cells, weights=c, minlength=len(table))
+            np.divide(sums.take(divided), counts, out=mean)
+        # a box keeps componentwise means (the projection is numerical
+        # safety only); a discrete space takes the listed point nearest it
+        table[divided] = setting.concepts.project(means)
     return new_values
-
-
-def _cell_means(cells: np.ndarray, observed: np.ndarray, total: int):
-    """The flat indices of the cells in [0, total) that ``cells`` lists,
-    sorted, and the componentwise mean of each one's rows of ``observed``,
-    summed in order.
-
-    Identical observations must reproduce their value bit for bit, so that
-    a consensus population is exactly absorbing, but summed means round.
-    So each cell keeps one of its observations, and takes it when no
-    observation differs from it in any component.
-    """
-    components = [observed[:, d] for d in range(observed.shape[1])]
-    kept = np.zeros((len(components), total))
-    divided = np.zeros(total, dtype=bool)
-    for d, c in enumerate(components):
-        kept[d, cells] = c
-        other = kept[d].take(cells)
-        np.not_equal(c, other, out=other)
-        divided |= np.bincount(cells, weights=other, minlength=total) > 0.0
-    del other  # spent: not held through the sums
-    counts = np.bincount(cells, minlength=total)
-    seen = np.flatnonzero(counts)
-    means = np.stack(
-        [np.bincount(cells, weights=c, minlength=total)[seen] for c in components],
-        axis=1,
-        dtype=float,
-    )
-    means /= counts[seen, None]
-    unanimous = np.flatnonzero(~divided[seen])
-    means[unanimous] = kept[:, seen[unanimous]].T
-    return seen, means
 
 
 class StepPlan(NamedTuple):

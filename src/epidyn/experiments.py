@@ -127,7 +127,8 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         notes = doc.get("notes", [])
         if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
             raise ConfigError(f"notes must be a list of strings, got {notes!r}")
-    except (ConfigError, KnowledgeError, ValueError) as err:
+    except (ConfigError, KnowledgeError, ValueError, TypeError) as err:
+        # a TypeError is a value of the wrong JSON type, such as a mapping
         raise ConfigError(str(err)) from err
     return ExperimentSetup(
         name=str(doc.get("name", "custom")),

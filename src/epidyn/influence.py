@@ -136,12 +136,15 @@ def _key_rows(setting, values: np.ndarray, support: np.ndarray, lik: np.ndarray)
     one BLAS product per population) and its penalty row.  Returns these
     (K, N) rows and the (..., N) key of each agent."""
     n, n_exp = support.shape[-2:]
+    # each agent's mask as one bytes key; dicts keep the order of first appearance
+    keys = support.reshape(-1, n_exp).view(f"V{n_exp}").ravel().tolist()
     masks, owner, bounds = [], [], [0]
-    for rows in support.reshape(-1, n * n_exp):
-        flat, keys = rows.tobytes(), {}
-        owner += [keys.setdefault(flat[s : s + n_exp], len(keys)) + bounds[-1]
-                  for s in range(0, n * n_exp, n_exp)]
-        masks += keys
+    for s in range(0, len(keys), n):
+        agents = keys[s : s + n]
+        distinct = dict.fromkeys(agents)
+        index = dict(zip(distinct, range(len(masks), len(masks) + len(distinct))))
+        owner += map(index.__getitem__, agents)
+        masks += distinct
         bounds.append(len(masks))
     masks = np.frombuffer(b"".join(masks), dtype=bool).reshape(len(masks), n_exp)
     owner = np.array(owner).reshape(support.shape[:-1])
@@ -185,20 +188,21 @@ def _penalty_rows(setting, values, support, masks, bounds) -> np.ndarray:
                 used = (part @ per_exp > 0.0).reshape(len(part), n, n_c)
                 pen[b : b + len(part)] = np.maximum(used.sum(axis=-1) - 1, 0)
     elif concepts.dim == 1:
-        present = support.reshape(pops.shape[:-1])
-        highs = np.where(present, pops[..., 0], -np.inf)
-        lows = np.where(present, pops[..., 0], np.inf)
-        # masks in blocks, so the (masks, N, E) slab stays near one megabyte;
-        # a mask that meets none of j's concepts spans -inf - inf = -inf
-        block = max(1, (1 << 17) // (n * n_exp))
+        # max(v) - min(v) = max(v) + max(-v), so one max over E of the
+        # (2, P, E, N) stack of v and -v, -inf off the support, gives both
+        # ends; laid out in that order, the max runs along rows of N agents
+        v = pops[..., 0].transpose(0, 2, 1)
+        signed = np.array((v, -v))
+        np.copyto(signed, -np.inf, where=~support.reshape(v.shape[0], n, n_exp).transpose(0, 2, 1))
+        # masks in blocks, so the (2, masks, E, N) slab stays near one megabyte;
+        # a mask that meets none of j's concepts spans -inf + -inf = -inf
+        block = max(1, (1 << 16) // (n * n_exp))
         pop = np.repeat(np.arange(len(spans)), np.diff(bounds))
         for s in range(0, len(masks), block):
-            part, own = masks[s : s + block, None, :], pop[s : s + block]
-            span = (
-                np.where(part, highs[own], -np.inf).max(axis=2)
-                - np.where(part, lows[own], np.inf).min(axis=2)
-            )
-            np.maximum(span, 0.0, out=pen[s : s + block])
+            part, own = masks[s : s + block, :, None], pop[s : s + block]
+            ends = np.maximum.reduce(signed[:, own], axis=-2, where=part, initial=-np.inf)
+            span = np.add(ends[0], ends[1], out=pen[s : s + block])
+            np.maximum(span, 0.0, out=span)
     else:
         for p, (s, e) in enumerate(spans):
             pen[s:e] = [

@@ -204,8 +204,11 @@ def search_rows(cumulative: np.ndarray, u: np.ndarray, start=None) -> np.ndarray
         # compared, its buffer takes the steps the comparisons decide
         entry = flat[half:].take(pos)
         np.less_equal(entry, u, out=below)
-        pos += np.multiply(below, half, out=entry.view(np.intp))
-        del entry  # not held through the next round's take
+        steps = entry.view(np.intp)
+        np.copyto(steps, below)  # a cast with no ufunc buffer
+        steps *= half
+        pos += steps
+        del entry, steps  # not held through the next round's take
         n -= half
     np.less_equal(flat.take(pos), u, out=below)
     pos += below
@@ -314,6 +317,7 @@ def pick_sources(
     start, base, columns = offsets
     cumulative = learning.reshape(-1, width)
     np.cumsum(cumulative, axis=-1, out=cumulative)
+    u = np.ascontiguousarray(u)  # the search reads the queries once a round
     picked = search_rows(cumulative, u, start)
     picked += columns
     picked = table.columns.take(picked)

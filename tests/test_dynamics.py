@@ -34,10 +34,12 @@ import epidyn.dynamics as dynamics
 import epidyn.sampling as sampling
 from epidyn.dynamics import (
     _discrete_gaussian,
+    _draw_rows,
     _exploration_weights,
     _normal_cdf,
     _normal_ppf,
     _refit,
+    _truncated_gaussian,
 )
 from epidyn.influence import ZERO_ROW_GUARD, _key_rows, credibility_from_values
 from epidyn.metrics import trace_record
@@ -252,45 +254,160 @@ def mask_refit(setting, values, e_idx, concepts, keep):
     return new_values
 
 
-def refit_case(case, n=30, n_exp=6, m=9):
+# box concepts that make unanimous cells whose summed mean rounds (three
+# 0.1s average to 0.10000000000000002) and cells that hold -0.0 beside 0.0
+ROUNDING_CONCEPTS = (0.1, 0.0, -0.0, 1.0 / 3.0, -1.5)
+
+
+@st.composite
+def refit_inputs(draw, kinds=("box1", "box2", "discrete"), keeps=("none", "ones", "dropped"),
+                 sources=None):
     """Inputs of one refit: a setting, the (N, E, l) values and the (N, m)
-    experience indices, (N, m, l) concepts and (N, m) keep mask."""
-    rng = np.random.default_rng(len(case))
+    experience indices, (N, m, l) concepts and (N, m) keep mask or None.
+    Box values come from ``ROUNDING_CONCEPTS`` and discrete ones are listed
+    points, and the observations copy the values of the first ``sources``
+    agents (a random count if None), so cells are often unanimous."""
+    kind, keep = draw(st.sampled_from(kinds)), draw(st.sampled_from(keeps))
+    n, n_exp, m = draw(st.integers(1, 8)), draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     experiences = np.arange(n_exp)[:, None]
-    if case == "discrete":
+    if kind == "discrete":
         points = np.array([[0.0], [1.0], [2.5], [4.0]])
         setting = KnowledgeSetting(experiences, DiscreteConcepts(points))
         values = points[rng.integers(0, 4, size=(n, n_exp))]
     else:
-        dim = 2 if case == "l=2" else 1
+        dim = 1 if kind == "box1" else 2
         setting = KnowledgeSetting(experiences, BoxConcepts([-2.0] * dim, [2.0] * dim))
-        values = rng.uniform(-2.0, 2.0, size=(n, n_exp, dim))
-        values[rng.random((n, n_exp)) < 0.3] = 0.0
+        values = rng.choice(ROUNDING_CONCEPTS, size=(n, n_exp, dim))
     e_idx = rng.integers(0, n_exp, size=(n, m))
-    sources = rng.integers(0, n, size=(n, m))
-    if case == "unanimous":
-        # every agent copies agent 0, whose entries sum and divide inexactly
-        values[0] = 0.1
-        sources[:] = 0
-    concepts = values[sources, e_idx]
-    keep = np.ones((n, m), dtype=bool)
-    if case == "dropped":
-        keep = concepts.any(axis=-1) | (rng.random((n, m)) < 0.2)
-        keep[3] = False  # an agent with every slot dropped
+    concepts = values[rng.integers(0, sources or draw(st.integers(1, n)), size=(n, m)), e_idx]
+    if keep == "none":
+        return setting, values, e_idx, concepts, None
+    if keep == "ones":
+        return setting, values, e_idx, concepts, np.ones((n, m), dtype=bool)
+    keep = concepts.any(axis=-1) | (rng.random((n, m)) < 0.3)
+    if draw(st.booleans()):
+        keep[draw(st.integers(0, n - 1))] = False  # an agent with every slot dropped
     return setting, values, e_idx, concepts, keep
 
 
+# the strategy's arguments of each oracle case
+REFIT_CASES = {
+    "all-kept": dict(keeps=("none", "ones")),
+    "dropped": dict(keeps=("dropped",)),
+    "l=2": dict(kinds=("box2",)),
+    "discrete": dict(kinds=("discrete",)),
+    "unanimous": dict(sources=1),  # every agent copies agent 0
+}
+
+
 class TestRefitOracle:
-    @pytest.mark.parametrize("case", ["all-kept", "dropped", "l=2", "discrete", "unanimous"])
-    def test_refit_equals_boolean_mask_refit(self, case):
-        setting, values, e_idx, concepts, keep = refit_case(case)
-        assert not keep.all() if case == "dropped" else keep.all()
+    @pytest.mark.parametrize("case", sorted(REFIT_CASES))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_refit_equals_boolean_mask_refit(self, case, data):
+        setting, values, e_idx, concepts, keep = data.draw(refit_inputs(**REFIT_CASES[case]))
+        ones = np.ones(e_idx.shape, dtype=bool)
+        want = mask_refit(setting, values, e_idx, concepts, ones if keep is None else keep)
         got = _refit(setting, values, e_idx, concepts, keep)
-        assert np.array_equal(got, mask_refit(setting, values, e_idx, concepts, keep))
-        if case == "unanimous":
-            # 3 * 0.1 / 3 rounds to 0.10000000000000002; the consensus stays exact
-            assert (0.1 + 0.1 + 0.1) / 3 != 0.1
-            assert np.all(np.take_along_axis(got[..., 0], e_idx, axis=1) == 0.1)
+        assert got.tobytes() == want.tobytes()  # bytes, so that -0.0 and 0.0 differ
+
+    def test_unanimous_cell_keeps_its_observation(self):
+        # 3 * 0.1 / 3 rounds to 0.10000000000000002; the consensus stays exact
+        assert (0.1 + 0.1 + 0.1) / 3 != 0.1
+        setting = grid_setting(2)
+        values = np.zeros((1, 2, 1))
+        got = _refit(setting, values, np.zeros((1, 3), int), np.full((1, 3, 1), 0.1), None)
+        assert got[0, 0, 0] == 0.1 and got[0, 1, 0] == 0.0
+
+    def test_discrete_signed_zero_is_not_snapped(self):
+        # a discrete table may hold -0.0, which equals the listed origin; a
+        # cell observed only as -0.0 keeps it, where the boolean-mask refit
+        # projects it to the origin's own bits
+        setting = KnowledgeSetting([[0.0]], DiscreteConcepts([[0.0], [1.0]]))
+        got = _refit(setting, np.ones((1, 1, 1)), np.zeros((1, 2), int),
+                     np.full((1, 2, 1), -0.0), None)
+        assert got[0, 0, 0] == 0.0 and math.copysign(1.0, got[0, 0, 0]) == -1.0
+
+
+def split_scan_draw_rows(setting, values, config, block, sources, agents, kernel=None):
+    """The draws with the split scan run and the keep mask built whatever
+    tau and drop_zero_social are: the general path that _draw_rows
+    shortens, kept as its oracle."""
+    n_exp, dim = values.shape[2:]
+    flat = values.reshape(-1, n_exp, dim)
+    m = config.sample_size
+    agents = np.asarray(agents)
+    u = block.reshape(len(agents), -1, m)
+    individual = u[:, 0] < config.tau
+    e_idx = np.minimum((u[:, 2] * n_exp).astype(np.intp), n_exp - 1)
+    concepts = flat[sources, e_idx]
+    rows, slots = individual.nonzero()
+    if len(rows):
+        if kernel is None:
+            kernel = experience_kernel(setting, config.sigma_e)
+        cum = _exploration_weights(values, kernel)[agents[rows]].cumsum(axis=1)
+        below = cum <= (u[rows, 1, slots] * cum[:, -1])[:, None]
+        picked = np.minimum(below.sum(axis=1), n_exp - 1)
+        e_idx[rows, slots] = picked
+        box = isinstance(setting.concepts, BoxConcepts)
+        explore = _truncated_gaussian if box else _discrete_gaussian
+        centers = flat[agents[rows], picked]
+        concepts[rows, slots] = explore(u[rows, 2:, slots], centers, config.sigma_c, setting.concepts)
+    if config.drop_zero_social:
+        return e_idx, concepts, individual | concepts.any(axis=-1)
+    return e_idx, concepts, np.ones(individual.shape, dtype=bool)
+
+
+class TestSkippedPasses:
+    """Under tau = 0 no slot is individual, and without drop_zero_social
+    no slot is dropped: the draws and the step skip the split scan and the
+    keep mask, and give the bits of the general path."""
+
+    def stack(self, kind, seed):
+        # an (R, N, E, l) stack with zero entries, its setting and landscape
+        rng = np.random.default_rng(seed)
+        experiences = np.arange(5)[:, None]
+        if kind == "discrete":
+            points = np.array([[0.0], [1.0], [2.5], [4.0]])
+            setting = KnowledgeSetting(experiences, DiscreteConcepts(points))
+            values = points[rng.integers(0, 4, size=(2, 6, 5))]
+            landscape = TabularLikelihood(rng.uniform(0.1, 1.0, size=(5, 4)))
+        else:
+            setting = KnowledgeSetting(experiences, BoxConcepts([-2.0, -2.0], [2.0, 2.0]))
+            values = rng.uniform(-2.0, 2.0, size=(2, 6, 5, 2))
+            values[rng.random((2, 6, 5)) < 0.3] = 0.0
+            landscape = GaussianPeakLikelihood([0.5, 0.5], 2.0)
+        return setting, values, landscape
+
+    @pytest.mark.parametrize("kind", ["box", "discrete"])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_draws_equal_the_split_scan(self, kind, tau, drop):
+        setting, values, _ = self.stack(kind, 3)
+        cfg = SimulationConfig(tau=tau, sample_size=40, sigma_c=0.7, drop_zero_social=drop)
+        block = np.random.default_rng(4).random((12, 3 * 40))
+        sources = np.random.default_rng(5).integers(0, 6, size=(12, 40))
+        sources[6:] += 6  # population 1 copies its own agents
+        want = split_scan_draw_rows(setting, values, cfg, block, sources, np.arange(12))
+        got = _draw_rows(setting, values, cfg, block, sources.copy(), np.arange(12))
+        for g, w in zip(got[:2], want[:2]):
+            assert g.tobytes() == w.tobytes()
+        assert (got[2] is None) == (not drop)
+        keep = np.ones((12, 40), dtype=bool) if got[2] is None else got[2]
+        assert np.array_equal(keep, want[2])
+
+    @pytest.mark.parametrize("kind", ["box", "discrete"])
+    @pytest.mark.parametrize("tau", [0.0, 0.3])
+    def test_step_equals_the_general_path(self, kind, tau, monkeypatch):
+        setting, values, landscape = self.stack(kind, 7)
+        state = PopulationState._trusted(setting, values, 0)
+        gamma = np.random.default_rng(8).uniform(0.0, 1.0, size=(6, 6))
+        cfg = SimulationConfig(tau=tau, sample_size=30, sigma_c=0.7)
+        got = step(state, cfg, gamma, landscape, agent_streams(9, 0, 12))
+        monkeypatch.setattr(dynamics, "_draw_rows", split_scan_draw_rows)
+        want = step(state, cfg, gamma, landscape, agent_streams(9, 0, 12))
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestLeastSquaresUpdate:

@@ -475,6 +475,9 @@ MALFORMED = {
     "gamma-inf": _gamma_entry(math.inf),
     "notes-number": _set("notes", 5),
     "experiences-mapping": _set("experiences", {"a": 1}),
+    "gamma-mapping": _set("gamma", {"a": 1}),
+    "initial-mapping": _set("initial", {"a": 1}),
+    "re_target-mapping": _set("re_target", {"a": 1}),
 }
 
 

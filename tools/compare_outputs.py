@@ -20,9 +20,11 @@ where the crowd config gives them all one.  ``naming-reps`` runs the
 naming config at ``NAMING_REPS`` replicates, so that ``summary.txt``
 projects several discrete equilibria, and ``crowd-chunks`` the crowd config
 at ``CROWD_CHUNKS`` replicates and horizon 3, whose trace grid is built
-from two chunks of replicates (6 and 1).  The workload configs are
-generated once from this checkout's ``perfbench/workloads.py``, which is
-only read, and given to both sides.
+from two chunks of replicates (6 and 1).  ``naming-drop`` runs the naming
+config with ``drop_zero_social``, so that the refit drops its zero-concept
+social observations, which no preset and no other config does.  The
+workload configs are generated once from this checkout's
+``perfbench/workloads.py``, which is only read, and given to both sides.
 
 ``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
 and ``manifest.json`` equal without its ``created`` timestamp.  Each
@@ -83,6 +85,7 @@ def workload_configs(work: Path, seeds) -> list:
         docs["crowd-holes"] = crowd_holes_variant(workloads, seed)
         docs["naming-reps"] = dict(docs["naming"], replicates=NAMING_REPS)
         docs["crowd-chunks"] = dict(docs["crowd"], replicates=CROWD_CHUNKS, horizon=3)
+        docs["naming-drop"] = dict(docs["naming"], drop_zero_social=True)
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
