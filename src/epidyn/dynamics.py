@@ -323,7 +323,7 @@ def _block_width(setting: KnowledgeSetting) -> int:
     return 2 + (setting.concept_dim if isinstance(setting.concepts, BoxConcepts) else 1)
 
 
-def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
+def _draw_rows(setting, values, config, block, sources, agents, kernel=None, support=None):
     """Samples of the listed agents of an (R, N, n_experiences, l) stack of
     populations.  ``agents`` holds flat indices r * N + a; agent
     ``agents[k]`` reads row k of ``block`` and copies social observations
@@ -337,7 +337,8 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     ``rest`` (the experience of a social slot, the concept of an individual
     one).  Returns (k, m) experience indices, (k, m, l) concepts and the
     (k, m) mask of the observations kept, None when all are.  Under tau = 0
-    no slot is individual and the ``split`` row is not read.
+    no slot is individual and the ``split`` row is not read.  ``support``,
+    the stack's (R, N, n_experiences) nonzero mask, may come computed.
     """
     n_exp, dim = values.shape[2:]
     flat = values.reshape(-1, n_exp, dim)
@@ -362,7 +363,7 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     if len(rows):
         if kernel is None:
             kernel = experience_kernel(setting, config.sigma_e)
-        cum = _exploration_weights(values, kernel)[agents[rows]].cumsum(axis=1)
+        cum = _exploration_weights(values, kernel, support)[agents[rows]].cumsum(axis=1)
         # rows of cum are nondecreasing, so the count of entries <= u is the
         # right-side searchsorted position
         below = cum <= (u[rows, 1, slots] * cum[:, -1])[:, None]
@@ -378,14 +379,15 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None):
     return e_idx, concepts, keep
 
 
-def _exploration_weights(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _exploration_weights(values: np.ndarray, kernel: np.ndarray, support=None) -> np.ndarray:
     """(R * N, E) experience weights of every agent of an (R, N, E, l)
     stack: each experience weighs its kernel affinity to the agent's
     support, and all weigh 1 for an agent that conceptualizes nothing yet.
     The products stay stacked, one per population, so a row rounds alike
     whatever the stack; one (R * N, E) @ (E, E) product would not.
     """
-    support = values.any(axis=-1)
+    if support is None:
+        support = values.any(axis=-1)
     weights = support @ kernel + ~support.any(axis=-1, keepdims=True)
     return weights.reshape(-1, kernel.shape[0])
 
@@ -510,8 +512,10 @@ def step(
     if len(rngs) != n_pops * n:
         raise ConfigError("one random stream per agent required")
     table = plan.table
+    # the agents' nonzero masks, for the credibility, likelihoods and exploration
+    support = np.logical_or.reduce(stack != 0.0, axis=-1)
     cred = credibility_from_values(
-        state.setting, stack, landscape, config.c_min, table, plan.scratch
+        state.setting, stack, landscape, config.c_min, table, plan.scratch, support
     )
     learning = compute_social_learning(plan.entries, cred, cred, table, checked=True)
     offsets, cells = (plan.start, plan.base, plan.columns), plan.cells
@@ -520,7 +524,7 @@ def step(
     sources = pick_sources(learning, block[:, m : 2 * m], table, offsets)
     del learning  # spent
     e_idx, concepts, keep = _draw_rows(
-        state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel
+        state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel, support
     )
     del block, sources  # spent: not held through the refit
     new_values = _refit(

@@ -53,7 +53,7 @@ from .knowledge import (
     grid_setting,
     landscape_from_dict,
 )
-from .sampling import SupportTable
+from .sampling import support_table
 
 PRESET_NAMES = (
     "test1-self-inertia",
@@ -368,23 +368,30 @@ class _Manifest(dict):
         return '{"config": ' + self.config_json + ", " + json.dumps(rest, sort_keys=True)[1:]
 
 
+def initial_report(setup: ExperimentSetup) -> spectral.SpectralReport:
+    """The spectral report of the initial learning matrix, built and
+    analyzed on the structure's support table: no N^2 array for a sparse
+    structure (see :mod:`epidyn.spectral`)."""
+    initial = setup.initial
+    table = support_table(setup.structure)
+    cred = credibility_from_values(
+        initial.setting, initial.values, setup.landscape, setup.config.c_min, table
+    )
+    learning = compute_social_learning(table.entries(setup.structure), cred, cred, table)
+    return spectral.analyze(learning, table)
+
+
 def build_manifest(setup: ExperimentSetup) -> dict:
     """Run manifest: resolved config, initial-state spectral report, and a
     content hash of the resolved inputs.  The timestamp is the only
     run-to-run varying field."""
     doc = setup.to_dict()
     payload = json.dumps(doc, sort_keys=True)
-    initial = setup.initial
-    cred = credibility_from_values(
-        initial.setting, initial.values, setup.landscape, setup.config.c_min,
-        SupportTable.complete(initial.n_agents),
-    )
-    learning = compute_social_learning(setup.structure, cred)
     manifest = _Manifest(
         name=setup.name,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         config=doc,
-        spectral=spectral.analyze(learning).to_dict(),
+        spectral=initial_report(setup).to_dict(),
         input_hash=_git_blob_sha1(payload.encode()),
     )
     manifest.config_json = payload

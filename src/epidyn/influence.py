@@ -104,7 +104,7 @@ def compute_credibility(
 
 def credibility_from_values(
     setting, values: np.ndarray, landscape, c_min: float, table: SupportTable,
-    out: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None, support: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Tensor form of :func:`compute_credibility` for a prestacked
     (..., N, n_experiences, l) value array: the (..., N, k) entries of one
@@ -112,9 +112,12 @@ def credibility_from_values(
     :func:`epidyn.sampling.support_table`), written to ``out`` if given.
     The elementwise work runs on the rows of the distinct (population,
     mask) keys (see :func:`_key_rows`), gathered on the table once; an
-    entry (i, i), which carries no penalty, is max(exp(L_ii), c_min)."""
-    support = np.logical_or.reduce(values != 0.0, axis=-1)  # np.any, without its wrapper
-    lik = landscape.per_population(setting, values)
+    entry (i, i), which carries no penalty, is max(exp(L_ii), c_min).
+    ``support``, the stack's (..., N, n_experiences) nonzero mask, may come
+    computed."""
+    if support is None:
+        support = np.logical_or.reduce(values != 0.0, axis=-1)  # np.any, without its wrapper
+    lik = landscape.per_population(setting, values, support)
     cred, pen, owner = _key_rows(setting, values, support, lik)
     np.exp(cred, out=cred)
     n, width = table.agents.shape

@@ -351,9 +351,11 @@ class LikelihoodLandscape:
     """How well a concept explains an experience, as a value in [0, 1].
 
     Each landscape defines one evaluation, ``per_population(setting,
-    values)``, mapping any (..., n_experiences, l) stack of value tables to
-    the (..., n_experiences) likelihoods L(e, values[..., e, :]).  Every
-    landscape returns exactly 1/2 at the zero concept.
+    values, support=None)``, mapping any (..., n_experiences, l) stack of
+    value tables to the (..., n_experiences) likelihoods
+    L(e, values[..., e, :]); ``support``, the stack's nonzero mask over l,
+    may come computed.  Every landscape returns exactly 1/2 at the zero
+    concept.
     """
 
     def check_setting(self, setting: KnowledgeSetting) -> None:
@@ -368,9 +370,10 @@ class ConstantLikelihood(LikelihoodLandscape):
             raise KnowledgeError("constant likelihood must lie in [0, 1]")
         self.value = float(value)
 
-    def per_population(self, setting, values):
-        nonzero = np.any(np.asarray(values, dtype=float) != 0.0, axis=-1)
-        return np.where(nonzero, self.value, 0.5)
+    def per_population(self, setting, values, support=None):
+        if support is None:
+            support = np.any(np.asarray(values, dtype=float) != 0.0, axis=-1)
+        return np.where(support, self.value, 0.5)
 
     def to_dict(self) -> dict:
         return {"variant": "constant", "value": self.value}
@@ -396,12 +399,14 @@ class GaussianPeakLikelihood(LikelihoodLandscape):
                 f"{setting.concept_dim}-dimensional concept space"
             )
 
-    def per_population(self, setting, values):
+    def per_population(self, setting, values, support=None):
         v = np.asarray(values, dtype=float)
         # plain reductions: np.sum and np.any cost more in wrappers than in work here
+        if support is None:
+            support = np.logical_or.reduce(v != 0.0, axis=-1)
         d2 = ((v - self.center) ** 2).sum(axis=-1)
         out = np.exp(-d2 / self.width)
-        out[~np.logical_or.reduce(v != 0.0, axis=-1)] = 0.5
+        out[~support] = 0.5
         return out
 
     def to_dict(self) -> dict:
@@ -436,7 +441,7 @@ class TabularLikelihood(LikelihoodLandscape):
                 f"(experiences x concepts), got {self.table.shape}"
             )
 
-    def per_population(self, setting, values):
+    def per_population(self, setting, values, support=None):
         v = np.asarray(values, dtype=float)
         idx = setting.concepts.index_of(v.reshape(-1, v.shape[-1])).reshape(v.shape[:-1])
         return self.table[np.arange(v.shape[-2]), idx]

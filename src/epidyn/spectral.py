@@ -2,74 +2,161 @@
 
 Primitivity, communication, contraction coefficients, and the sample-size
 calculator that turns the concentration bound into a concrete draw count.
+``is_primitive``, ``dobrushin_coefficient`` and ``analyze`` run on a
+support table: a dense (N, N) matrix goes on the table of its nonzero
+pattern, or, with a ``table``, A holds the (N, k) entries on it that
+:func:`epidyn.influence.compute_social_learning` returns, a row with no
+positive entry being dead, the uniform row 1/N.  A positive entry (i, j)
+is an edge i -> j; an entry that underflowed to 0 is none.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .influence import MatrixError, normalize_rows, validate_stochastic
+from .influence import MatrixError, _square, normalize_rows, validate_stochastic
 from .knowledge import BoxConcepts, KnowledgeSetting
+from .sampling import support_table
+
+# The exponent's frontier gives up once the exact exponent provably takes
+# more than this many uint64 words of work (the crowd ring at N = 1000
+# takes 2^24), and the report states the Wielandt bound instead.  Dense
+# eigenvalues are taken up to EIGVALS_CAP agents (about 1 s at 1000).
+FRONTIER_WORDS = 1 << 26
+EIGVALS_CAP = 1000
+BLOCK_BYTES = 1 << 22  # the bitset rows gathered at once, in bytes
 
 
 class BoundInapplicableError(ValueError):
     """The closed-form entry bound does not apply to these inputs."""
 
 
+def _on_table(A, table, stochastic=False):
+    # (entries, table, dead rows) of a dense matrix (validated), on the
+    # table of its nonzero pattern, or of entries on a table
+    if table is None:
+        M = validate_stochastic(A) if stochastic else _square(A, "matrix")
+        table = support_table(M != 0.0)
+        return table.entries(M), table, np.zeros(len(M), dtype=bool)
+    entries = np.asarray(A, dtype=float)
+    if entries.shape != table.agents.shape:
+        raise MatrixError(f"entries of shape {entries.shape} on a table of {table.agents.shape}")
+    return entries, table, ~(entries > 0.0).any(axis=1)
+
+
+def _graph(entries, table, reverse=False):
+    # the heads of row i's edges, heads[offsets[i]:offsets[i + 1]], as
+    # (offsets, heads); with ``reverse``, those of the transpose
+    positive = entries > 0.0
+    tails, heads = np.nonzero(positive)[0], np.broadcast_to(table.agents, positive.shape)[positive]
+    if reverse:
+        order = np.argsort(heads, kind="stable")
+        tails, heads = heads[order], tails[order]
+    offsets = np.zeros(len(entries) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=len(entries)), out=offsets[1:])
+    return offsets, heads
+
+
+def _levels(graph, sources, dead) -> np.ndarray:
+    # breadth-first levels from ``sources``, -1 where unreached
+    offsets, heads = graph
+    level = np.full(len(offsets) - 1, -1)
+    frontier, depth = np.asarray(sources, dtype=np.intp), 0
+    while len(frontier):
+        level[frontier], depth = depth, depth + 1
+        if dead[frontier].any():  # an edge to every agent
+            reached = np.arange(len(level))
+        else:
+            count = offsets[frontier + 1] - offsets[frontier]
+            at = np.repeat(offsets[frontier] - np.cumsum(count) + count, count)
+            reached = heads[at + np.arange(len(at))]
+        reached = np.sort(reached[level[reached] < 0])
+        frontier = reached[np.diff(reached, prepend=-1) != 0]
+    return level
+
+
+def _bitsets(offsets, heads, n: int) -> np.ndarray:
+    # (rows + 1, ceil(n / 64)) uint64: bit j % 64 of word j // 64 of row i
+    # set for each head j of row i; the last row stays empty
+    bits = np.zeros((len(offsets), -(-n // 64)), dtype=np.uint64)
+    tails = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    np.bitwise_or.at(bits, (tails, heads >> 6), np.uint64(1) << (heads & 63).astype(np.uint64))
+    return bits
+
+
+def _spread(bits, graph, dead):
+    # blocks (first row, rows) of about BLOCK_BYTES of the OR of bits[j]
+    # over the edges i -> j of each row i, over every j for a dead row
+    offsets, heads = graph
+    n = len(dead)
+    everyone = np.bitwise_or.reduce(bits[:n], axis=0)
+    rows = max(1, BLOCK_BYTES // (bits.nbytes // len(bits) * max(1, np.diff(offsets).max())))
+    for s in range(0, n, rows):
+        at = offsets[s : s + rows + 1]
+        # the block's heads, then empty row N: a last row without heads reads it
+        part = np.bitwise_or.reduceat(bits[np.append(heads[at[0] : at[-1]], n)], at[:-1] - at[0], axis=0)
+        part[dead[s : s + rows]] = everyone
+        yield s, part
+
+
+def _exponent(graph, dead, depth: int) -> Optional[int]:
+    # the first t with A^t > 0 of a primitive pattern, row i of A^(t+1)
+    # the OR of the rows j of A^t over i -> j; None once the exponent,
+    # at least ``depth``, would take more than FRONTIER_WORDS
+    n = len(dead)
+    power = _bitsets(*graph, n)
+    full = _bitsets([0, n], np.arange(n), n)[0]
+    power[:n][dead] = full
+    spare, t, per_step = np.zeros_like(power), 1, (len(graph[1]) + n) * len(full)
+    while not (power[:n] == full).all():
+        if per_step * max(t, depth - 1) > FRONTIER_WORDS:
+            return None
+        for s, part in _spread(power, graph, dead):
+            spare[s : s + len(part)] = part
+        power, spare, t = spare, power, t + 1
+    return t
+
+
 def communicates(A, i: int, j: int) -> bool:
     """True iff a directed path of length >= 1 through strictly positive
     entries leads from i to j."""
-    M = np.asarray(A, dtype=float)
-    n = M.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"agent index out of range for size {n}")
-    adj = M > 0.0
-    frontier = adj[i].copy()
-    reached = frontier.copy()
-    while frontier.any():
-        if reached[j]:
-            return True
-        frontier = adj[frontier].any(axis=0) & ~reached
-        reached |= frontier
-    return bool(reached[j])
+    entries, table, dead = _on_table(A, None)
+    if not (0 <= i < len(dead) and 0 <= j < len(dead)):
+        raise IndexError(f"agent index out of range for size {len(dead)}")
+    offsets, heads = graph = _graph(entries, table)
+    return bool(_levels(graph, heads[offsets[i] : offsets[i + 1]], dead)[j] >= 0)
 
 
-def is_primitive(A) -> Tuple[bool, Optional[int]]:
+def is_primitive(A, table=None) -> Tuple[bool, Optional[int]]:
     """Whether some power of the nonnegative matrix is strictly positive.
 
-    Returns the first exponent k with A^k > 0, or (False, None) when no power
-    up to the Wielandt bound (N-1)^2 + 1 is positive.  The 0/1 pattern is
-    squared repeatedly until a power 2^s is positive, then the exact exponent
-    is found by binary lifting over the stored squares.  Lifting is sound
-    because positivity is monotone: A^k > 0 leaves A without a zero row, so
-    A^(k+1) = A A^k > 0.  The patterns are float32 so that products run on
-    BLAS; their entries count paths, at most N < 2^24, and are exact.
+    Returns (True, k), k the first exponent with A^k > 0, or (False, None).
+    The pattern is primitive when a breadth-first search from agent 0 along
+    the edges and one against them reach every agent, and the gcd of
+    level(i) + 1 - level(j) over the edges i -> j, the levels from the
+    first search, is 1: that gcd is the period (Denardo, Math. Oper. Res.
+    2(1), 1977).  The exponent follows the rows of A^t as bitsets, each row
+    of A^(t+1) the OR of rows of A^t over its edges.  Positivity is
+    monotone (A^k > 0 leaves A without a zero row, so A^(k+1) = A A^k > 0),
+    so the first full power is the exponent.  It is None when it would take
+    more than ``FRONTIER_WORDS`` words of work.
     """
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise MatrixError("matrix must be square")
-    if np.any(M < 0.0):
+    entries, table, dead = _on_table(A, table)
+    if np.any(entries < 0.0):
         raise MatrixError("primitivity is defined for nonnegative matrices")
-    bound = (M.shape[0] - 1) ** 2 + 1
-    squares = [(M > 0.0).astype(np.float32)]  # squares[s] is the pattern of A^(2^s)
-    while not squares[-1].all():
-        if 2 ** (len(squares) - 1) >= bound:
-            return False, None
-        P = squares[-1]
-        squares.append((P @ P > 0.0).astype(np.float32))
-    if len(squares) == 1:
-        return True, 1
-    # A^(2^(s-1)) is not positive: grow the largest non-positive power k.
-    k, power = 0, None
-    for s in range(len(squares) - 2, -1, -1):
-        candidate = squares[s] if power is None else (power @ squares[s] > 0.0)
-        if not candidate.all():
-            k, power = k + 2**s, candidate.astype(np.float32)
-    return True, k + 1
+    graph = _graph(entries, table)
+    level = _levels(graph, [0], dead)
+    back = _levels(_graph(entries, table, True), np.r_[0, np.flatnonzero(dead)], np.zeros_like(dead))
+    tails = np.repeat(np.arange(len(dead)), np.diff(graph[0]))
+    # a dead row has the self-loop i -> i, which makes the gcd 1
+    period = 1 if dead.any() else np.gcd.reduce(level[tails] + 1 - level[graph[1]])
+    if (level < 0).any() or (back < 0).any() or period != 1:
+        return False, None
+    return True, _exponent(graph, dead, int(level.max()))
 
 
 def entry_lower_bound(gamma, c_min: float) -> float:
@@ -94,22 +181,36 @@ def entry_lower_bound(gamma, c_min: float) -> float:
     return min(1.0 / n, m * c_min / (n * (1.0 - n * m)))
 
 
-def dobrushin_coefficient(A) -> float:
+def _dense(entries, table, dead) -> np.ndarray:
+    # the (N, N) matrix of entries on a table, a dead row uniform
+    M = np.array(entries) if table.full else np.zeros((len(entries),) * 2)
+    if not table.full:
+        M.reshape(-1)[table.gather] = entries
+    M[dead] = 1.0 / len(M)
+    return M
+
+
+def dobrushin_coefficient(A, table=None) -> float:
     """Contraction coefficient of a row-stochastic matrix on the max-spread
     seminorm max_{i,j} |x_i - x_j|: half the largest L1 distance between rows.
 
     Two rows with disjoint supports are at distance 2, so the coefficient is
-    exactly 1.  The 0/1 overlap product S S^T decides that at once: its
-    entries count shared support columns, at most N < 2^24, and are exact in
-    float32.  Otherwise row i is compared with rows i.. in one reused N x N
-    buffer instead of an N^3 pairwise tensor.  Each distance is still summed
-    along the last axis, and |x - y| = |y - x| exactly, so that result
-    matches the full tensor to the bit.
+    exactly 1.  The rows that meet row i are the OR, over its edges i -> j,
+    of the bitsets of the rows with an edge to j, and the search stops at
+    the first block of rows with one that misses a row.  Otherwise row i is
+    compared with rows i.. of the dense matrix in one reused N x N buffer,
+    each distance summed along the last axis, and |x - y| = |y - x| exactly,
+    so the result matches the full N^3 tensor to the bit.  A dense matrix
+    is validated first (see :func:`epidyn.influence.validate_stochastic`).
     """
-    M = validate_stochastic(A)
-    S = (M > 0.0).astype(np.float32)
-    if not (S @ S.T).all():
+    entries, table, dead = _on_table(A, table, stochastic=True)
+    n = len(dead)
+    meets = _bitsets(*_graph(entries, table, True), n)  # row j: the rows with an edge to j
+    full, dead_rows = _bitsets([0, n, n + dead.sum()], np.r_[np.arange(n), np.flatnonzero(dead)], n)[:2]
+    meets[:n] |= dead_rows
+    if any((part != full).any() for _, part in _spread(meets, _graph(entries, table), dead)):
         return 1.0
+    M = _dense(entries, table, dead)
     diff = np.empty_like(M)
     widest = [
         np.abs(np.subtract(M[i:], M[i], out=diff[i:]), out=diff[i:]).sum(axis=-1).max()
@@ -178,30 +279,46 @@ def required_sample_size(
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Summary of the contraction diagnostics of a learning matrix."""
+    """Summary of the contraction diagnostics of a learning matrix.
+    ``skipped`` says why a field is not exact: the Wielandt bound for the
+    exponent, or None for the modulus; :meth:`to_dict` leaves out an empty
+    ``skipped`` and a None modulus."""
 
     is_primitive: bool
     primitivity_exponent: Optional[int]
-    second_modulus: float
+    second_modulus: Optional[float]
     dobrushin: float
     min_entry: float
+    skipped: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        doc = asdict(self)
+        if self.second_modulus is None:
+            del doc["second_modulus"]
+        if not self.skipped:
+            del doc["skipped"]
+        return doc
 
 
-def analyze(A) -> SpectralReport:
-    """Spectral report for a row-stochastic matrix.
-
-    Validation admits entries down to -tol; primitivity reads them as the
-    zero edges they round from.
+def analyze(A, table=None) -> SpectralReport:
+    """Spectral report for a row-stochastic matrix, dense or as its entries
+    on ``table``.  The dense matrix is validated (on a table, the one laid
+    out for the eigenvalues); validation admits entries down to -tol, and
+    primitivity reads them as the zero edges they round from.
     """
-    M = validate_stochastic(A)
-    prim, k = is_primitive(np.maximum(M, 0.0))
-    return SpectralReport(
-        is_primitive=prim,
-        primitivity_exponent=k,
-        second_modulus=second_modulus(M),
-        dobrushin=dobrushin_coefficient(M),
-        min_entry=float(M.min()),
-    )
+    entries, table, dead = _on_table(A, table, stochastic=True)
+    n = len(dead)
+    prim, k = is_primitive(np.maximum(entries, 0.0), table)
+    modulus, skipped = None, {}
+    if prim and k is None:
+        k = (n - 1) ** 2 + 1
+        skipped["primitivity_exponent"] = f"Wielandt bound (N - 1)^2 + 1: over {FRONTIER_WORDS} bitset words"
+    if n <= EIGVALS_CAP:
+        modulus = second_modulus(validate_stochastic(_dense(entries, table, dead)))
+    else:
+        skipped["second_modulus"] = f"dense eigenvalues are taken up to N = {EIGVALS_CAP}"
+    # the least of the N^2 entries: 0 off a live row narrower than N, 1/N on a dead row
+    live = entries[~dead]
+    low = min(live.min(initial=np.inf), 0.0 if live.size and live.shape[1] < n else np.inf,
+              1.0 / n if dead.any() else np.inf)
+    return SpectralReport(prim, k, modulus, dobrushin_coefficient(entries, table), float(low), skipped)

@@ -330,7 +330,7 @@ class TestRefitOracle:
         assert got[0, 0, 0] == 0.0 and math.copysign(1.0, got[0, 0, 0]) == -1.0
 
 
-def split_scan_draw_rows(setting, values, config, block, sources, agents, kernel=None):
+def split_scan_draw_rows(setting, values, config, block, sources, agents, kernel=None, support=None):
     """The draws with the split scan run and the keep mask built whatever
     tau and drop_zero_social are: the general path that _draw_rows
     shortens, kept as its oracle."""
@@ -346,7 +346,7 @@ def split_scan_draw_rows(setting, values, config, block, sources, agents, kernel
     if len(rows):
         if kernel is None:
             kernel = experience_kernel(setting, config.sigma_e)
-        cum = _exploration_weights(values, kernel)[agents[rows]].cumsum(axis=1)
+        cum = _exploration_weights(values, kernel, support)[agents[rows]].cumsum(axis=1)
         below = cum <= (u[rows, 1, slots] * cum[:, -1])[:, None]
         picked = np.minimum(below.sum(axis=1), n_exp - 1)
         e_idx[rows, slots] = picked
@@ -606,6 +606,30 @@ class TestStep:
              agent_streams(3, 0, 4 * n_pops), kernel)
         for a, b in zip((state.values, gamma, kernel), kept):
             assert np.array_equal(a, b)
+
+    def test_step_computes_the_support_mask_once(self, monkeypatch):
+        # credibility, the likelihoods and exploration share the step's one
+        # nonzero mask of the stack
+        rng = np.random.default_rng(8)
+        setting = grid_setting(5)
+        values = rng.uniform(-10, 10, size=(3, 4, 5, 1))
+        values[rng.random((3, 4, 5)) < 0.3] = 0.0
+        state = PopulationState._trusted(setting, values, 0)
+        landscape = GaussianPeakLikelihood([1.0], 4.0)
+        seen = []
+        likelihood, weights = GaussianPeakLikelihood.per_population, dynamics._exploration_weights
+        monkeypatch.setattr(
+            GaussianPeakLikelihood, "per_population",
+            lambda self, s, v, support=None: seen.append(support) or likelihood(self, s, v, support),
+        )
+        monkeypatch.setattr(
+            dynamics, "_exploration_weights",
+            lambda v, k, support=None: seen.append(support) or weights(v, k, support),
+        )
+        cfg = SimulationConfig(tau=0.5, sample_size=6, c_min=0.0)
+        step(state, cfg, np.ones((4, 4)), landscape, agent_streams(3, 0, 12))
+        assert len(seen) == 2 and seen[0] is not None and seen[0] is seen[1]
+        assert np.array_equal(seen[0], values.any(axis=-1))
 
     @pytest.mark.parametrize("n_pops", [1, 3])
     def test_reused_scratch_changes_nothing(self, n_pops):

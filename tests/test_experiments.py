@@ -368,22 +368,29 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("name", ["test2-professor", "test4-language"])
     def test_manifest_learning_equals_the_dense_oracle(self, monkeypatch, name):
-        # build_manifest runs on the complete structure's table; a dead row
-        # of the structure is the uniform row
+        # build_manifest runs on the structure's table, here the complete
+        # one; a dead row of the structure is all zero on it, and the
+        # report reads it as the uniform row
         from epidyn import spectral
 
         setup = preset(name)
         setup.structure[0] = 0.0
         seen = []
         analyze_alone = spectral.analyze
-        monkeypatch.setattr(spectral, "analyze", lambda m: seen.append(m) or analyze_alone(m))
+        monkeypatch.setattr(
+            spectral, "analyze", lambda m, table: seen.append((m, table)) or analyze_alone(m, table)
+        )
         build_manifest(setup)
         initial = setup.initial
         cred = unfused_credibility(
             initial.setting, initial.values, setup.landscape, setup.config.c_min
         )
         want = dense_learning(setup.structure, cred)
-        assert np.array_equal(seen[0], want)
+        entries, table = seen[0]
+        assert table.full and not entries[0].any()
+        laid_out = entries.copy()
+        laid_out[0] = 1.0 / initial.n_agents
+        assert np.array_equal(laid_out, want)
         assert np.all(want[0] == 1.0 / initial.n_agents)
 
     def test_manifest_hash_tracks_content(self):

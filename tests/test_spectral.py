@@ -2,10 +2,13 @@ import importlib.util
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidyn import (
     BoundInapplicableError,
@@ -19,10 +22,14 @@ from epidyn import (
     entry_lower_bound,
     grid_setting,
     is_primitive,
+    normalize_rows,
     required_sample_size,
     second_modulus,
 )
-from epidyn.experiments import build_manifest, setup_from_dict
+from epidyn import spectral
+from epidyn.experiments import build_manifest, initial_report, setup_from_dict
+from epidyn.influence import validate_stochastic
+from epidyn.sampling import support_table
 
 from conftest import random_stochastic
 
@@ -71,6 +78,122 @@ def linear_scan_is_primitive(A):
     return False, None
 
 
+def float32_squaring_is_primitive(A):
+    """The dense primitivity test the table search replaced: the 0/1
+    pattern squared in float32 until a power 2^s is positive, then the
+    exact exponent by binary lifting over the stored squares.  Path counts
+    are at most N < 2^24, exact in float32."""
+    M = np.asarray(A, dtype=float)
+    if np.any(M < 0.0):
+        raise MatrixError("primitivity is defined for nonnegative matrices")
+    bound = (M.shape[0] - 1) ** 2 + 1
+    squares = [(M > 0.0).astype(np.float32)]  # squares[s] is the pattern of A^(2^s)
+    while not squares[-1].all():
+        if 2 ** (len(squares) - 1) >= bound:
+            return False, None
+        P = squares[-1]
+        squares.append((P @ P > 0.0).astype(np.float32))
+    if len(squares) == 1:
+        return True, 1
+    k, power = 0, None
+    for s in range(len(squares) - 2, -1, -1):
+        candidate = squares[s] if power is None else (power @ squares[s] > 0.0)
+        if not candidate.all():
+            k, power = k + 2**s, candidate.astype(np.float32)
+    return True, k + 1
+
+
+def overlap_scan_dobrushin(A):
+    """The dense Dobrushin coefficient the table search replaced: exactly 1
+    when the float32 overlap product S S^T of the support S = (A > 0) has a
+    zero, otherwise row i against rows i.. in one reused N x N buffer."""
+    M = validate_stochastic(A)
+    S = (M > 0.0).astype(np.float32)
+    if not (S @ S.T).all():
+        return 1.0
+    diff = np.empty_like(M)
+    widest = [
+        np.abs(np.subtract(M[i:], M[i], out=diff[i:]), out=diff[i:]).sum(axis=-1).max()
+        for i in range(len(M))
+    ]
+    return float(max(widest) / 2.0)
+
+
+def dense_communicates(A, i, j):
+    """The dense reachability loop the table search replaced."""
+    adj = np.asarray(A, dtype=float) > 0.0
+    frontier = adj[i].copy()
+    reached = frontier.copy()
+    while frontier.any():
+        if reached[j]:
+            return True
+        frontier = adj[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached[j])
+
+
+def dense_second_modulus(M):
+    """The second eigenvalue modulus from dense eigvals."""
+    M = np.asarray(M, dtype=float)
+    if len(M) == 1:
+        return 0.0
+    return float(np.sort(np.abs(np.linalg.eigvals(M)))[::-1][1])
+
+
+def structure_pattern(kind, n, rng):
+    """A 0/1 structure of N agents: sparse random, periodic (edges only from
+    one class to the next), reducible (a zero off-diagonal block),
+    self-loop-free, or one long cycle plus a chord."""
+    if kind == "random":
+        return (rng.random((n, n)) < rng.uniform(1.0 / n, 1.0)).astype(float)
+    if kind == "periodic":
+        cls = rng.integers(0, int(rng.integers(2, 4)), n)
+        nxt = (cls[:, None] + 1) % (cls.max() + 1) == cls[None, :]
+        return (nxt & (rng.random((n, n)) < 0.7)).astype(float)
+    if kind == "reducible":
+        G = (rng.random((n, n)) < 0.5).astype(float)
+        G[int(rng.integers(1, n)) if n > 1 else 0 :, : int(rng.integers(0, n))] = 0.0
+        return G
+    if kind == "no-self":
+        G = (rng.random((n, n)) < rng.uniform(1.0 / n, 1.0)).astype(float)
+        np.fill_diagonal(G, 0.0)
+        return G
+    order = rng.permutation(n)
+    G = np.zeros((n, n))
+    G[order, np.roll(order, -1)] = 1.0
+    G[int(rng.integers(n)), int(rng.integers(n))] = 1.0
+    return G
+
+
+def learning_on_table(kind, n, seed):
+    """Learning entries on the support table of a random structure, and the
+    dense matrix they lay out.  Some entries inside the structure's support
+    underflowed to 0, some rows are dead (all 0 on the table, uniform in the
+    dense matrix), and some rows carry a rounding negative down to -1e-9
+    where an entry underflowed, made up on the row's largest entry."""
+    rng = np.random.default_rng(seed)
+    G = structure_pattern(kind, n, rng)
+    table = support_table(G)
+    on_support = table.entries(G) > 0.0
+    entries = np.where(on_support, rng.uniform(0.01, 1.0, on_support.shape), 0.0)
+    entries[on_support & (rng.random(on_support.shape) < 0.15)] = 0.0  # underflow
+    entries[rng.random(n) < 0.1] = 0.0  # dead rows
+    live = entries.sum(axis=1) > 0.0
+    entries[live] /= entries[live].sum(axis=1, keepdims=True)
+    holes = on_support & (entries == 0.0) & live[:, None]
+    for i in np.flatnonzero(holes.any(axis=1) & (rng.random(n) < 0.5)):
+        rounding = float(rng.uniform(0.0, 1e-9))
+        entries[i, rng.choice(np.flatnonzero(holes[i]))] = -rounding
+        entries[i, entries[i].argmax()] += rounding
+    M = np.zeros((n, n))
+    M[np.arange(n)[:, None], table.agents] = entries  # padding writes 0 off the support
+    M[~live] = 1.0 / n
+    return entries, table, M
+
+
+PATTERN_KINDS = ("random", "periodic", "reducible", "no-self", "cycle")
+
+
 def full_tensor_dobrushin(A):
     """Half the largest row-pair L1 distance over the full N x N x N tensor."""
     M = np.asarray(A, dtype=float)
@@ -82,6 +205,15 @@ def disjoint_rows_oracle(A):
     """Whether two rows share no positive column, by set intersection."""
     supports = [set(np.flatnonzero(np.asarray(row) > 0.0)) for row in A]
     return any(not (a & b) for a, b in itertools.combinations(supports, 2))
+
+
+def perfbench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def wielandt_matrix(n):
@@ -487,12 +619,7 @@ class TestReport:
     def test_crowd_manifest_reports_exact_unit_dobrushin(self):
         # the benchmark's crowd workload: N = 400 on a ring lattice, so rows
         # more than 2 * 8 agents apart share no support
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-        )
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        setup = setup_from_dict(workloads.generate("crowd", 5))
+        setup = setup_from_dict(perfbench_workloads().generate("crowd", 5))
         report = build_manifest(setup)["spectral"]
         assert report["dobrushin"] == 1.0
         assert report["is_primitive"] is True
@@ -520,3 +647,144 @@ class TestReport:
             "dobrushin",
             "min_entry",
         }
+
+
+def ring_structure(n, offsets):
+    G = np.zeros((n, n))
+    for d in offsets:
+        G[np.arange(n), (np.arange(n) + d) % n] = 1.0
+    return G
+
+
+def dense_initial_report(setup):
+    """The manifest's spectral block as it was built densely: credibility
+    on the complete table, the (N, N) learning matrix, the dense oracles."""
+    from epidyn.influence import compute_social_learning, credibility_from_values
+    from epidyn.sampling import SupportTable
+
+    initial = setup.initial
+    cred = credibility_from_values(
+        initial.setting, initial.values, setup.landscape, setup.config.c_min,
+        SupportTable.complete(initial.n_agents),
+    )
+    M = compute_social_learning(setup.structure, cred)
+    prim, k = float32_squaring_is_primitive(np.maximum(M, 0.0))
+    return {
+        "is_primitive": prim,
+        "primitivity_exponent": k,
+        "second_modulus": dense_second_modulus(M),
+        "dobrushin": overlap_scan_dobrushin(M),
+        "min_entry": float(M.min()),
+    }
+
+
+class TestTableReport:
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.sampled_from(PATTERN_KINDS), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_equals_the_dense_oracles(self, kind, n, seed):
+        entries, table, M = learning_on_table(kind, n, seed)
+        report = analyze(entries, table)
+        prim, k = float32_squaring_is_primitive(np.maximum(M, 0.0))
+        assert (report.is_primitive, report.primitivity_exponent) == (prim, k)
+        assert report.dobrushin == overlap_scan_dobrushin(M)
+        assert report.min_entry == M.min()
+        assert report.second_modulus == dense_second_modulus(M)
+        assert report.skipped == {}
+        assert analyze(M) == report
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.sampled_from(PATTERN_KINDS), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_dense_views_equal_the_oracles(self, kind, n, seed):
+        # a zero row of a dense matrix has no edge; only a table reads a
+        # row without a positive entry as the uniform row
+        rng = np.random.default_rng(seed)
+        P = structure_pattern(kind, n, rng) * rng.uniform(0.5, 2.0, (n, n))
+        assert is_primitive(P) == float32_squaring_is_primitive(P)
+        for i, j in rng.integers(0, n, (6, 2)):
+            assert communicates(P, i, j) == dense_communicates(P, i, j)
+
+    def test_pattern_zoo_takes_every_branch(self):
+        seen = set()
+        for kind in PATTERN_KINDS:
+            for seed in range(12):
+                entries, table, M = learning_on_table(kind, 3 + 3 * seed, seed)
+                report = analyze(entries, table)
+                dead = not (entries > 0.0).any(axis=1).all()
+                seen.add((report.is_primitive, report.dobrushin == 1.0, dead, table.full))
+        assert {prim for prim, _, _, _ in seen} == {True, False}
+        assert {one for _, one, _, _ in seen} == {True, False}
+        assert {dead for _, _, dead, _ in seen} == {True, False}
+        assert {full for _, _, _, full in seen} == {True, False}
+
+    @pytest.mark.parametrize("block_bytes", [1, 200])
+    def test_row_blocks_change_nothing(self, monkeypatch, block_bytes):
+        # the frontier and the disjoint-pair search gather rows in blocks;
+        # one row or a few rows per block give the report of one block
+        cases = [learning_on_table(kind, 3 + 3 * seed, seed) for kind in PATTERN_KINDS for seed in range(12)]
+        want = [analyze(entries, table) for entries, table, _ in cases]
+        monkeypatch.setattr(spectral, "BLOCK_BYTES", block_bytes)
+        for (entries, table, M), report in zip(cases, want):
+            assert analyze(entries, table) == report
+            assert report.primitivity_exponent == float32_squaring_is_primitive(np.maximum(M, 0.0))[1]
+            assert report.dobrushin == overlap_scan_dobrushin(M)
+
+    def test_exponent_past_the_budget_is_the_wielandt_bound(self, monkeypatch, banded_primitive):
+        lam = normalize_rows(banded_primitive)
+        assert is_primitive(lam) == (True, 3)
+        monkeypatch.setattr(spectral, "FRONTIER_WORDS", 4)
+        assert is_primitive(lam) == (True, None)
+        doc = analyze(lam).to_dict()
+        assert doc["primitivity_exponent"] == 10
+        assert set(doc["skipped"]) == {"primitivity_exponent"}
+        assert doc["second_modulus"] == second_modulus(lam)
+
+    def test_modulus_past_the_cap_is_omitted(self, monkeypatch, banded_primitive):
+        lam = normalize_rows(banded_primitive)
+        monkeypatch.setattr(spectral, "EIGVALS_CAP", 3)
+        report = analyze(lam)
+        assert report.second_modulus is None
+        doc = report.to_dict()
+        assert "second_modulus" not in doc and set(doc["skipped"]) == {"second_modulus"}
+        assert doc["primitivity_exponent"] == 3
+
+    @pytest.mark.parametrize(
+        "offsets", [range(-8, 9), (-7, -5, -3, -1, 1, 3, 5, 7), "split"],
+        ids=["ring", "bipartite", "split"],
+    )
+    def test_crowd_initial_report_equals_the_dense_build(self, offsets):
+        setup = setup_from_dict(perfbench_workloads().generate("crowd", 5))
+        n = setup.initial.n_agents
+        if offsets == "split":  # two disjoint rings of N / 2
+            half = ring_structure(n // 2, range(-8, 9))
+            G = np.kron(np.eye(2), half)
+        else:
+            G = ring_structure(n, offsets)
+        setup = replace(setup, structure=G)
+        want = dense_initial_report(setup)
+        assert initial_report(setup).to_dict() == want
+        assert want["is_primitive"] is (offsets != "split" and 0 in offsets)
+
+    def test_ring_of_2000_states_its_skips_without_an_n_by_n_array(self):
+        from epidyn import PopulationState
+
+        n = 2000
+        setup = setup_from_dict(perfbench_workloads().generate("crowd", 5))
+        values = np.random.default_rng(2000).uniform(-10.0, 10.0, (n,) + setup.initial.values.shape[1:])
+        setup = replace(
+            setup,
+            structure=ring_structure(n, range(-8, 9)),
+            initial=PopulationState.from_values(setup.initial.setting, values),
+        )
+        tracemalloc.start()
+        try:
+            report = initial_report(setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        doc = report.to_dict()
+        assert doc["is_primitive"] is True and doc["dobrushin"] == 1.0 and doc["min_entry"] == 0.0
+        assert doc["primitivity_exponent"] == (n - 1) ** 2 + 1
+        assert "second_modulus" not in doc
+        assert set(doc["skipped"]) == {"primitivity_exponent", "second_modulus"}
+        # one (N, N) float64 array alone takes 8 N^2 bytes, 30.5 MiB here
+        assert peak < 8 * n * n / 2

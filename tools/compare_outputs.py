@@ -22,8 +22,13 @@ projects several discrete equilibria, and ``crowd-chunks`` the crowd config
 at ``CROWD_CHUNKS`` replicates and horizon 3, whose trace grid is built
 from two chunks of replicates (6 and 1).  ``naming-drop`` runs the naming
 config with ``drop_zero_social``, so that the refit drops its zero-concept
-social observations, which no preset and no other config does.  The
-workload configs are generated once from this checkout's
+social observations, which no preset and no other config does.  Two crowd
+variants have an initial learning matrix that is not primitive, so that
+the manifest's spectral report takes its not-primitive branches:
+``crowd-bipartite`` links each agent to the agents at the odd offsets
+``BIPARTITE_OFFSETS`` on each side and not to itself, a structure of
+period 2 on the even ring, and ``crowd-split`` runs on two disjoint rings
+of half the agents each, a reducible structure.  The workload configs are generated once from this checkout's
 ``perfbench/workloads.py``, which is only read, and given to both sides.
 
 ``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
@@ -57,6 +62,7 @@ CROWD_LONG = 30  # the horizon of the crowd-long variant
 HOLE_SHARE = 1 / 3  # the share of initial entries the crowd-holes variant sets to 0
 NAMING_REPS = 3  # the replicates of the naming-reps variant
 CROWD_CHUNKS = 7  # the replicates of the crowd-chunks variant
+BIPARTITE_OFFSETS = (1, 3, 5, 7)  # each side, of the crowd-bipartite structure
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -86,6 +92,7 @@ def workload_configs(work: Path, seeds) -> list:
         docs["naming-reps"] = dict(docs["naming"], replicates=NAMING_REPS)
         docs["crowd-chunks"] = dict(docs["crowd"], replicates=CROWD_CHUNKS, horizon=3)
         docs["naming-drop"] = dict(docs["naming"], drop_zero_social=True)
+        docs.update(crowd_structure_variants(workloads, seed))
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -122,6 +129,22 @@ def crowd_holes_variant(workloads, seed: int) -> dict:
             if rng.random() < HOLE_SHARE:
                 entry[:] = [0.0] * len(entry)
     return doc
+
+
+def crowd_structure_variants(workloads, seed: int) -> dict:
+    """The crowd config on a bipartite ring (offsets ``BIPARTITE_OFFSETS``
+    each side, no self-influence) and on two disjoint rings of half the
+    agents, each a ring lattice of the crowd's neighbourhood."""
+    doc = workloads.generate("crowd", seed)
+    n = len(doc["initial"])
+    bipartite = [[0.0] * n for _ in range(n)]
+    for i, row in enumerate(bipartite):
+        for d in BIPARTITE_OFFSETS:
+            row[(i + d) % n] = row[(i - d) % n] = 1.0
+    half = workloads.ring_lattice(n // 2, workloads.CROWD["neighbours"])
+    pad = [0.0] * (n // 2)
+    split = [row + pad for row in half] + [pad + row for row in half]
+    return {"crowd-bipartite": dict(doc, gamma=bipartite), "crowd-split": dict(doc, gamma=split)}
 
 
 def run(src: Path, target: str, args, out: Path) -> None:
