@@ -14,6 +14,7 @@ from epidyn import (
     KnowledgeSetting,
     function_from_json,
     knowledge_distance,
+    usage_penalty,
 )
 
 COLORS = ("none", "purple", "blue", "green", "yellow", "red")
@@ -68,8 +69,8 @@ for nm in (400.0, 470.0, 540.0, 700.0, 900.0):
 
 print()
 print(f"vocabulary distance: {knowledge_distance(fine, coarse):.3f}")
-print(f"distinct-concept penalty, fine vocabulary:   {fine.usage_penalty():.0f}")
-print(f"distinct-concept penalty, coarse vocabulary: {coarse.usage_penalty():.0f}")
+print(f"distinct-concept penalty, fine vocabulary:   {usage_penalty(fine.values, setting.concepts):.0f}")
+print(f"distinct-concept penalty, coarse vocabulary: {usage_penalty(coarse.values, setting.concepts):.0f}")
 
 round_trip = function_from_json(fine.to_json())
 print(f"JSON round trip preserves the table: {np.array_equal(round_trip.values, fine.values)}")

@@ -59,7 +59,6 @@ from .sampling import agent_streams
 from .metrics import (
     MetricTrace,
     consensus_distance,
-    equilibrium_shift,
     nearest_individual_distance,
     relative_entropy,
 )

@@ -434,7 +434,7 @@ def mean_equilibrium_shifts(setup: ExperimentSetup, result: RunResult) -> np.nda
     across-agent mean can fall between the points of a discrete space.  Each
     agent's squared distance is one stacked matmul of its flattened
     difference with itself, the BLAS dot that ``np.linalg.norm`` takes in
-    :func:`~epidyn.metrics.equilibrium_shift`, and the replicates' distances
+    :func:`~epidyn.knowledge.knowledge_distance`, and the replicates' distances
     are added in order, so each mean has the bits of the per-agent form.
     """
     equilibria = setup.initial.setting.concepts.project(result.equilibria())
@@ -448,7 +448,6 @@ def run_experiment(
     target,
     out_dir,
     overrides: Optional[dict] = None,
-    n_jobs: Optional[int] = None,
     quiet: bool = False,
 ) -> int:
     """Resolve, run and write out one experiment.
@@ -461,12 +460,9 @@ def run_experiment(
     """
     try:
         setup = resolve_target(target, overrides)
-        if n_jobs is None:
-            n_jobs = worker_count(
-                os.environ.get("EPIDYN_THREADS"),
-                setup.config.replicates,
-                os.cpu_count(),
-            )
+        n_jobs = worker_count(
+            os.environ.get("EPIDYN_THREADS"), setup.config.replicates, os.cpu_count()
+        )
     except (ConfigError, KnowledgeError, OSError) as err:
         if not quiet:
             print(f"error: {err}")

@@ -242,17 +242,12 @@ def compute_social_learning(
     if table is not None:
         return _learning(G, C, out, table, checked)[0]
     G = G if checked else validate_structure(G)
+    if C.shape[-2:] != G.shape:
+        raise MatrixError(f"dimension mismatch: structure {G.shape}, credibility {C.shape}")
+    _checked_max(C, "credibility entries")  # off the table too
     table = support_table(G)
-    if table.full or C.shape[-2:] != G.shape:  # _learning refuses a mismatch
-        learning, dead = _learning(G, C, out, table, True)
-    else:
-        _checked_max(C, "credibility entries")  # off the table too
-        entries, dead = _learning(table.entries(G), table.entries(C), None, table, True)
-        learning = np.empty(C.shape) if out is None else out
-        learning.fill(0.0)
-        learning.reshape(C.shape[:-2] + (-1,))[..., table.gather] = entries
-    learning[dead] = 1.0 / len(G)
-    return learning
+    entries, dead = _learning(table.entries(G), table.entries(C), None, table, True)
+    return table.layout(entries, dead, out)
 
 
 def _learning(G, C, out, table, checked):
@@ -304,24 +299,6 @@ def _scaled_products(g: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def normalize_rows(M) -> np.ndarray:
-    """Divide each row by its sum; zero rows become the uniform row.  A row
-    whose sum overflows is rescaled first, as in
-    :func:`compute_social_learning`."""
-    A = _square(M, "matrix")
-    _checked_max(A, "entries")
-    w, sums = _rescued_products(A, np.broadcast_to(1.0, A.shape), None)  # w a copy of A
-    return _rows_or_uniform(w, 0.0, sums=sums[:, None])
-
-
-def _rows_or_uniform(w: np.ndarray, guard: float, sums=None) -> np.ndarray:
-    # each row over its sum (``sums``, if given, is w.sum(axis=-1,
-    # keepdims=True)) as a new array; rows summing to at most ``guard``
-    # become 1/N (a NaN sum is not at most ``guard``, so its row stays NaN)
-    if sums is None:
-        sums = w.sum(axis=-1, keepdims=True)
-    dead = sums <= guard
-    # dead rows divide by 1 (no warning, the unmasked loop) and are then
-    # overwritten
-    out = np.divide(w, np.where(dead, 1.0, sums))
-    out[dead[..., 0]] = 1.0 / w.shape[-1]
-    return out
+    """The learning matrix of structure ``M`` under unit credibility: each
+    row over its sum, a row summing to at most ``ZERO_ROW_GUARD`` uniform."""
+    return compute_social_learning(M, np.broadcast_to(1.0, np.shape(M)))

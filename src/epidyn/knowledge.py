@@ -254,22 +254,6 @@ class KnowledgeFunction:
         """True iff the value at ``e`` differs from the zero concept."""
         return bool(np.any(self.evaluate(e) != 0.0))
 
-    def support(self) -> np.ndarray:
-        """Boolean mask of experiences mapped to a nonzero concept."""
-        return np.any(self.values != 0.0, axis=-1)
-
-    def usage_penalty(self, mask: Optional[np.ndarray] = None) -> float:
-        """Parsimony penalty for the variety of nonzero concepts used.
-
-        Discrete concepts: number of distinct nonzero concepts minus one,
-        floored at zero.  Box concepts: Lebesgue measure of the convex hull
-        of the distinct nonzero values (zero when at most one distinct
-        value is used).  ``mask`` restricts the tally to a subset of
-        experience indices.
-        """
-        values = self.values if mask is None else self.values[mask]
-        return usage_penalty(values, self.setting.concepts)
-
     @classmethod
     def _trusted(cls, setting: KnowledgeSetting, values: np.ndarray) -> "KnowledgeFunction":
         # Skips membership validation; callers must guarantee the values

@@ -13,8 +13,6 @@ from typing import Optional
 
 import numpy as np
 
-from .knowledge import KnowledgeFunction, knowledge_distance
-
 TRACE_COLUMNS = ("t", "replicate", "d_consensus", "d_nearest", "relative_entropy")
 
 
@@ -30,37 +28,28 @@ def consensus_distance(state) -> float:
     The projection of a population onto that set assigns every agent the
     across-agent mean function.
     """
-    V = _value_tensor(state)
-    return float(np.linalg.norm(V - V.mean(axis=0)))
+    return float(_distances(_value_tensor(state))[0])
 
 
 def nearest_individual_distance(state) -> float:
     """Distance to the nearest constant tuple built from one agent's own
     function: min over j of sqrt(sum_i d(k_i, k_j)^2)."""
-    # Parallel-axis identity: sum_i |v_i - v_j|^2 = sum_i |v_i - mu|^2
-    # + N |v_j - mu|^2, so the nearest individual is the agent closest to the
-    # mean mu.  Its total is summed directly from its own differences, which
-    # are exactly zero at consensus (the identity's form would cancel).
-    V = _value_tensor(state)
-    centred = V - V.mean(axis=0)
-    j = np.argmin(np.einsum("iel,iel->i", centred, centred))
-    diffs = V - V[j]
-    return float(np.sqrt(np.einsum("iel,iel->", diffs, diffs)))
+    return float(_distances(_value_tensor(state))[1])
 
 
 def _distances(values: np.ndarray):
     """:func:`consensus_distance` and :func:`nearest_individual_distance`
     of each population of an (..., N, E, l) stack, as two arrays of the
-    leading shape, with the same bits as those one-population forms.
+    leading shape, with the same bits for a population alone or in a stack.
 
     Each population is centred once.  ``d_consensus`` is the norm of that
     array: a stacked matmul of each flattened population with itself is
     the BLAS dot that ``np.linalg.norm`` takes.  The nearest individual,
     the agent closest to the mean, is found from one batched einsum of the
-    per-agent sums.  Its total is summed from its own differences one
-    population at a time: an einsum over more than 8192 entries blocks by
-    its operands' shape, so a batched sum would round a large population's
-    total differently.
+    per-agent sums.  Its total is summed from its own differences, exactly
+    zero at consensus, one population at a time: an einsum over more than
+    8192 entries blocks by its operands' shape, so a batched sum would
+    round a large population's total differently.
     """
     lead = values.shape[:-3]
     stack = values.reshape((-1,) + values.shape[-3:])
@@ -73,11 +62,6 @@ def _distances(values: np.ndarray):
     diffs = (stack - stack[np.arange(count), nearest][:, None]).reshape(count, -1)
     totals = np.array([np.einsum("n,n->", d, d) for d in diffs])
     return np.sqrt(consensus).reshape(lead), np.sqrt(totals).reshape(lead)
-
-
-def equilibrium_shift(initial: KnowledgeFunction, equilibrium: KnowledgeFunction) -> float:
-    """Distance from an agent's initial function to the shared equilibrium."""
-    return knowledge_distance(initial, equilibrium)
 
 
 def relative_entropy(state, target) -> float:

@@ -261,6 +261,20 @@ class SupportTable(NamedTuple):
             return matrices.reshape(matrices.shape[:-2] + (n * n,)).take(self.gather, axis=-1)
         return matrices.take(owner[..., None] * n + self.agents, out=out)
 
+    def layout(self, entries: np.ndarray, dead: np.ndarray, out=None) -> np.ndarray:
+        """The (..., N, N) matrices of (..., N, k) ``entries`` that are 0 in
+        a row's padding, 0 off the table and a row of the (..., N) mask
+        ``dead`` the uniform row 1/N, written to ``out`` if given."""
+        n = len(self.agents)
+        out = np.empty(entries.shape[:-1] + (n,)) if out is None else out
+        if self.full:
+            np.copyto(out, entries)
+        else:
+            out.fill(0.0)
+            out.reshape(out.shape[:-2] + (n * n,))[..., self.gather] = entries
+        out[dead] = 1.0 / n
+        return out
+
 
 def support_table(structure: np.ndarray) -> SupportTable:
     """The structure's :class:`SupportTable`, built once per run."""

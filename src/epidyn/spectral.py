@@ -24,10 +24,11 @@ from .sampling import support_table
 
 # The exponent's frontier gives up once the exact exponent provably takes
 # more than this many uint64 words of work (the crowd ring at N = 1000
-# takes 2^24), and the report states the Wielandt bound instead.  Dense
-# eigenvalues are taken up to EIGVALS_CAP agents (about 1 s at 1000).
+# takes 2^24), and the report states the Wielandt bound instead.  The dense
+# eigenvalues, and the dense Dobrushin row scan when every two rows meet,
+# are taken up to DENSE_CAP agents (about 1 s each at 1000).
 FRONTIER_WORDS = 1 << 26
-EIGVALS_CAP = 1000
+DENSE_CAP = 1000
 BLOCK_BYTES = 1 << 22  # the bitset rows gathered at once, in bytes
 
 
@@ -181,15 +182,6 @@ def entry_lower_bound(gamma, c_min: float) -> float:
     return min(1.0 / n, m * c_min / (n * (1.0 - n * m)))
 
 
-def _dense(entries, table, dead) -> np.ndarray:
-    # the (N, N) matrix of entries on a table, a dead row uniform
-    M = np.array(entries) if table.full else np.zeros((len(entries),) * 2)
-    if not table.full:
-        M.reshape(-1)[table.gather] = entries
-    M[dead] = 1.0 / len(M)
-    return M
-
-
 def dobrushin_coefficient(A, table=None) -> float:
     """Contraction coefficient of a row-stochastic matrix on the max-spread
     seminorm max_{i,j} |x_i - x_j|: half the largest L1 distance between rows.
@@ -204,19 +196,24 @@ def dobrushin_coefficient(A, table=None) -> float:
     is validated first (see :func:`epidyn.influence.validate_stochastic`).
     """
     entries, table, dead = _on_table(A, table, stochastic=True)
-    n = len(dead)
-    meets = _bitsets(*_graph(entries, table, True), n)  # row j: the rows with an edge to j
-    full, dead_rows = _bitsets([0, n, n + dead.sum()], np.r_[np.arange(n), np.flatnonzero(dead)], n)[:2]
-    meets[:n] |= dead_rows
-    if any((part != full).any() for _, part in _spread(meets, _graph(entries, table), dead)):
+    if _has_disjoint_rows(entries, table, dead):
         return 1.0
-    M = _dense(entries, table, dead)
+    M = table.layout(entries, dead)
     diff = np.empty_like(M)
     widest = [
         np.abs(np.subtract(M[i:], M[i], out=diff[i:]), out=diff[i:]).sum(axis=-1).max()
         for i in range(len(M))
     ]
     return float(max(widest) / 2.0)
+
+
+def _has_disjoint_rows(entries, table, dead) -> bool:
+    # whether two rows share no positive column (see dobrushin_coefficient)
+    n = len(dead)
+    meets = _bitsets(*_graph(entries, table, True), n)  # row j: the rows with an edge to j
+    full, dead_rows = _bitsets([0, n, n + dead.sum()], np.r_[np.arange(n), np.flatnonzero(dead)], n)[:2]
+    meets[:n] |= dead_rows
+    return any((part != full).any() for _, part in _spread(meets, _graph(entries, table), dead))
 
 
 def second_modulus(A) -> float:
@@ -281,8 +278,8 @@ def required_sample_size(
 class SpectralReport:
     """Summary of the contraction diagnostics of a learning matrix.
     ``skipped`` says why a field is not exact: the Wielandt bound for the
-    exponent, or None for the modulus; :meth:`to_dict` leaves out an empty
-    ``skipped`` and a None modulus."""
+    exponent, None for the modulus, or Dobrushin's upper bound 1;
+    :meth:`to_dict` leaves out an empty ``skipped`` and a None modulus."""
 
     is_primitive: bool
     primitivity_exponent: Optional[int]
@@ -304,7 +301,9 @@ def analyze(A, table=None) -> SpectralReport:
     """Spectral report for a row-stochastic matrix, dense or as its entries
     on ``table``.  The dense matrix is validated (on a table, the one laid
     out for the eigenvalues); validation admits entries down to -tol, and
-    primitivity reads them as the zero edges they round from.
+    primitivity reads them as the zero edges they round from.  Past
+    ``DENSE_CAP`` agents the modulus is omitted and Dobrushin is 1, exact at
+    a disjoint pair of rows, else an upper bound stated under ``skipped``.
     """
     entries, table, dead = _on_table(A, table, stochastic=True)
     n = len(dead)
@@ -313,12 +312,16 @@ def analyze(A, table=None) -> SpectralReport:
     if prim and k is None:
         k = (n - 1) ** 2 + 1
         skipped["primitivity_exponent"] = f"Wielandt bound (N - 1)^2 + 1: over {FRONTIER_WORDS} bitset words"
-    if n <= EIGVALS_CAP:
-        modulus = second_modulus(validate_stochastic(_dense(entries, table, dead)))
+    if n <= DENSE_CAP:
+        modulus = second_modulus(validate_stochastic(table.layout(entries, dead)))
+        dobrushin = dobrushin_coefficient(entries, table)
     else:
-        skipped["second_modulus"] = f"dense eigenvalues are taken up to N = {EIGVALS_CAP}"
+        skipped["second_modulus"] = f"dense eigenvalues are taken up to N = {DENSE_CAP}"
+        dobrushin = 1.0  # exact at a disjoint pair of rows, else the upper bound
+        if not _has_disjoint_rows(entries, table, dead):
+            skipped["dobrushin"] = f"upper bound 1: every two rows meet, and the row scan is taken up to N = {DENSE_CAP}"
     # the least of the N^2 entries: 0 off a live row narrower than N, 1/N on a dead row
     live = entries[~dead]
     low = min(live.min(initial=np.inf), 0.0 if live.size and live.shape[1] < n else np.inf,
               1.0 / n if dead.any() else np.inf)
-    return SpectralReport(prim, k, modulus, dobrushin_coefficient(entries, table), float(low), skipped)
+    return SpectralReport(prim, k, modulus, dobrushin, float(low), skipped)

@@ -27,8 +27,8 @@ from epidyn import (
     compute_credibility,
     compute_social_learning,
     dump_config,
-    equilibrium_shift,
     fit_decay_rate,
+    knowledge_distance,
     load_config,
     mean_equilibrium_shifts,
     preset,
@@ -656,7 +656,7 @@ def per_agent_shifts(setup, result):
     for eq in equilibria:
         k_eq = KnowledgeFunction(setting, setting.concepts.project(eq))
         for i, k0 in enumerate(setup.initial.functions):
-            shifts[i] += equilibrium_shift(k0, k_eq)
+            shifts[i] += knowledge_distance(k0, k_eq)
     return shifts / len(equilibria)
 
 

@@ -25,7 +25,6 @@ from epidyn import (
 )
 from epidyn.influence import (
     ZERO_ROW_GUARD,
-    _rows_or_uniform,
     credibility_from_values,
     validate_stochastic,
     validate_structure,
@@ -216,10 +215,6 @@ class TestCredibility:
         printed = FLAT_ROUND_PRINTED.copy()
         normalize_rows(FLAT_ROUND_PRINTED)
         assert np.array_equal(FLAT_ROUND_PRINTED, printed)
-        w = gamma * cred
-        w_kept = w.copy()
-        _rows_or_uniform(w, ZERO_ROW_GUARD)
-        assert np.array_equal(w, w_kept)
 
     def test_out_arrays_receive_the_results(self):
         rng = np.random.default_rng(19)
@@ -680,26 +675,56 @@ class TestNormalizeRows:
         with pytest.raises(MatrixError):
             normalize_rows(np.array([[0.5, 0.5], [bad, 0.5]]))
 
-    @pytest.mark.parametrize("guard", [0.0, ZERO_ROW_GUARD])
-    def test_rows_or_uniform_equals_masked_form(self, guard):
-        def masked(w, guard):
-            # the form with boolean-mask copies that np.divide(where=) replaced
-            sums = w.sum(axis=-1)
-            out = np.empty_like(w)
-            dead = sums <= guard
-            out[dead] = 1.0 / w.shape[-1]
-            live = ~dead
-            out[live] = w[live] / sums[live, None]
-            return out
+    @pytest.mark.parametrize("structure", ["full", "gathered"])
+    def test_equals_learning_under_unit_credibility(self, structure):
+        rng = np.random.default_rng(337)
+        for n in (2, 5, 9, 40):
+            M = rng.uniform(0.0, 4.0, (n, n))
+            if structure == "full":
+                M *= rng.random((n, n)) < 0.7
+                M[-1] = 1.0  # a row wider than N / 2
+            else:  # at most N / 2 random columns a row
+                M *= rng.random((n, n)).argsort(axis=1) < n // 2
+            M[0] = 0.0  # a dead row
+            if n > 2:
+                M[1] = 0.0
+                M[1, 0] = 1e-301  # a row summing to less than ZERO_ROW_GUARD
+            if n > 3:
+                M[2] = 0.0
+                M[2, [0, 2]] = 1e308  # a row whose sum overflows
+            assert support_table(M).full == (structure == "full")
+            with no_warnings():  # the rescue covers the overflow
+                got = normalize_rows(M)
+            assert np.array_equal(got, compute_social_learning(M, np.ones((n, n))))
+            assert np.all(got[0] == 1.0 / n)
+            if n > 2:
+                assert np.all(got[1] == 1.0 / n)
+            assert np.all(np.abs(got.sum(axis=1) - 1.0) <= 1e-15)
 
-        rng = np.random.default_rng(331)
-        for shape in [(1, 1), (5, 5), (3, 7, 7), (2, 4, 40, 40)]:
-            w = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.4)
-            w[..., 0, :] = 0.0  # dead rows in every stacked matrix
-            w.reshape(-1, shape[-1])[-1] = 1e-320  # below ZERO_ROW_GUARD
-            if shape[-1] > 1:
-                w.reshape(-1, shape[-1])[1, 0] = np.nan
-            assert np.array_equal(_rows_or_uniform(w, guard), masked(w, guard), equal_nan=True)
+
+class TestSupportTableLayout:
+    @pytest.mark.parametrize("structure", ["complete", "ring"])
+    def test_layout_equals_dense_learning(self, structure):
+        rng = np.random.default_rng(341)
+        n = 7  # rows shorter than numpy's pairwise blocks: zeros leave a sum's bits
+        if structure == "complete":
+            gamma = rng.uniform(0.0, 1.0, (n, n))
+        else:
+            gamma = np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-3)
+        gamma[0] = 0.0  # a row dead by its structure
+        cred = rng.uniform(0.0, 1.0, (3, n, n))
+        cred[1, 4] = 0.0  # a row dead by its credibility
+        table = support_table(gamma)
+        assert table.full == (structure == "complete")
+        entries = compute_social_learning(table.entries(gamma), table.entries(cred), table=table)
+        dead = ~entries.any(axis=-1)
+        assert dead[:, 0].all() and dead[1, 4] and dead.sum() == 4
+        want = dense_learning(gamma, cred)
+        assert np.array_equal(table.layout(entries, dead), want)
+        out = np.full(cred.shape, np.nan)
+        assert table.layout(entries, dead, out) is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(table.entries(out)[~dead], entries[~dead])
 
 
 class TestValidateStochastic:

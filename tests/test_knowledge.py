@@ -84,30 +84,35 @@ class TestConceptualizes:
         assert not k.conceptualizes(1)
 
 
+def penalty(k, mask=slice(None)):
+    """The usage penalty of a function's table, restricted to ``mask``."""
+    return usage_penalty(k.values[mask], k.setting.concepts)
+
+
 class TestUsagePenalty:
     def test_two_concepts_counts_one(self, flat_round):
         _, population, _ = flat_round
-        assert population[3].usage_penalty() == 1.0
+        assert penalty(population[3]) == 1.0
 
     def test_single_concept_free(self, flat_round):
         _, population, _ = flat_round
-        assert population[1].usage_penalty() == 0.0
+        assert penalty(population[1]) == 0.0
 
     def test_zero_function_free(self):
-        assert KnowledgeFunction.zero(grid_setting(4)).usage_penalty() == 0.0
+        assert penalty(KnowledgeFunction.zero(grid_setting(4))) == 0.0
 
     def test_box_span_is_hull_length(self):
         k = KnowledgeFunction(grid_setting(4), [4.0, 6.0, 4.0, 0.0])
-        assert k.usage_penalty() == 2.0
+        assert penalty(k) == 2.0
 
     def test_box_single_value_free(self):
         k = KnowledgeFunction(grid_setting(4), [3.0, 3.0, 0.0, 3.0])
-        assert k.usage_penalty() == 0.0
+        assert penalty(k) == 0.0
 
     def test_mask_restricts_tally(self, flat_round):
         _, population, _ = flat_round
         mask = np.array([True, False, False, False, False])
-        assert population[3].usage_penalty(mask) == 0.0
+        assert penalty(population[3], mask) == 0.0
 
     def test_planar_hull_area(self):
         setting = KnowledgeSetting(
@@ -115,9 +120,9 @@ class TestUsagePenalty:
         )
         k = KnowledgeFunction(setting, [[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
         # nonzero distinct points (2,0) and (0,2) are degenerate in the plane
-        assert k.usage_penalty() == 0.0
+        assert penalty(k) == 0.0
         k2 = KnowledgeFunction(setting, [[2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
-        assert k2.usage_penalty() == pytest.approx(2.0)
+        assert penalty(k2) == pytest.approx(2.0)
 
     def test_raw_table_helper(self):
         box = BoxConcepts([-10.0], [10.0])

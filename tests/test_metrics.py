@@ -13,12 +13,33 @@ from epidyn import (
     compute_social_learning,
     consensus_distance,
     dobrushin_coefficient,
-    equilibrium_shift,
     grid_setting,
+    knowledge_distance,
     nearest_individual_distance,
     relative_entropy,
 )
-from epidyn.metrics import TRACE_COLUMNS, trace_record
+from epidyn.metrics import TRACE_COLUMNS, _value_tensor, trace_record
+
+
+def oracle_consensus_distance(state) -> float:
+    """The one-population consensus distance that the stacked
+    ``metrics._distances`` replaced, kept as its oracle."""
+    V = _value_tensor(state)
+    return float(np.linalg.norm(V - V.mean(axis=0)))
+
+
+def oracle_nearest_distance(state) -> float:
+    """The one-population nearest-individual distance that the stacked
+    ``metrics._distances`` replaced, kept as its oracle."""
+    # Parallel-axis identity: sum_i |v_i - v_j|^2 = sum_i |v_i - mu|^2
+    # + N |v_j - mu|^2, so the nearest individual is the agent closest to the
+    # mean mu.  Its total is summed directly from its own differences, which
+    # are exactly zero at consensus (the identity's form would cancel).
+    V = _value_tensor(state)
+    centred = V - V.mean(axis=0)
+    j = np.argmin(np.einsum("iel,iel->i", centred, centred))
+    diffs = V - V[j]
+    return float(np.sqrt(np.einsum("iel,iel->", diffs, diffs)))
 
 
 def state_of(*levels, n_exp=5):
@@ -129,8 +150,18 @@ class TestNearestIndividualDistance:
             n = int(rng.integers(1, 30))
             state = PopulationState.from_values(setting, rng.uniform(-5, 5, size=(n, 7, 1)))
             row = trace_record(4, 1, state, None)
-            assert row[2] == consensus_distance(state)
-            assert row[3] == nearest_individual_distance(state)
+            assert row[2] == oracle_consensus_distance(state)
+            assert row[3] == oracle_nearest_distance(state)
+
+    @pytest.mark.parametrize("kind", ["box1", "box2", "integer", "duplicated", "single"])
+    def test_views_equal_the_oracles(self, kind):
+        rng = np.random.default_rng(["box1", "box2", "integer", "duplicated", "single"].index(kind) + 40)
+        populations = [random_population(kind, rng) for _ in range(100)]
+        # N = 400, E = 25: 10,000 entries, past the 8192 entries an einsum buffers
+        populations.append(rng.uniform(-5, 5, size=(400, 25, 1)))
+        for V in populations:
+            assert consensus_distance(V) == oracle_consensus_distance(V)
+            assert nearest_individual_distance(V) == oracle_nearest_distance(V)
 
     def test_trace_record_peak_memory_at_400_agents(self):
         setting = grid_setting(25)
@@ -185,13 +216,13 @@ class TestBlockTrace:
 class TestEquilibriumShift:
     def test_identical_functions(self):
         k = KnowledgeFunction.constant(grid_setting(5), 2.0)
-        assert equilibrium_shift(k, k) == 0.0
+        assert knowledge_distance(k, k) == 0.0
 
     def test_student_to_source_shift(self):
         setting = grid_setting(5)
         student = KnowledgeFunction.constant(setting, 1.0)
         source = KnowledgeFunction.constant(setting, 5.0)
-        assert equilibrium_shift(student, source) == pytest.approx(
+        assert knowledge_distance(student, source) == pytest.approx(
             math.sqrt(80), abs=1e-12
         )
 

@@ -740,12 +740,30 @@ class TestTableReport:
 
     def test_modulus_past_the_cap_is_omitted(self, monkeypatch, banded_primitive):
         lam = normalize_rows(banded_primitive)
-        monkeypatch.setattr(spectral, "EIGVALS_CAP", 3)
+        monkeypatch.setattr(spectral, "DENSE_CAP", 3)
         report = analyze(lam)
         assert report.second_modulus is None
         doc = report.to_dict()
         assert "second_modulus" not in doc and set(doc["skipped"]) == {"second_modulus"}
         assert doc["primitivity_exponent"] == 3
+
+    def test_dobrushin_past_the_cap_is_its_upper_bound(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        complete = random_stochastic(rng, 12)  # every two rows meet
+        ring = ring_lattice_learning(rng, 12, 2)  # rows 0 and 6 are disjoint
+        table = support_table(ring)
+        want = overlap_scan_dobrushin(complete)
+        assert want < 1.0 and overlap_scan_dobrushin(ring) == 1.0
+        for cap in (12, 13):  # at or below the cap, the exact coefficient
+            monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+            assert analyze(complete).dobrushin == want and not analyze(complete).skipped
+            assert analyze(ring).dobrushin == analyze(table.entries(ring), table).dobrushin == 1.0
+        monkeypatch.setattr(spectral, "DENSE_CAP", 11)
+        report = analyze(complete)
+        assert report.dobrushin == 1.0 and set(report.skipped) == {"second_modulus", "dobrushin"}
+        assert dobrushin_coefficient(complete) == want  # the public coefficient stays exact
+        for report in (analyze(ring), analyze(table.entries(ring), table)):
+            assert report.dobrushin == 1.0 and set(report.skipped) == {"second_modulus"}
 
     @pytest.mark.parametrize(
         "offsets", [range(-8, 9), (-7, -5, -3, -1, 1, 3, 5, 7), "split"],

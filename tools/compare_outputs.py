@@ -28,13 +28,18 @@ the manifest's spectral report takes its not-primitive branches:
 ``crowd-bipartite`` links each agent to the agents at the odd offsets
 ``BIPARTITE_OFFSETS`` on each side and not to itself, a structure of
 period 2 on the even ring, and ``crowd-split`` runs on two disjoint rings
-of half the agents each, a reducible structure.  The workload configs are generated once from this checkout's
-``perfbench/workloads.py``, which is only read, and given to both sides.
+of half the agents each, a reducible structure.  The workload configs
+are generated once from this checkout's ``perfbench/workloads.py``, which
+is only read, and given to both sides.  Then each checkout runs every
+``demos/*.py`` script of its own, from a directory of its own under the
+work directory and with the environment of the runs.
 
 ``trace.csv``, ``mean.csv`` and ``summary.txt`` must be byte-identical,
-and ``manifest.json`` equal without its ``created`` timestamp.  Each
-difference is printed; the exit code is 0 when there is none, 1 when
-there is one, and 2 when a checkout holds no epidyn or a run fails.
+``manifest.json`` equal without its ``created`` timestamp, and each
+demo's stdout byte-identical (a demo that only one side has differs).
+Each difference is printed; the exit code is 0 when there is none, 1 when
+there is one, and 2 when a checkout holds no epidyn or a run or a demo
+fails.
 """
 
 from __future__ import annotations
@@ -147,15 +152,41 @@ def crowd_structure_variants(workloads, seed: int) -> dict:
     return {"crowd-bipartite": dict(doc, gamma=bipartite), "crowd-split": dict(doc, gamma=split)}
 
 
-def run(src: Path, target: str, args, out: Path) -> None:
+def child_env(src: Path) -> dict:
+    """The environment of every run: ``src`` on the path, one BLAS thread
+    and no replicate workers."""
     env = {k: v for k, v in os.environ.items() if k != "EPIDYN_THREADS"}
     env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
+    return env
+
+
+def run(src: Path, target: str, args, out: Path) -> None:
     cmd = [sys.executable, "-m", "epidyn.cli", "run", target, *args, "--out", str(out)]
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, env=child_env(src), capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"{src}: `{' '.join(cmd[3:])}` exited {proc.returncode}")
+
+
+def demo_names(sources) -> list:
+    """The file names of the demo scripts of either checkout."""
+    return sorted({path.name for src in sources for path in (src.parent / "demos").glob("*.py")})
+
+
+def demo_stdout(src: Path, name: str, cwd: Path):
+    """The stdout bytes of the checkout's ``demos/<name>`` run from
+    ``cwd``, or None when the checkout has no such demo."""
+    script = src.parent / "demos" / name
+    if not script.is_file():
+        return None
+    cwd.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run([sys.executable, str(script)], env=child_env(src), cwd=cwd,
+                          capture_output=True)
+    if proc.returncode != 0:
+        sys.stderr.write((proc.stdout + proc.stderr).decode(errors="replace"))
+        raise SystemExit(f"{script} exited {proc.returncode}")
+    return proc.stdout
 
 
 def manifest(path: Path) -> dict:
@@ -185,7 +216,7 @@ def main(argv=None) -> int:
 
     cases = [(name, name, extra) for name, extra in PRESETS]
     cases += [(name, path, ()) for name, path in workload_configs(work, args.seed or [5, 12])]
-    failed = 0
+    failed = total = 0
     try:
         old, new = source_dir(args.old), source_dir(args.new)
         for name, target, extra in cases:
@@ -193,12 +224,18 @@ def main(argv=None) -> int:
             for src, out in zip((old, new), outs):
                 run(src, target, extra, out)
             found = differences(*outs)
-            failed += bool(found)
+            failed, total = failed + bool(found), total + 1
             print(f"{name}: {'differs in ' + ', '.join(found) if found else 'identical'}")
+        for name in demo_names((old, new)):
+            old_out, new_out = (demo_stdout(src, name, work / side / "demos")
+                                for src, side in ((old, "old"), (new, "new")))
+            same = old_out is not None and old_out == new_out
+            failed, total = failed + (not same), total + 1
+            print(f"demos/{name}: {'identical' if same else 'differs in stdout'}")
     except SystemExit as err:
         print(err, file=sys.stderr)
         return 2
-    print(f"{len(cases) - failed} of {len(cases)} identical; outputs in {work}")
+    print(f"{total - failed} of {total} identical; outputs in {work}")
     return 1 if failed else 0
 
 
