@@ -70,6 +70,9 @@ EXIT_RUNTIME = 3
 _CONFIG_FIELDS = {f.name for f in fields(SimulationConfig)}
 _REQUIRED_KEYS = ("gamma", "likelihood", "initial", "experiences", "concepts")
 _CONFIG_KEYS = _CONFIG_FIELDS | {*_REQUIRED_KEYS, "name", "re_target", "notes"}
+# the entries of an array that the config's JSON encoder takes at once: a
+# block's index arrays take 32 KiB each, far below glibc's mmap threshold
+JSON_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,21 +87,76 @@ class ExperimentSetup:
     re_target: Optional[np.ndarray] = None
     notes: tuple = ()
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
+        # the config document with its arrays as arrays: to_dict lists
+        # them, to_json encodes them
         doc = {
             "name": self.name,
             **asdict(self.config),
-            "gamma": np.asarray(self.structure).tolist(),
+            "gamma": np.asarray(self.structure),
             "likelihood": self.landscape.to_dict(),
-            "experiences": self.initial.setting.experiences.tolist(),
+            "experiences": self.initial.setting.experiences,
             "concepts": self.initial.setting.concepts.to_dict(),
-            "initial": self.initial.values.tolist(),
+            "initial": self.initial.values,
         }
         if self.re_target is not None:
-            doc["re_target"] = np.asarray(self.re_target).tolist()
+            doc["re_target"] = np.asarray(self.re_target)
         if self.notes:
             doc["notes"] = list(self.notes)
         return doc
+
+    def to_dict(self) -> dict:
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in self._fields().items()}
+
+    def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), sort_keys=True)``, with each array
+        encoded from its distinct entries (see :func:`_encode_array`): no
+        Python list of the structure and no Python float per entry."""
+        out = []
+        for key, value in sorted(self._fields().items()):
+            out += [", ", json.dumps(key), ": "]
+            if isinstance(value, np.ndarray):
+                _encode_array(value, out)
+            else:
+                out.append(json.dumps(value, sort_keys=True))
+        out[0] = "{"
+        out.append("}")
+        return "".join(out)
+
+
+def _encode_array(a: np.ndarray, out: list) -> None:
+    """Append the pieces of ``json.dumps(a.tolist())`` to ``out``.
+
+    The entries are taken in blocks of ``JSON_BLOCK``.  The distinct bit
+    patterns of a block, so -0.0 apart from 0.0, are encoded by one
+    ``json.dumps``; each is joined to each separator that follows an entry
+    in the block (", " inside a row, "], [" where a row ends, "]" after the
+    last entry), and the block's text is those texts taken in order.
+    """
+    if a.ndim == 0 or a.size == 0 or a.dtype.kind not in "biuf" or a.itemsize not in (1, 2, 4, 8):
+        out.append(json.dumps(a.tolist()))
+        return
+    bits = a.reshape(-1).view(f"u{a.itemsize}")
+    ends = np.array(["]" * c + ", " + "[" * c for c in range(a.ndim)] + ["]" * a.ndim], dtype=object)
+    # closes[f]: how many rows end at flat entry f, for each f of a block
+    row = a.size // len(a)
+    closes = np.zeros(row, dtype=np.int8)
+    for stride in np.cumprod(a.shape[:0:-1]):
+        closes[stride - 1 :: stride] += 1
+    closes = np.tile(closes, -(-(row + JSON_BLOCK) // row))
+    out.append("[" * a.ndim)
+    for start in range(0, a.size, JSON_BLOCK):
+        block = bits[start : start + JSON_BLOCK]
+        ending = closes[start % row : start % row + len(block)]
+        if start + len(block) == a.size:
+            ending = np.append(ending[:-1], a.ndim)
+        lo, hi = ending.min(), ending.max() + 1
+        ordered = np.sort(block)
+        patterns = ordered[np.r_[True, ordered[1:] != ordered[:-1]]]
+        texts = json.dumps(patterns.view(a.dtype).tolist())[1:-1].split(", ")
+        table = np.add.outer(np.array(texts, dtype=object), ends[lo:hi]).ravel()
+        at = np.searchsorted(patterns, block) * (hi - lo) + (ending - lo)
+        out.append("".join(table.take(at).tolist()))
 
 
 def setup_from_dict(doc: dict) -> ExperimentSetup:
@@ -151,13 +209,14 @@ def _checked_gamma(raw, n_agents: int) -> np.ndarray:
 
 
 def _target_table(raw, setting) -> np.ndarray:
-    if np.isscalar(raw):
-        return np.full((setting.n_experiences, setting.concept_dim), float(raw))
-    arr = np.asarray(raw, dtype=float)
+    shape = (setting.n_experiences, setting.concept_dim)
+    arr = np.full(shape, float(raw)) if np.isscalar(raw) else np.asarray(raw, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.shape != (setting.n_experiences, setting.concept_dim):
+    if arr.shape != shape:
         raise ConfigError("re_target must match (experiences, concept_dim)")
+    if not np.isfinite(arr).all():
+        raise ConfigError("re_target entries must be finite")
     return arr
 
 
@@ -359,13 +418,13 @@ def _git_blob_sha1(payload: bytes) -> str:
 
 
 class _Manifest(dict):
-    """A run manifest that keeps the JSON encoding of its config."""
+    """A run manifest without its config, whose JSON text it keeps as
+    ``config_json``."""
 
     def to_json(self) -> str:
-        """``json.dumps(self, sort_keys=True)``, reusing the config's
-        encoding: "config" sorts before every other key."""
-        rest = {k: v for k, v in self.items() if k != "config"}
-        return '{"config": ' + self.config_json + ", " + json.dumps(rest, sort_keys=True)[1:]
+        """The manifest as compact JSON with sorted keys: "config" sorts
+        before every other key."""
+        return "".join(['{"config": ', self.config_json, ", ", json.dumps(self, sort_keys=True)[1:]])
 
 
 def initial_report(setup: ExperimentSetup) -> spectral.SpectralReport:
@@ -382,19 +441,18 @@ def initial_report(setup: ExperimentSetup) -> spectral.SpectralReport:
 
 
 def build_manifest(setup: ExperimentSetup) -> dict:
-    """Run manifest: resolved config, initial-state spectral report, and a
-    content hash of the resolved inputs.  The timestamp is the only
-    run-to-run varying field."""
-    doc = setup.to_dict()
-    payload = json.dumps(doc, sort_keys=True)
+    """Run manifest: initial-state spectral report and a content hash of the
+    resolved config, whose text :meth:`ExperimentSetup.to_json` it keeps as
+    ``config_json``; its ``to_json`` writes all of it.  The timestamp is the
+    only run-to-run varying field."""
+    config_json = setup.to_json()
     manifest = _Manifest(
         name=setup.name,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        config=doc,
         spectral=initial_report(setup).to_dict(),
-        input_hash=_git_blob_sha1(payload.encode()),
+        input_hash=_git_blob_sha1(config_json.encode()),
     )
-    manifest.config_json = payload
+    manifest.config_json = config_json
     return manifest
 
 
@@ -471,8 +529,7 @@ def run_experiment(
         # The manifest depends on the inputs only.  Built after the run, its
         # spectral report's matrices would follow the freeing of the run's
         # read-ahead buffer, which raises malloc's mmap threshold, onto a
-        # heap that is not given back.  Compact dumps run json's C encoder;
-        # json.dump with an indent encodes the config value by value.
+        # heap that is not given back.
         manifest = build_manifest(setup).to_json()
         result = run(
             setup.config,
@@ -539,9 +596,11 @@ def resolve_target(target, overrides: Optional[dict] = None) -> ExperimentSetup:
         raise ConfigError("alpha/likelihood overrides require a preset name")
     if not isinstance(target, ExperimentSetup):
         return _with_overrides(load_config(target), overrides)
-    # a ready setup's structure is checked as a config file's is
+    # a ready setup's structure and target are checked as a config file's are
     try:
         _checked_gamma(target.structure, target.initial.n_agents)
+        if target.re_target is not None:
+            _target_table(target.re_target, target.initial.setting)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return _with_overrides(target, overrides)

@@ -29,6 +29,8 @@ def _as_points(points, name: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise problem
+    if not np.isfinite(arr).all():
+        raise KnowledgeError(f"{name} must be finite")
     return arr
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .influence import MatrixError, _square, normalize_rows, validate_stochastic
 from .knowledge import BoxConcepts, KnowledgeSetting
-from .sampling import support_table
+from .sampling import SupportTable, support_table
 
 # The exponent's frontier gives up once the exact exponent provably takes
 # more than this many uint64 words of work (the crowd ring at N = 1000
@@ -47,6 +47,24 @@ def _on_table(A, table, stochastic=False):
     if entries.shape != table.agents.shape:
         raise MatrixError(f"entries of shape {entries.shape} on a table of {table.agents.shape}")
     return entries, table, ~(entries > 0.0).any(axis=1)
+
+
+class _Edges(NamedTuple):
+    # a pattern's edges on its table, each direction built once by _graph;
+    # analyze hands it to is_primitive and dobrushin_coefficient as their table
+    table: SupportTable
+    forward: tuple
+    back: tuple
+
+
+def _edges(A, table, stochastic=False):
+    # (entries, dead rows, _Edges) of A, read as _on_table reads it; the
+    # edges are ``table``'s own when it is an _Edges
+    edges = table if isinstance(table, _Edges) else None
+    entries, table, dead = _on_table(A, table if edges is None else edges.table, stochastic)
+    if edges is None:
+        edges = _Edges(table, _graph(entries, table), _graph(entries, table, True))
+    return entries, dead, edges
 
 
 def _graph(entries, table, reverse=False):
@@ -146,12 +164,12 @@ def is_primitive(A, table=None) -> Tuple[bool, Optional[int]]:
     so the first full power is the exponent.  It is None when it would take
     more than ``FRONTIER_WORDS`` words of work.
     """
-    entries, table, dead = _on_table(A, table)
+    entries, dead, edges = _edges(A, table)
     if np.any(entries < 0.0):
         raise MatrixError("primitivity is defined for nonnegative matrices")
-    graph = _graph(entries, table)
+    graph = edges.forward
     level = _levels(graph, [0], dead)
-    back = _levels(_graph(entries, table, True), np.r_[0, np.flatnonzero(dead)], np.zeros_like(dead))
+    back = _levels(edges.back, np.r_[0, np.flatnonzero(dead)], np.zeros_like(dead))
     tails = np.repeat(np.arange(len(dead)), np.diff(graph[0]))
     # a dead row has the self-loop i -> i, which makes the gcd 1
     period = 1 if dead.any() else np.gcd.reduce(level[tails] + 1 - level[graph[1]])
@@ -195,10 +213,10 @@ def dobrushin_coefficient(A, table=None) -> float:
     so the result matches the full N^3 tensor to the bit.  A dense matrix
     is validated first (see :func:`epidyn.influence.validate_stochastic`).
     """
-    entries, table, dead = _on_table(A, table, stochastic=True)
-    if _has_disjoint_rows(entries, table, dead):
+    entries, dead, edges = _edges(A, table, stochastic=True)
+    if _has_disjoint_rows(edges, dead):
         return 1.0
-    M = table.layout(entries, dead)
+    M = edges.table.layout(entries, dead)
     diff = np.empty_like(M)
     widest = [
         np.abs(np.subtract(M[i:], M[i], out=diff[i:]), out=diff[i:]).sum(axis=-1).max()
@@ -207,13 +225,13 @@ def dobrushin_coefficient(A, table=None) -> float:
     return float(max(widest) / 2.0)
 
 
-def _has_disjoint_rows(entries, table, dead) -> bool:
+def _has_disjoint_rows(edges, dead) -> bool:
     # whether two rows share no positive column (see dobrushin_coefficient)
     n = len(dead)
-    meets = _bitsets(*_graph(entries, table, True), n)  # row j: the rows with an edge to j
+    meets = _bitsets(*edges.back, n)  # row j: the rows with an edge to j
     full, dead_rows = _bitsets([0, n, n + dead.sum()], np.r_[np.arange(n), np.flatnonzero(dead)], n)[:2]
     meets[:n] |= dead_rows
-    return any((part != full).any() for _, part in _spread(meets, _graph(entries, table), dead))
+    return any((part != full).any() for _, part in _spread(meets, edges.forward, dead))
 
 
 def second_modulus(A) -> float:
@@ -305,20 +323,20 @@ def analyze(A, table=None) -> SpectralReport:
     ``DENSE_CAP`` agents the modulus is omitted and Dobrushin is 1, exact at
     a disjoint pair of rows, else an upper bound stated under ``skipped``.
     """
-    entries, table, dead = _on_table(A, table, stochastic=True)
+    entries, dead, edges = _edges(A, table, stochastic=True)
     n = len(dead)
-    prim, k = is_primitive(np.maximum(entries, 0.0), table)
+    prim, k = is_primitive(np.maximum(entries, 0.0), edges)
     modulus, skipped = None, {}
     if prim and k is None:
         k = (n - 1) ** 2 + 1
         skipped["primitivity_exponent"] = f"Wielandt bound (N - 1)^2 + 1: over {FRONTIER_WORDS} bitset words"
     if n <= DENSE_CAP:
-        modulus = second_modulus(validate_stochastic(table.layout(entries, dead)))
-        dobrushin = dobrushin_coefficient(entries, table)
+        modulus = second_modulus(validate_stochastic(edges.table.layout(entries, dead)))
+        dobrushin = dobrushin_coefficient(entries, edges)
     else:
         skipped["second_modulus"] = f"dense eigenvalues are taken up to N = {DENSE_CAP}"
         dobrushin = 1.0  # exact at a disjoint pair of rows, else the upper bound
-        if not _has_disjoint_rows(entries, table, dead):
+        if not _has_disjoint_rows(edges, dead):
             skipped["dobrushin"] = f"upper bound 1: every two rows meet, and the row scan is taken up to N = {DENSE_CAP}"
     # the least of the N^2 entries: 0 off a live row narrower than N, 1/N on a dead row
     live = entries[~dead]

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,18 @@ from epidyn import (
     TabularLikelihood,
 )
 from epidyn.influence import ZERO_ROW_GUARD, _key_rows
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def perfbench_workloads():
+    """The benchmark's workload generator, perfbench/workloads.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 @pytest.fixture

@@ -3,11 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import astuple, fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epidyn import experiments
 from epidyn import (
@@ -39,7 +43,7 @@ from epidyn import (
 from epidyn.cli import main as cli_main
 from epidyn.experiments import build_manifest, resolve_target, worker_count
 
-from conftest import dense_learning, unfused_credibility
+from conftest import dense_learning, perfbench_workloads, unfused_credibility
 
 
 class TestPresets:
@@ -195,6 +199,101 @@ class TestConfigFiles:
         assert s.re_target.shape == (25, 1)
 
 
+def workload_setup(name, seed=5):
+    return setup_from_dict(perfbench_workloads().generate(name, seed))
+
+
+def encoded(a):
+    out = []
+    experiments._encode_array(a, out)
+    return "".join(out)
+
+
+# entries whose texts differ in form, a pair of them equal in value only
+ENTRIES = [0.0, -0.0, 1.0, 5e-324, 1e16, 1e-5, 0.1, -2.5, math.nan, math.inf, -math.inf]
+SHAPES = st.one_of(
+    st.tuples(st.integers(1, 12)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(1, 4), st.integers(1, 5), st.sampled_from([1, 2])),
+)
+
+# arrays that are not C-ordered float64 with entries, or have none
+OTHER_ARRAYS = {
+    "scalar": np.float64(2.5),
+    "zero-d": np.array(-0.0),
+    "empty": np.zeros((0,)),
+    "empty-rows": np.zeros((3, 0)),
+    "no-rows": np.zeros((0, 4)),
+    "int": np.arange(-3, 9).reshape(3, 4),
+    "bool": np.eye(3, dtype=bool),
+    "uint8": np.arange(6, dtype=np.uint8),
+    "float32": np.linspace(0, 1, 12, dtype=np.float32).reshape(2, 6),
+    "strided": np.arange(5.0)[::2],
+    "transposed": np.arange(6.0).reshape(2, 3).T,
+    "big-endian": np.array([1.5, -0.0], dtype=">f8"),
+}
+
+SETUPS = {
+    **{name: (lambda name=name: preset(name)) for name in experiments.PRESET_NAMES},
+    "test2-professor-constant": lambda: preset("test2-professor", likelihood="constant"),
+    **{f"bench-{name}": (lambda name=name: workload_setup(name))
+       for name in ("creation", "crowd", "naming")},
+}
+
+
+class TestConfigJson:
+    """The manifest's config text is encoded from the setup's arrays, one
+    ``json.dumps`` per distinct entry of a block, and must equal the
+    one-shot ``json.dumps(setup.to_dict(), sort_keys=True)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shape=SHAPES, data=st.data(), block=st.sampled_from([1, 3, 7, 4096]))
+    def test_array_text_equals_dumps(self, shape, data, block):
+        size = math.prod(shape)
+        entry = st.sampled_from(ENTRIES) | st.floats()
+        a = np.array(data.draw(st.lists(entry, min_size=size, max_size=size))).reshape(shape)
+        with mock.patch.object(experiments, "JSON_BLOCK", block):
+            assert encoded(a) == json.dumps(a.tolist())
+
+    @pytest.mark.parametrize("shape", [(5000,), (3, 5000), (1, 25, 2), (400, 25, 1), (9000, 1)])
+    def test_many_repeats_across_blocks(self, shape):
+        rng = np.random.default_rng(len(shape))
+        a = np.array(ENTRIES)[rng.integers(0, len(ENTRIES), shape)]
+        assert encoded(a) == json.dumps(a.tolist())
+
+    @pytest.mark.parametrize("name", sorted(OTHER_ARRAYS))
+    def test_other_arrays_equal_dumps(self, name):
+        a = np.asarray(OTHER_ARRAYS[name])
+        assert encoded(a) == json.dumps(a.tolist())
+
+    @pytest.mark.parametrize("name", sorted(SETUPS))
+    def test_config_text_and_hash_equal_the_dict_dump(self, name):
+        setup = SETUPS[name]()
+        want = json.dumps(setup.to_dict(), sort_keys=True)
+        manifest = build_manifest(setup)
+        assert setup.to_json() == manifest.config_json == want
+        assert manifest["input_hash"] == experiments._git_blob_sha1(want.encode())
+
+    def test_cli_path_lists_no_array(self, tmp_path, monkeypatch):
+        # the manifest's config text comes from the arrays, not to_dict
+        cfg = tmp_path / "c.json"
+        dump_config(preset("test3-creation", replicates=1, horizon=2), cfg)
+        monkeypatch.setattr(ExperimentSetup, "to_dict", lambda self: pytest.fail("to_dict"))
+        assert cli_main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+    def test_crowd_manifest_peak(self):
+        # to_dict()'s lists and their one-shot dump peaked at 9.8 MiB
+        setup = workload_setup("crowd")
+        build_manifest(setup)
+        tracemalloc.start()
+        try:
+            build_manifest(setup)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
+
 class TestRunExperiment:
     def out_files(self, d):
         return sorted(os.listdir(d))
@@ -254,6 +353,14 @@ class TestRunExperiment:
         with pytest.raises(ConfigError) as err:
             setup_from_dict(doc)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("target", [math.nan, np.full((25, 1), math.inf)], ids=["nan", "inf"])
+    def test_ready_setup_with_non_finite_target_is_validation_error(self, tmp_path, capsys, target):
+        setup = replace(preset("test3-creation", replicates=1, horizon=2), re_target=target)
+        out = tmp_path / "out"
+        assert run_experiment(setup, out) == 2
+        assert capsys.readouterr().out == "error: re_target entries must be finite\n"
+        assert not out.exists()
 
     def test_manifest_is_built_before_the_run(self, tmp_path, monkeypatch):
         calls = []
@@ -318,12 +425,13 @@ class TestRunExperiment:
         # the written manifest
         setup = preset(name, replicates=1, horizon=2)
         manifest = build_manifest(setup)
-        assert manifest.to_json() == json.dumps(manifest, sort_keys=True)
+        whole = dict(manifest, config=setup.to_dict())
+        assert manifest.to_json() == json.dumps(whole, sort_keys=True)
         out = tmp_path / "out"
         assert run_experiment(setup, out, quiet=True) == 0
         text = (out / "manifest.json").read_text()
-        manifest["created"] = json.loads(text)["created"]
-        assert text == json.dumps(manifest, sort_keys=True) + "\n"
+        whole["created"] = json.loads(text)["created"]
+        assert text == json.dumps(whole, sort_keys=True) + "\n"
 
     def test_same_seed_byte_identical_outside_manifest(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -478,6 +586,12 @@ MALFORMED = {
     "center-length": _edit_likelihood(center=[1.0, 2.0]),
     "tabular-on-box": _set("likelihood", {"variant": "tabular", "table": [[0.5, 1.0]] * 5}),
     "tabular-shape": _discrete_with_table(5, 2),
+    "experiences-nan": _set("experiences", [[1.0], [2.0], [math.nan], [4.0], [5.0]]),
+    "experiences-inf": _set("experiences", [[1.0], [2.0], [3.0], [4.0], [math.inf]]),
+    "re_target-nan": _set("re_target", math.nan),
+    "re_target-inf": _set("re_target", -math.inf),
+    "re_target-entry-nan": _set("re_target", [[1.0], [math.nan], [1.0], [1.0], [1.0]]),
+    "re_target-entry-inf": _set("re_target", [1.0, 1.0, 1.0, math.inf, 1.0]),
     "gamma-nan": _gamma_entry(math.nan),
     "gamma-inf": _gamma_entry(math.inf),
     "notes-number": _set("notes", 5),

@@ -1,9 +1,7 @@
-import importlib.util
 import itertools
 import math
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,9 +29,7 @@ from epidyn.experiments import build_manifest, initial_report, setup_from_dict
 from epidyn.influence import validate_stochastic
 from epidyn.sampling import support_table
 
-from conftest import random_stochastic
-
-ROOT = Path(__file__).resolve().parents[1]
+from conftest import perfbench_workloads, random_stochastic
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -205,15 +201,6 @@ def disjoint_rows_oracle(A):
     """Whether two rows share no positive column, by set intersection."""
     supports = [set(np.flatnonzero(np.asarray(row) > 0.0)) for row in A]
     return any(not (a & b) for a, b in itertools.combinations(supports, 2))
-
-
-def perfbench_workloads():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return workloads
 
 
 def wielandt_matrix(n):
@@ -764,6 +751,27 @@ class TestTableReport:
         assert dobrushin_coefficient(complete) == want  # the public coefficient stays exact
         for report in (analyze(ring), analyze(table.entries(ring), table)):
             assert report.dobrushin == 1.0 and set(report.skipped) == {"second_modulus"}
+
+    @pytest.mark.parametrize("cap", [11, 12])
+    @pytest.mark.parametrize("kind", ["complete", "ring"])
+    def test_report_builds_each_edge_direction_once(self, monkeypatch, cap, kind):
+        # is_primitive and the disjoint-row search share one _graph pass
+        # each way, within the cap and past it
+        rng = np.random.default_rng(44)
+        M = random_stochastic(rng, 12) if kind == "complete" else ring_lattice_learning(rng, 12, 2)
+        want = analyze(M)
+        calls = []
+        build = spectral._graph
+        monkeypatch.setattr(spectral, "_graph", lambda *a: calls.append(a[2:]) or build(*a))
+        monkeypatch.setattr(spectral, "DENSE_CAP", cap)
+        report = analyze(M)
+        assert sorted(calls) == [(), (True,)]
+        if cap == 12:
+            assert report == want
+        calls.clear()
+        assert is_primitive(M) == (want.is_primitive, want.primitivity_exponent)
+        assert dobrushin_coefficient(M) == want.dobrushin
+        assert sorted(calls) == [(), (), (True,), (True,)]
 
     @pytest.mark.parametrize(
         "offsets", [range(-8, 9), (-7, -5, -3, -1, 1, 3, 5, 7), "split"],

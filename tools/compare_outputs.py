@@ -28,7 +28,11 @@ the manifest's spectral report takes its not-primitive branches:
 ``crowd-bipartite`` links each agent to the agents at the odd offsets
 ``BIPARTITE_OFFSETS`` on each side and not to itself, a structure of
 period 2 on the even ring, and ``crowd-split`` runs on two disjoint rings
-of half the agents each, a reducible structure.  The workload configs
+of half the agents each, a reducible structure.  ``crowd-weights`` gives
+the crowd ring many distinct positive weights, one ``-0.0`` entry off the
+ring and one ``5e-324`` entry, and writes the self weights as the JSON
+integer 1, which the manifest echoes as 1.0, so that both sides encode a
+config echo of many distinct values.  The workload configs
 are generated once from this checkout's ``perfbench/workloads.py``, which
 is only read, and given to both sides.  Then each checkout runs every
 ``demos/*.py`` script of its own, from a directory of its own under the
@@ -68,6 +72,7 @@ HOLE_SHARE = 1 / 3  # the share of initial entries the crowd-holes variant sets 
 NAMING_REPS = 3  # the replicates of the naming-reps variant
 CROWD_CHUNKS = 7  # the replicates of the crowd-chunks variant
 BIPARTITE_OFFSETS = (1, 3, 5, 7)  # each side, of the crowd-bipartite structure
+WEIGHT_RANGE = (0.5, 2.0)  # of the crowd-weights ring's weights off the diagonal
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -98,6 +103,7 @@ def workload_configs(work: Path, seeds) -> list:
         docs["crowd-chunks"] = dict(docs["crowd"], replicates=CROWD_CHUNKS, horizon=3)
         docs["naming-drop"] = dict(docs["naming"], drop_zero_social=True)
         docs.update(crowd_structure_variants(workloads, seed))
+        docs["crowd-weights"] = crowd_weights_variant(workloads, seed)
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -150,6 +156,22 @@ def crowd_structure_variants(workloads, seed: int) -> dict:
     pad = [0.0] * (n // 2)
     split = [row + pad for row in half] + [pad + row for row in half]
     return {"crowd-bipartite": dict(doc, gamma=bipartite), "crowd-split": dict(doc, gamma=split)}
+
+
+def crowd_weights_variant(workloads, seed: int) -> dict:
+    """The crowd config with each ring weight off the diagonal drawn from
+    ``WEIGHT_RANGE`` by the seed alone, each self weight the integer 1, and
+    two more entries off the ring: -0.0 in row 0 and 5e-324 in row 1."""
+    doc = workloads.generate("crowd", seed)
+    rng = random.Random(f"crowd-weights:{seed}")
+    n = len(doc["gamma"])
+    for i, row in enumerate(doc["gamma"]):
+        for j, weight in enumerate(row):
+            if weight:
+                row[j] = 1 if i == j else rng.uniform(*WEIGHT_RANGE)
+    doc["gamma"][0][n // 2] = -0.0
+    doc["gamma"][1][n // 2] = 5e-324
+    return doc
 
 
 def child_env(src: Path) -> dict:
