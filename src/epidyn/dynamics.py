@@ -235,6 +235,7 @@ _AS241 = np.array([
 ])
 
 _POWERS = np.arange(7.0, -1.0, -1.0)
+_SHIFTS = np.array([0.0, 1.6, 5.0])  # r = s - shift in each tail range
 _SQRT2 = math.sqrt(2.0)
 _TINY = np.finfo(float).tiny
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -252,14 +253,15 @@ def _normal_ppf(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     q = p - 0.5
     s = np.sqrt(-np.log(np.maximum(np.minimum(p, 1.0 - p), _TINY)))
-    central, far = np.abs(q) <= 0.425, s > 5.0
-    r = np.where(central, 0.180625 - q * q, s - np.where(far, 5.0, 1.6))
+    tail = np.abs(q) > 0.425
+    branch = np.add(tail, s > 5.0, dtype=np.intp)  # 0 central (s < 1.7), 1 near, 2 far tail
+    r = np.where(tail, s - _SHIFTS.take(branch), 0.180625 - q * q)
     # each entry's numerator and denominator as power sums along the last
     # axis, so an entry rounds alike whatever the array's shape
-    terms = _AS241[np.where(central, 0, 1 + far)] * r[..., None, None] ** _POWERS
-    sums = terms.sum(axis=-1)
+    terms = _AS241.take(branch, axis=0) * r[..., None, None] ** _POWERS
+    sums = np.add.reduce(terms, axis=-1)
     ratio = sums[..., 0] / sums[..., 1]
-    return np.where(central, q * ratio, np.copysign(ratio, q))
+    return np.where(tail, np.copysign(ratio, q), q * ratio)
 
 
 def _truncated_gaussian(u, centers: np.ndarray, sigma_c: float, box: BoxConcepts) -> np.ndarray:
@@ -272,8 +274,7 @@ def _truncated_gaussian(u, centers: np.ndarray, sigma_c: float, box: BoxConcepts
     cancellation, and the smaller of p and 1 - p is inverted, so far tails
     keep their precision; the final projection only absorbs rounding.
     """
-    below = _normal_cdf((box.lo - centers) / sigma_c)
-    above = _normal_cdf((centers - box.hi) / sigma_c)
+    below, above = _normal_cdf(np.array([box.lo - centers, centers - box.hi]) / sigma_c)
     inside = 1.0 - below - above
     p = below + u * inside
     q = above + (1.0 - u) * inside
@@ -311,7 +312,7 @@ def draw_sample(
     cumulative = np.asarray(learning, dtype=float)[i].cumsum()[None]
     sources = np.minimum(search_rows(cumulative, block[:, m : 2 * m]), n - 1)
     e_idx, concepts, keep = _draw_rows(
-        state.setting, state.values[None], config, block, sources, [i], kernel
+        state.setting, state.values[None], config, block, sources, np.array([i]), kernel
     )
     keep = slice(None) if keep is None else keep[0]
     return Sample(e_idx[0, keep], concepts[0, keep])
@@ -343,8 +344,6 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None, sup
     n_exp, dim = values.shape[2:]
     flat = values.reshape(-1, n_exp, dim)
     m = config.sample_size
-    box = isinstance(setting.concepts, BoxConcepts)
-    agents = np.asarray(agents)
     u = block.reshape(len(agents), -1, m)
 
     # the products cast to integers (truncated) as they are written, with
@@ -367,8 +366,9 @@ def _draw_rows(setting, values, config, block, sources, agents, kernel=None, sup
         # rows of cum are nondecreasing, so the count of entries <= u is the
         # right-side searchsorted position
         below = cum <= (u[rows, 1, slots] * cum[:, -1])[:, None]
-        picked = np.minimum(below.sum(axis=1), n_exp - 1)
+        picked = np.minimum(np.add.reduce(below, axis=1), n_exp - 1)
         e_idx[rows, slots] = picked
+        box = isinstance(setting.concepts, BoxConcepts)
         explore = _truncated_gaussian if box else _discrete_gaussian
         centers = flat[agents[rows], picked]
         concepts[rows, slots] = explore(u[rows, 2:, slots], centers, config.sigma_c, setting.concepts)
@@ -388,7 +388,7 @@ def _exploration_weights(values: np.ndarray, kernel: np.ndarray, support=None) -
     """
     if support is None:
         support = values.any(axis=-1)
-    weights = support @ kernel + ~support.any(axis=-1, keepdims=True)
+    weights = support @ kernel + ~np.logical_or.reduce(support, axis=-1, keepdims=True)
     return weights.reshape(-1, kernel.shape[0])
 
 
@@ -416,15 +416,15 @@ def _refit(setting, values, e_idx, concepts, keep, cells=None) -> np.ndarray:
         cells = n_exp * np.arange(n)[:, None]
     cells, observed = (e_idx + cells).reshape(-1), concepts.reshape(-1, dim)
     if keep is not None:  # by take: a boolean-mask gather of (K, m) rows is far slower
-        kept = np.flatnonzero(keep)
+        kept = keep.reshape(-1).nonzero()[0]
         cells, observed = cells.take(kept), observed.take(kept, axis=0)
-    new_values = np.array(values, copy=True)
+    new_values = values.copy()
     table = new_values.reshape(-1, dim)
     differs = np.zeros(len(cells), dtype=bool)
     for column, c in zip(table.T, observed.T):
         column[cells] = c  # of a cell's observations, the last written stays
         differs |= column.take(cells) != c
-    divided = np.flatnonzero(np.bincount(cells, weights=differs, minlength=len(table)) > 0.0)
+    divided = (np.bincount(cells, weights=differs, minlength=len(table)) > 0.0).nonzero()[0]
     if len(divided):
         counts = np.bincount(cells, minlength=len(table)).take(divided)
         means = np.empty((len(divided), dim))
@@ -440,20 +440,23 @@ def _refit(setting, values, e_idx, concepts, keep, cells=None) -> np.ndarray:
 class StepPlan(NamedTuple):
     """What every step of a run shares, built once for the run by
     :func:`step_plan` for (R, N, E) = ``shape`` stacks: the validated
-    ``structure``, its support ``table`` and the ``entries`` of the
-    structure on it, the source search's
-    :func:`~epidyn.sampling.stream_offsets` (``start``, ``base``,
-    ``columns``), the refit's ``cells`` offsets, one per agent of the
-    stack, and the (R, N, k) ``scratch`` on the table that each step's
-    credibility, learning and cumulative sums are written to in turn."""
+    ``structure``, its support ``table`` and its rows i with an entry (i, i)
+    (``diagonal``), the structure's ``entries`` on it and their ``top``, the
+    source search's :func:`~epidyn.sampling.stream_offsets`, the stack's flat
+    ``agents`` r * N + a and the refit's ``cells`` offsets, and the (R, N, k)
+    ``scratch`` that each step's credibility, learning and cumulative sums
+    are written to in turn."""
 
     shape: Tuple[int, int, int]
     structure: np.ndarray
     table: SupportTable
+    diagonal: np.ndarray
     entries: np.ndarray
+    top: float
     start: np.ndarray
     base: np.ndarray
     columns: np.ndarray
+    agents: np.ndarray
     cells: np.ndarray
     scratch: np.ndarray
 
@@ -463,11 +466,13 @@ def step_plan(structure: np.ndarray, n_pops: int, n_exp: int) -> StepPlan:
     under an already validated ``structure``."""
     n = len(structure)
     table = support_table(structure)
+    diagonal = table.own // table.agents.shape[1]
     entries = table.entries(structure)
     offsets = stream_offsets(n_pops * n, table)
-    cells = n_exp * np.arange(n_pops * n)[:, None]
+    agents = np.arange(n_pops * n)
     scratch = np.empty((n_pops,) + table.agents.shape)
-    return StepPlan((n_pops, n, n_exp), structure, table, entries, *offsets, cells, scratch)
+    return StepPlan((n_pops, n, n_exp), structure, table, diagonal, entries, float(entries.max()),
+                    *offsets, agents, n_exp * agents[:, None], scratch)
 
 
 def _checked_structure(structure, n: int) -> np.ndarray:
@@ -515,16 +520,16 @@ def step(
     # the agents' nonzero masks, for the credibility, likelihoods and exploration
     support = np.logical_or.reduce(stack != 0.0, axis=-1)
     cred = credibility_from_values(
-        state.setting, stack, landscape, config.c_min, table, plan.scratch, support
+        state.setting, stack, landscape, config.c_min, table, plan.scratch, support, plan.diagonal
     )
-    learning = compute_social_learning(plan.entries, cred, cred, table, checked=True)
-    offsets, cells = (plan.start, plan.base, plan.columns), plan.cells
+    learning = compute_social_learning(plan.entries, cred, cred, table, gamma_max=plan.top)
+    offsets, agents, cells = (plan.start, plan.base, plan.columns), plan.agents, plan.cells
     del cred, plan  # a step's own plan is not held through the draws
     block = uniforms(rngs, _block_width(state.setting) * m)
     sources = pick_sources(learning, block[:, m : 2 * m], table, offsets)
     del learning  # spent
     e_idx, concepts, keep = _draw_rows(
-        state.setting, stack, config, block, sources, np.arange(n_pops * n), kernel, support
+        state.setting, stack, config, block, sources, agents, kernel, support
     )
     del block, sources  # spent: not held through the refit
     new_values = _refit(

@@ -57,8 +57,8 @@ def _checked_max(M: np.ndarray, name: str) -> float:
     # one max check that every entry is finite and nonnegative (NaN fails)
     if M.size == 0:
         return 0.0
-    top = float(M.max())
-    if not (M.min() >= 0.0 and top < np.inf):
+    top = float(np.maximum.reduce(M, axis=None))  # M.max(), without its wrapper
+    if not (np.minimum.reduce(M, axis=None) >= 0.0 and top < np.inf):
         raise MatrixError(f"{name} must be finite and nonnegative")
     return top
 
@@ -105,6 +105,7 @@ def compute_credibility(
 def credibility_from_values(
     setting, values: np.ndarray, landscape, c_min: float, table: SupportTable,
     out: Optional[np.ndarray] = None, support: Optional[np.ndarray] = None,
+    diagonal: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Tensor form of :func:`compute_credibility` for a prestacked
     (..., N, n_experiences, l) value array: the (..., N, k) entries of one
@@ -113,16 +114,16 @@ def credibility_from_values(
     The elementwise work runs on the rows of the distinct (population,
     mask) keys (see :func:`_key_rows`), gathered on the table once; an
     entry (i, i), which carries no penalty, is max(exp(L_ii), c_min).
-    ``support``, the stack's (..., N, n_experiences) nonzero mask, may come
-    computed."""
+    The stack's (..., N, n_experiences) nonzero mask ``support`` and the
+    table's rows i with an entry (i, i), ``diagonal``, may come computed."""
     if support is None:
         support = np.logical_or.reduce(values != 0.0, axis=-1)  # np.any, without its wrapper
     lik = landscape.per_population(setting, values, support)
     cred, pen, owner = _key_rows(setting, values, support, lik)
     np.exp(cred, out=cred)
     n, width = table.agents.shape
-    diagonal = table.own // width  # the rows i with an entry (i, i)
-    diag = cred.take(owner[..., diagonal] * n + diagonal)
+    diagonal = table.own // width if diagonal is None else diagonal
+    diag = cred.take(owner.take(diagonal, axis=-1) * n + diagonal)
     pen += 1.0
     np.divide(cred, pen, out=cred)
     np.maximum(cred, c_min, out=cred)
@@ -155,9 +156,9 @@ def _key_rows(setting, values: np.ndarray, support: np.ndarray, lik: np.ndarray)
     pen = _penalty_rows(setting, values, support, masks, bounds)
     sel = masks.astype(float)
     positive = lik > 0.0
-    safe_log = np.where(positive, np.log(np.where(positive, lik, 1.0)), 0.0)
-    safe_log = safe_log.reshape(-1, n, n_exp)
     zero = None if positive.all() else (~positive).reshape(-1, n, n_exp).astype(float)
+    lik = lik if zero is None else np.where(positive, lik, 1.0)  # log 1 = 0 at an exact zero
+    safe_log = np.log(lik).reshape(-1, n, n_exp)
     log = np.empty((len(masks), n))
     for p, (s, e) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(sel[s:e], safe_log[p].T, out=log[s:e])
@@ -200,7 +201,7 @@ def _penalty_rows(setting, values, support, masks, bounds) -> np.ndarray:
         # masks in blocks, so the (2, masks, E, N) slab stays near one megabyte;
         # a mask that meets none of j's concepts spans -inf + -inf = -inf
         block = max(1, (1 << 16) // (n * n_exp))
-        pop = np.repeat(np.arange(len(spans)), np.diff(bounds))
+        pop = np.arange(len(spans)).repeat(np.subtract(bounds[1:], bounds[:-1]))
         for s in range(0, len(masks), block):
             part, own = masks[s : s + block, :, None], pop[s : s + block]
             ends = np.maximum.reduce(signed[:, own], axis=-2, where=part, initial=-np.inf)
@@ -217,7 +218,7 @@ def _penalty_rows(setting, values, support, masks, bounds) -> np.ndarray:
 
 def compute_social_learning(
     gamma, credibility, out: Optional[np.ndarray] = None, table: Optional[SupportTable] = None,
-    *, checked: bool = False,
+    *, gamma_max: Optional[float] = None,
 ) -> np.ndarray:
     """Row-stochastic learning matrix from structure and credibility.
 
@@ -227,8 +228,9 @@ def compute_social_learning(
     finite nonnegative input gives stochastic rows; every other row keeps
     the bits of the plain quotient.  ``credibility`` may stack (N, N)
     matrices along leading axes, one per population; the structure is
-    validated once for all of them, or not at all when ``checked`` says a
-    caller has validated it already (a run does, once for all its steps).
+    validated once for all of them, or not at all when a caller that has
+    validated it already passes its largest entry ``gamma_max`` (a run
+    does, once for all its steps).
     ``out``, if given, is the float array of the credibility's shape the
     result is written to; it may be the credibility itself.
 
@@ -240,29 +242,32 @@ def compute_social_learning(
     G = np.asarray(gamma, dtype=float)
     C = np.asarray(credibility, dtype=float)
     if table is not None:
-        return _learning(G, C, out, table, checked)[0]
-    G = G if checked else validate_structure(G)
+        return _learning(G, C, out, table, gamma_max)[0]
+    G = G if gamma_max is not None else validate_structure(G)
     if C.shape[-2:] != G.shape:
         raise MatrixError(f"dimension mismatch: structure {G.shape}, credibility {C.shape}")
     _checked_max(C, "credibility entries")  # off the table too
     table = support_table(G)
-    entries, dead = _learning(table.entries(G), table.entries(C), None, table, True)
-    return table.layout(entries, dead, out)
+    G, C = table.entries(G), table.entries(C)
+    top = float(G.max()) if gamma_max is None else gamma_max
+    # a full table's entries are the matrices, so the products are the result
+    entries, dead = _learning(G, C, out if table.full else None, table, top)
+    return table.layout(entries, dead, entries if table.full else out)
 
 
-def _learning(G, C, out, table, checked):
+def _learning(G, C, out, table, gamma_max):
     # compute_social_learning on the table, and the mask of its dead rows
     if G.shape != table.agents.shape or C.shape[-2:] != G.shape:
         raise MatrixError(
             f"dimension mismatch: structure entries {G.shape} on a table of "
             f"{table.agents.shape}, credibility {C.shape}"
         )
-    top = float(G.max()) if checked else _checked_max(G, "structure entries")
+    top = _checked_max(G, "structure entries") if gamma_max is None else gamma_max
     # Python floats: a product past the range is inf, with no warning
     top *= _checked_max(C, "credibility entries")
     if top * G.shape[-1] < 1e308:  # no product, nor a sum of k of them, overflows
         w = np.multiply(G, C, out=out)
-        sums = w.sum(axis=-1)
+        sums = np.add.reduce(w, axis=-1)  # w.sum(axis=-1), without its wrapper
     else:
         w, sums = _rescued_products(G, C, out)
     dead = sums <= ZERO_ROW_GUARD

@@ -65,6 +65,8 @@ class BoxConcepts:
         hi = np.atleast_1d(np.asarray(hi, dtype=float))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise KnowledgeError("box bounds must be vectors of equal length")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise KnowledgeError("box bounds must be finite")
         if not (np.all(lo <= 0.0) and np.all(hi >= 0.0)):
             raise KnowledgeError("concept box must contain the origin (lo <= 0 <= hi)")
         if not np.all(lo <= hi):
@@ -84,8 +86,8 @@ class BoxConcepts:
         return np.all((v >= self.lo) & (v <= self.hi), axis=-1)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Nearest box point to each row of an (..., l) array: a clip."""
-        return np.clip(values, self.lo, self.hi)
+        """Nearest box point to each row of an (..., l) array: a clip (np.clip's method)."""
+        return values.clip(self.lo, self.hi)
 
     def to_dict(self) -> dict:
         return {"type": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
@@ -390,7 +392,7 @@ class GaussianPeakLikelihood(LikelihoodLandscape):
         # plain reductions: np.sum and np.any cost more in wrappers than in work here
         if support is None:
             support = np.logical_or.reduce(v != 0.0, axis=-1)
-        d2 = ((v - self.center) ** 2).sum(axis=-1)
+        d2 = np.add.reduce((v - self.center) ** 2, axis=-1)
         out = np.exp(-d2 / self.width)
         out[~support] = 0.5
         return out

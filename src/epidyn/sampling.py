@@ -195,7 +195,7 @@ def search_rows(cumulative: np.ndarray, u: np.ndarray, start=None) -> np.ndarray
     flat = cumulative.reshape(-1)
     if start is None:
         start = np.arange(0, rows * width, width)[:, None]
-    pos = np.repeat(start, u.shape[1], axis=1)
+    pos = start.repeat(u.shape[1], axis=1)
     below = np.empty(u.shape, dtype=bool)
     n = width
     while n > 1:
@@ -205,7 +205,7 @@ def search_rows(cumulative: np.ndarray, u: np.ndarray, start=None) -> np.ndarray
         entry = flat[half:].take(pos)
         np.less_equal(entry, u, out=below)
         steps = entry.view(np.intp)
-        np.copyto(steps, below)  # a cast with no ufunc buffer
+        steps[...] = below  # a cast with no ufunc buffer
         steps *= half
         pos += steps
         del entry, steps  # not held through the next round's take
@@ -264,11 +264,12 @@ class SupportTable(NamedTuple):
     def layout(self, entries: np.ndarray, dead: np.ndarray, out=None) -> np.ndarray:
         """The (..., N, N) matrices of (..., N, k) ``entries`` that are 0 in
         a row's padding, 0 off the table and a row of the (..., N) mask
-        ``dead`` the uniform row 1/N, written to ``out`` if given."""
+        ``dead`` the uniform row 1/N, written to ``out`` if given, which
+        on a full table may be the entries themselves."""
         n = len(self.agents)
         out = np.empty(entries.shape[:-1] + (n,)) if out is None else out
         if self.full:
-            np.copyto(out, entries)
+            np.copyto(out, entries)  # no pass when out is entries
         else:
             out.fill(0.0)
             out.reshape(out.shape[:-2] + (n * n,))[..., self.gather] = entries
@@ -330,14 +331,14 @@ def pick_sources(
         offsets = stream_offsets(u.shape[0], table)
     start, base, columns = offsets
     cumulative = learning.reshape(-1, width)
-    np.cumsum(cumulative, axis=-1, out=cumulative)
+    cumulative.cumsum(axis=-1, out=cumulative)
     u = np.ascontiguousarray(u)  # the search reads the queries once a round
     picked = search_rows(cumulative, u, start)
     picked += columns
     picked = table.columns.take(picked)
-    dead = np.flatnonzero(cumulative[:, -1] == 0.0)
+    dead = (cumulative[:, -1] == 0.0).nonzero()[0]
     if len(dead):
-        uniform = np.cumsum(np.full((len(dead), n), 1.0 / n), axis=-1)
+        uniform = np.full((len(dead), n), 1.0 / n).cumsum(axis=-1)
         picked[dead] = np.minimum(search_rows(uniform, u[dead]), n - 1)
     picked += base
     return picked

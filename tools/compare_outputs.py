@@ -32,7 +32,17 @@ of half the agents each, a reducible structure.  ``crowd-weights`` gives
 the crowd ring many distinct positive weights, one ``-0.0`` entry off the
 ring and one ``5e-324`` entry, and writes the self weights as the JSON
 integer 1, which the manifest echoes as 1.0, so that both sides encode a
-config echo of many distinct values.  The workload configs
+config echo of many distinct values.  ``creation-explore`` runs the
+creation config at tau ``EXPLORE_TAU``, its likelihood peak at
+``EXPLORE_PEAK``, near the box's upper edge, and sigma_c
+``EXPLORE_SIGMA_C``, so that the agents reach the edge within the horizon:
+about 40,000 truncated-Gaussian draws, one in seven in the quantile's
+tail range and many near the box's upper tail.  ``creation-box2`` runs
+the creation config in the 2-D box [-10, 10]^2 at horizon
+``BOX2_HORIZON``, which keeps its per-pair Qhull penalty under a second,
+so that exploration draws 2-D truncated Gaussians.  No preset and no
+other config draws many exploration samples or any 2-D one.  The
+workload configs
 are generated once from this checkout's ``perfbench/workloads.py``, which
 is only read, and given to both sides.  Then each checkout runs every
 ``demos/*.py`` script of its own, from a directory of its own under the
@@ -73,6 +83,8 @@ NAMING_REPS = 3  # the replicates of the naming-reps variant
 CROWD_CHUNKS = 7  # the replicates of the crowd-chunks variant
 BIPARTITE_OFFSETS = (1, 3, 5, 7)  # each side, of the crowd-bipartite structure
 WEIGHT_RANGE = (0.5, 2.0)  # of the crowd-weights ring's weights off the diagonal
+EXPLORE_TAU, EXPLORE_PEAK, EXPLORE_SIGMA_C = 0.5, 9.5, 1.0  # of the creation-explore variant
+BOX2_HORIZON = 50  # of the creation-box2 variant
 FILES = ("trace.csv", "mean.csv", "summary.txt")
 
 
@@ -104,6 +116,7 @@ def workload_configs(work: Path, seeds) -> list:
         docs["naming-drop"] = dict(docs["naming"], drop_zero_social=True)
         docs.update(crowd_structure_variants(workloads, seed))
         docs["crowd-weights"] = crowd_weights_variant(workloads, seed)
+        docs.update(creation_variants(workloads, seed))
         for name, doc in docs.items():
             path = work / f"{name}-seed{seed}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n")
@@ -172,6 +185,23 @@ def crowd_weights_variant(workloads, seed: int) -> dict:
     doc["gamma"][0][n // 2] = -0.0
     doc["gamma"][1][n // 2] = 5e-324
     return doc
+
+
+def creation_variants(workloads, seed: int) -> dict:
+    """The creation config with much exploration toward the box's edge
+    (``creation-explore``) and in a 2-D box (``creation-box2``)."""
+    doc = workloads.generate("creation", seed)
+    explore = dict(doc, tau=EXPLORE_TAU, sigma_c=EXPLORE_SIGMA_C,
+                   likelihood=dict(doc["likelihood"], center=[EXPLORE_PEAK]))
+    box2 = dict(
+        doc,
+        horizon=BOX2_HORIZON,
+        concepts={"type": "box", "lo": [-10.0, -10.0], "hi": [10.0, 10.0]},
+        likelihood=dict(doc["likelihood"], center=[1.0, 1.0]),
+        initial=[[[0.0, 0.0] for _ in table] for table in doc["initial"]],
+        re_target=[[1.0, 1.0] for _ in doc["re_target"]],
+    )
+    return {"creation-explore": explore, "creation-box2": box2}
 
 
 def child_env(src: Path) -> dict:
