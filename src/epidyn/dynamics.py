@@ -441,7 +441,7 @@ class StepPlan(NamedTuple):
     """What every step of a run shares, built once for the run by
     :func:`step_plan` for (R, N, E) = ``shape`` stacks: the validated
     ``structure``, its support ``table`` and its rows i with an entry (i, i)
-    (``diagonal``), the structure's ``entries`` on it and their ``top``, the
+    (``diagonal``), the structure's ``entries`` on it and their largest ``gamma_max``, the
     source search's :func:`~epidyn.sampling.stream_offsets`, the stack's flat
     ``agents`` r * N + a and the refit's ``cells`` offsets, and the (R, N, k)
     ``scratch`` that each step's credibility, learning and cumulative sums
@@ -452,7 +452,7 @@ class StepPlan(NamedTuple):
     table: SupportTable
     diagonal: np.ndarray
     entries: np.ndarray
-    top: float
+    gamma_max: float
     start: np.ndarray
     base: np.ndarray
     columns: np.ndarray
@@ -522,7 +522,7 @@ def step(
     cred = credibility_from_values(
         state.setting, stack, landscape, config.c_min, table, plan.scratch, support, plan.diagonal
     )
-    learning = compute_social_learning(plan.entries, cred, cred, table, gamma_max=plan.top)
+    learning = compute_social_learning(plan.entries, cred, cred, table, gamma_max=plan.gamma_max)
     offsets, agents, cells = (plan.start, plan.base, plan.columns), plan.agents, plan.cells
     del cred, plan  # a step's own plan is not held through the draws
     block = uniforms(rngs, _block_width(state.setting) * m)

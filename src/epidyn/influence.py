@@ -246,8 +246,9 @@ def compute_social_learning(
     G = G if gamma_max is not None else validate_structure(G)
     if C.shape[-2:] != G.shape:
         raise MatrixError(f"dimension mismatch: structure {G.shape}, credibility {C.shape}")
-    _checked_max(C, "credibility entries")  # off the table too
     table = support_table(G)
+    if not table.full:  # _learning checks the entries on it; these are all of a full table's
+        _checked_max(C, "credibility entries")
     G, C = table.entries(G), table.entries(C)
     top = float(G.max()) if gamma_max is None else gamma_max
     # a full table's entries are the matrices, so the products are the result

@@ -1098,6 +1098,86 @@ class TestFixedCountDraws:
                 np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
 
 
+def as241_oracle(p):
+    """AS241 as ``_normal_ppf`` evaluated it with a branch mask per use,
+    kept as the oracle of the one branch index derived once."""
+    p = np.asarray(p, dtype=float)
+    q = p - 0.5
+    s = np.sqrt(-np.log(np.maximum(np.minimum(p, 1.0 - p), dynamics._TINY)))
+    central, far = np.abs(q) <= 0.425, s > 5.0
+    r = np.where(central, 0.180625 - q * q, s - np.where(far, 5.0, 1.6))
+    terms = dynamics._AS241[np.where(central, 0, 1 + far)] * r[..., None, None] ** dynamics._POWERS
+    sums = terms.sum(axis=-1)
+    ratio = sums[..., 0] / sums[..., 1]
+    return np.where(central, q * ratio, np.copysign(ratio, q))
+
+
+def truncated_gaussian_oracle(u, centers, sigma_c, box):
+    """``_truncated_gaussian`` as two tail CDF calls, the oracle quantile
+    and np.clip."""
+    below = _normal_cdf((box.lo - centers) / sigma_c)
+    above = _normal_cdf((centers - box.hi) / sigma_c)
+    inside = 1.0 - below - above
+    p = below + u * inside
+    q = above + (1.0 - u) * inside
+    z = as241_oracle(np.minimum(p, q))
+    return np.clip(centers + sigma_c * np.where(p <= q, z, -z), box.lo, box.hi)
+
+
+def same_bits(got, want):
+    return np.array_equal(got, want, equal_nan=True) and np.array_equal(
+        np.signbit(got), np.signbit(want)
+    )
+
+
+class TestExplorationOracles:
+    """The exploration's array forms against the forms they replaced, bit
+    for bit, signs of zeros included."""
+
+    def test_quantile_equals_the_oracle(self):
+        rng = np.random.default_rng(43)
+        p = np.concatenate([
+            rng.random(20_000), 10.0 ** -rng.uniform(0.0, 320.0, 20_000),
+            1.0 - 10.0 ** -rng.uniform(0.0, 17.0, 5_000),
+            [0.0, 1.0, 0.5, 0.075, 0.925, 5e-324, math.exp(-25.0), np.nextafter(0.075, 1.0),
+             np.nextafter(0.925, 0.0), np.nextafter(math.exp(-25.0), 0.0)],
+        ])
+        tails = np.abs(p - 0.5) > 0.425
+        assert tails.any() and (p < math.exp(-25.0)).any() and (~tails).any()
+        for shape in [(-1,), (-1, 1), (-1, 2)]:
+            x = p[: len(p) // 2 * 2].reshape(shape)
+            assert same_bits(_normal_ppf(x), as241_oracle(x))
+
+    def test_one_call_tail_cdf_equals_two(self):
+        rng = np.random.default_rng(44)
+        for dim in (1, 2):
+            a = rng.normal(0.0, 20.0, (50, dim))
+            b = -rng.exponential(5.0, (50, dim))
+            a[:3], b[:3] = -0.0, 0.0
+            a[3:6], b[3:6] = -40.0, -1e-300
+            below, above = _normal_cdf(np.array([a, b]))
+            assert same_bits(below, _normal_cdf(a)) and same_bits(above, _normal_cdf(b))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_truncated_gaussian_equals_the_oracle(self, dim):
+        # centres on the box's edges, just inside them and in between; uniforms
+        # at 0, near 1 and tiny, so that draws take both tail ranges and both
+        # signs of the quantile
+        rng = np.random.default_rng(45 + dim)
+        box = BoxConcepts([-1.0, -0.0][:dim], [2.0, 0.5][:dim])
+        k = 600
+        centers = rng.uniform(box.lo, box.hi, (k, dim))
+        centers[:100], centers[100:200] = box.lo, box.hi
+        centers[200:250] = box.lo + 1e-9
+        centers[250:300] = box.hi - 1e-9
+        u = rng.random((k, dim))
+        u[::7], u[1::7], u[2::7] = 0.0, 1.0 - 2.0**-53, 1e-13
+        for sigma in (1e-3, 0.1, 1.0, 50.0):
+            got = _truncated_gaussian(u, centers, sigma, box)
+            assert same_bits(got, truncated_gaussian_oracle(u, centers, sigma, box))
+            assert box.contains(got).all()
+
+
 def mixed_setup(kind, n=4, n_exp=5, seed=0):
     """A population of the given concept space with one newborn, some zero
     entries, a random structure and a fitting landscape."""

@@ -21,6 +21,7 @@ from epidyn import (
     DiscreteConcepts,
     ExperimentSetup,
     GaussianPeakLikelihood,
+    KnowledgeError,
     KnowledgeFunction,
     KnowledgeSetting,
     MetricTrace,
@@ -361,6 +362,27 @@ class TestRunExperiment:
         assert run_experiment(setup, out) == 2
         assert capsys.readouterr().out == "error: re_target entries must be finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([-10.0], [math.inf]), ([-math.inf], [10.0]), ([math.nan], [10.0]), ([-10.0], [math.nan]),
+    ], ids=["hi-inf", "lo-inf", "lo-nan", "hi-nan"])
+    def test_non_finite_box_bound_is_validation_error(self, tmp_path, capsys, lo, hi):
+        # from a config file: refused before any output, where Infinity once
+        # ran and wrote a manifest that a strict JSON parser refuses
+        doc = perfbench_workloads().generate("creation", 5)
+        doc["concepts"] = {"type": "box", "lo": lo, "hi": hi}
+        path = tmp_path / "box.json"
+        path.write_text(json.dumps(doc))  # the JSON tokens Infinity and NaN
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == "error: box bounds must be finite\n"
+        assert not out.exists()
+        # a ready setup cannot hold such a box: its concept space refuses it
+        # as it is built, with the error the CLI reports
+        setup = preset("test3-creation", replicates=1, horizon=2)
+        with pytest.raises(KnowledgeError, match="^box bounds must be finite$"):
+            KnowledgeSetting(setup.initial.setting.experiences, BoxConcepts(lo, hi))
+        assert run_experiment(setup, tmp_path / "ok", quiet=True) == 0
 
     def test_manifest_is_built_before_the_run(self, tmp_path, monkeypatch):
         calls = []

@@ -633,6 +633,69 @@ class TestPublicForms:
             assert np.all(lam[dead] == 1.0 / 9)
 
 
+def entries_then_layout(gamma, cred, out=None):
+    """The public learning matrix as the products into a fresh entries
+    array, then laid out: the oracle of the full table's one pass."""
+    from epidyn.influence import _learning
+
+    G = validate_structure(np.asarray(gamma, dtype=float))
+    table = support_table(G)
+    entries, dead = _learning(table.entries(G), table.entries(np.asarray(cred, float)), None,
+                              table, None)
+    return table.layout(entries, dead, out)
+
+
+class TestFullTableLearning:
+    """On a full table the public learning matrix writes its products
+    straight into the result."""
+
+    def cases(self):
+        rng = np.random.default_rng(73)
+        n = 9
+        gamma = rng.uniform(0.0, 2.0, (n, n))
+        gamma[0] = 0.0  # dead by its structure
+        cred = rng.uniform(0.0, 1.0, (3, n, n))
+        cred[0, 2] = 0.0  # dead by its credibility
+        cred[1, 3] = 1e-310  # its sum is below ZERO_ROW_GUARD: dead
+        cred[1, 4] = 1e308  # its sum overflows: rescued
+        cred[2, 5, :4] = 1e308  # its products overflow: rescued
+        return gamma, cred
+
+    def test_equals_entries_then_layout(self):
+        gamma, cred = self.cases()
+        assert support_table(gamma).full
+        with no_warnings():
+            want = entries_then_layout(gamma, cred)
+            for C in (cred, cred[1]):
+                got = compute_social_learning(gamma, C)
+                assert np.array_equal(got, want if C is cred else want[1])
+                assert np.array_equal(np.signbit(got), np.signbit(want if C is cred else want[1]))
+            out = np.full(cred.shape, np.nan)
+            assert compute_social_learning(gamma, cred, out=out) is out
+            alias = cred.copy()
+            assert compute_social_learning(gamma, alias, out=alias) is alias
+        assert np.array_equal(out, want) and np.array_equal(alias, want)
+        assert np.all(want[:, 0] == 1.0 / 9) and np.all(want[0, 2] == 1.0 / 9)
+        assert np.all(want[1, 3] == 1.0 / 9)
+        assert abs(want[1, 4].sum() - 1.0) <= 1e-15 and abs(want[2, 5].sum() - 1.0) <= 1e-15
+
+    def test_peaks_below_one_and_a_half_matrices(self):
+        # the result is the only (N, N) array made; the entries-then-layout
+        # form made two
+        n = 1000
+        rng = np.random.default_rng(74)
+        gamma, cred = rng.uniform(0.0, 1.0, (n, n)), rng.uniform(0.0, 1.0, (n, n))
+        gamma[:, 0] = 1.0  # a complete row: a full table
+        tracemalloc.start()
+        try:
+            got = compute_social_learning(gamma, cred)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * gamma.nbytes
+        assert np.array_equal(got, entries_then_layout(gamma, cred))
+
+
 class TestNormalizeRows:
     def test_flat_round_printed_rows(self):
         out = normalize_rows(FLAT_ROUND_PRINTED)

@@ -361,6 +361,33 @@ class TestProject:
         assert np.array_equal(out, np.clip(values, box.lo, box.hi))
         assert box.contains(out).all()
 
+    @pytest.mark.parametrize("lo, hi", [
+        (-1.0, 2.0), (-0.0, 0.0), (0.0, -0.0), (0.0, 2.0), (-2.0, -0.0), (-0.0, -0.0), (0.0, 0.0),
+    ])
+    def test_box_projection_is_np_clip_bit_for_bit(self, lo, hi):
+        # signed zeros, values on and outside the bounds and NaN, in arrays
+        # of many lengths (numpy's vector and scalar loops) and strided views;
+        # a bound wins a tie, so a zero's sign depends on the operand order
+        special = [-0.0, 0.0, lo, hi, lo - 1.0, hi + 1.0, math.nan, -math.inf, math.inf,
+                   0.5, -0.5, 5e-324, -5e-324]
+        rng = np.random.default_rng(17)
+        for dim in (1, 2):
+            box = BoxConcepts([lo] * dim, [hi] * dim)
+            for n in (1, 2, 3, 7, 16, 33, 100):
+                values = rng.choice(special, size=(n, 2 * dim))
+                for v in (np.ascontiguousarray(values[:, :dim]), values[:, ::2], values[None, :, :dim]):
+                    got, want = box.project(v), np.clip(v, box.lo, box.hi)
+                    assert np.array_equal(got, want, equal_nan=True)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("lo, hi", [
+        ([-1.0], [math.inf]), ([-math.inf], [1.0]), ([math.nan], [1.0]), ([-1.0], [math.nan]),
+        ([-1.0, -math.inf], [1.0, 1.0]),
+    ], ids=["hi-inf", "lo-inf", "lo-nan", "hi-nan", "second-lo-inf"])
+    def test_box_bounds_must_be_finite(self, lo, hi):
+        with pytest.raises(KnowledgeError, match="^box bounds must be finite$"):
+            BoxConcepts(lo, hi)
+
 
 class TestSerialization:
     def test_json_round_trip_box(self):
