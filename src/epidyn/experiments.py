@@ -43,14 +43,10 @@ from .influence import (
     validate_structure,
 )
 from .knowledge import (
-    ConstantLikelihood,
-    GaussianPeakLikelihood,
     KnowledgeError,
-    KnowledgeFunction,
     KnowledgeSetting,
     LikelihoodLandscape,
     concepts_from_dict,
-    grid_setting,
     landscape_from_dict,
 )
 from .sampling import support_table
@@ -178,10 +174,23 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
         landscape = landscape_from_dict(doc["likelihood"])
         landscape.check_setting(setting)
         initial = PopulationState.from_values(setting, doc["initial"])
-        gamma = _checked_gamma(doc["gamma"], initial.n_agents)
+        n_agents = initial.n_agents
+        gamma = np.asarray(doc["gamma"], dtype=float)
+        if gamma.shape != (n_agents, n_agents):
+            raise ConfigError(f"gamma must be {n_agents}x{n_agents}, got {gamma.shape}")
+        validate_structure(gamma)
         re_target = None
         if "re_target" in doc:
-            re_target = _target_table(doc["re_target"], setting)
+            shape = (setting.n_experiences, setting.concept_dim)
+            re_target = np.asarray(doc["re_target"], dtype=float)
+            if re_target.ndim == 0:  # a scalar, or a ready setup's 0-d array
+                re_target = np.full(shape, re_target)
+            elif re_target.ndim == 1:
+                re_target = re_target[:, None]
+            if re_target.shape != shape:
+                raise ConfigError("re_target must match (experiences, concept_dim)")
+            if not np.isfinite(re_target).all():
+                raise ConfigError("re_target entries must be finite")
         notes = doc.get("notes", [])
         if not isinstance(notes, list) or not all(isinstance(n, str) for n in notes):
             raise ConfigError(f"notes must be a list of strings, got {notes!r}")
@@ -199,36 +208,18 @@ def setup_from_dict(doc: dict) -> ExperimentSetup:
     )
 
 
-def _checked_gamma(raw, n_agents: int) -> np.ndarray:
-    # an N x N structure as validate_structure accepts it, or ValueError
-    gamma = np.asarray(raw, dtype=float)
-    if gamma.shape != (n_agents, n_agents):
-        raise ConfigError(f"gamma must be {n_agents}x{n_agents}, got {gamma.shape}")
-    validate_structure(gamma)
-    return gamma
-
-
-def _target_table(raw, setting) -> np.ndarray:
-    shape = (setting.n_experiences, setting.concept_dim)
-    arr = np.full(shape, float(raw)) if np.isscalar(raw) else np.asarray(raw, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.shape != shape:
-        raise ConfigError("re_target must match (experiences, concept_dim)")
-    if not np.isfinite(arr).all():
-        raise ConfigError("re_target entries must be finite")
-    return arr
-
-
 def load_config(path) -> ExperimentSetup:
     """Parse and validate a JSON config file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as err:
         raise ConfigError(
             f"{path}: parse error at line {err.lineno}, column {err.colno}: {err.msg}"
         ) from err
+    except (UnicodeDecodeError, RecursionError) as err:
+        # bytes that are not UTF-8, or arrays nested deeper than the parser recurses
+        raise ConfigError(f"{path}: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level JSON value must be an object")
     return setup_from_dict(doc)
@@ -242,7 +233,7 @@ def dump_config(setup: ExperimentSetup, path) -> None:
 
 def preset(name: str, alpha: Optional[float] = None, likelihood: Optional[str] = None,
            **overrides) -> ExperimentSetup:
-    """Instantiate one of the shipped experiments.
+    """Instantiate one of the shipped experiments from its config document.
 
     ``alpha`` sets the self-inertia of the two-agent preset; ``likelihood``
     selects "constant" or "concave" for the professor preset.  Remaining
@@ -258,137 +249,86 @@ def preset(name: str, alpha: Optional[float] = None, likelihood: Optional[str] =
         raise ConfigError("likelihood variant only applies to test2-professor")
 
     if name == "test1-self-inertia":
-        setup = _preset_self_inertia(0.5 if alpha is None else alpha)
+        doc = _preset_self_inertia(0.5 if alpha is None else alpha)
     elif name == "test2-professor":
-        setup = _preset_professor("concave" if likelihood is None else likelihood)
+        doc = _preset_professor("concave" if likelihood is None else likelihood)
     elif name == "test3-creation":
-        setup = _preset_creation()
+        doc = _preset_creation()
     else:
-        setup = _preset_language()
+        doc = _preset_language()
+    return setup_from_dict({**doc, **_config_overrides(overrides)})
 
-    return _with_overrides(setup, overrides)
 
-
-def _with_overrides(setup: ExperimentSetup, overrides: dict) -> ExperimentSetup:
-    # the config is validated also without overrides: a ready setup may
-    # come with one that breaks a rule
+def _config_overrides(overrides: dict) -> dict:
     bad = sorted(set(overrides) - _CONFIG_FIELDS)
     if bad:
         raise ConfigError(f"unknown config overrides: {', '.join(bad)}")
-    config = replace(setup.config, **overrides) if overrides else setup.config
-    return replace(setup, config=config.validate())
+    return overrides
 
 
-def _preset_self_inertia(alpha: float) -> ExperimentSetup:
+def _grid(n: int, starts: list) -> dict:
+    # grid_setting(n) as a document, and one constant table per start
+    return {
+        "experiences": [[float(e)] for e in range(1, n + 1)],
+        "concepts": {"type": "box", "lo": [-10.0], "hi": [10.0]},
+        "initial": [[[start]] * n for start in starts],
+    }
+
+
+def _preset_self_inertia(alpha: float) -> dict:
     if not 0.0 <= alpha <= 1.0:
         raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    setting = grid_setting(5)
-    initial = PopulationState(
-        [
-            KnowledgeFunction.constant(setting, 2.0),
-            KnowledgeFunction.constant(setting, 6.0),
-        ]
-    )
-    return ExperimentSetup(
-        name="test1-self-inertia",
-        config=SimulationConfig(
-            tau=0.0,
-            sample_size=50,
-            c_min=0.1,
-            horizon=25,
-            replicates=100,
-        ),
-        structure=np.array([[alpha, 1.0 - alpha], [1.0 - alpha, alpha]]),
-        landscape=ConstantLikelihood(1.0),
-        initial=initial,
-        notes=(f"alpha={alpha}",),
-    )
+    return {
+        "name": "test1-self-inertia",
+        "tau": 0.0, "sample_size": 50, "c_min": 0.1, "horizon": 25, "replicates": 100,
+        "gamma": [[alpha, 1.0 - alpha], [1.0 - alpha, alpha]],
+        "likelihood": {"variant": "constant", "value": 1.0},
+        **_grid(5, [2.0, 6.0]),
+        "notes": [f"alpha={alpha}"],
+    }
 
 
-def _preset_professor(variant: str) -> ExperimentSetup:
+def _preset_professor(variant: str) -> dict:
     if variant not in ("constant", "concave"):
-        raise ConfigError(
-            f"likelihood variant must be 'constant' or 'concave', got {variant!r}"
-        )
-    setting = grid_setting(5)
-    initial = PopulationState(
-        [KnowledgeFunction.constant(setting, 5.0)]
-        + [KnowledgeFunction.constant(setting, 1.0) for _ in range(4)]
-    )
-    gamma = np.full((5, 5), 0.1)
-    gamma[0] = 0.01
-    gamma[:, 0] = 1.0
-    notes = (f"likelihood={variant}",)
+        raise ConfigError(f"likelihood variant must be 'constant' or 'concave', got {variant!r}")
+    doc = {
+        "name": "test2-professor",
+        "tau": 0.0, "sample_size": 50, "c_min": 0.0, "horizon": 25, "replicates": 100,
+        "gamma": [[1.0] + [0.01] * 4] + [[1.0] + [0.1] * 4] * 4,
+        "likelihood": {"variant": "constant", "value": 1.0},
+        **_grid(5, [5.0, 1.0, 1.0, 1.0, 1.0]),
+        "notes": [f"likelihood={variant}"],
+    }
     if variant == "concave":
-        landscape = GaussianPeakLikelihood(center=[6.0], width=10.0)
-        notes += (
+        doc["likelihood"] = {"variant": "gaussian-peak", "center": [6.0], "width": 10.0}
+        doc["notes"].append(
             "concave likelihood uses a decaying concept peak exp(-(c-6)^2/10); "
-            "a growing exponential would leave [0, 1]",
+            "a growing exponential would leave [0, 1]"
         )
-    else:
-        landscape = ConstantLikelihood(1.0)
-    return ExperimentSetup(
-        name="test2-professor",
-        config=SimulationConfig(
-            tau=0.0,
-            sample_size=50,
-            c_min=0.0,
-            horizon=25,
-            replicates=100,
-        ),
-        structure=gamma,
-        landscape=landscape,
-        initial=initial,
-        notes=notes,
-    )
+    return doc
 
 
-def _preset_creation() -> ExperimentSetup:
-    setting = grid_setting(25)
-    initial = PopulationState(
-        [KnowledgeFunction.zero(setting) for _ in range(10)]
-    )
-    return ExperimentSetup(
-        name="test3-creation",
-        config=SimulationConfig(
-            tau=0.02,
-            sample_size=20,
-            sigma_e=1.0,
-            sigma_c=0.1,
-            c_min=0.0,
-            horizon=25000,
-            replicates=20,
-        ),
-        structure=np.ones((10, 10)),
-        landscape=GaussianPeakLikelihood(center=[1.0], width=1.0),
-        initial=initial,
-        re_target=np.ones((25, 1)),
-        notes=("target is the constant-one function, the likelihood peak",),
-    )
+def _preset_creation() -> dict:
+    return {
+        "name": "test3-creation",
+        "tau": 0.02, "sample_size": 20, "sigma_e": 1.0, "sigma_c": 0.1, "c_min": 0.0,
+        "horizon": 25000, "replicates": 20,
+        "gamma": [[1.0] * 10] * 10,
+        "likelihood": {"variant": "gaussian-peak", "center": [1.0], "width": 1.0},
+        **_grid(25, [0.0] * 10),
+        "re_target": [[1.0]] * 25,
+        "notes": ["target is the constant-one function, the likelihood peak"],
+    }
 
 
-def _preset_language() -> ExperimentSetup:
-    setting = grid_setting(5)
-    initial = PopulationState(
-        [KnowledgeFunction.constant(setting, 5.0) for _ in range(2)]
-        + [KnowledgeFunction.constant(setting, 7.0) for _ in range(2)]
-    )
-    gamma = np.full((4, 4), 0.01)
-    gamma[:2, :2] = 1.0
-    gamma[2:, 2:] = 1.0
-    return ExperimentSetup(
-        name="test4-language",
-        config=SimulationConfig(
-            tau=0.0,
-            sample_size=50,
-            c_min=0.1,
-            horizon=400,
-            replicates=20,
-        ),
-        structure=gamma,
-        landscape=ConstantLikelihood(1.0),
-        initial=initial,
-    )
+def _preset_language() -> dict:
+    return {
+        "name": "test4-language",
+        "tau": 0.0, "sample_size": 50, "c_min": 0.1, "horizon": 400, "replicates": 20,
+        "gamma": [[1.0, 1.0, 0.01, 0.01]] * 2 + [[0.01, 0.01, 1.0, 1.0]] * 2,
+        "likelihood": {"variant": "constant", "value": 1.0},
+        **_grid(5, [5.0, 5.0, 7.0, 7.0]),
+    }
 
 
 def fit_decay_rate(distances, times=None) -> float:
@@ -594,13 +534,12 @@ def resolve_target(target, overrides: Optional[dict] = None) -> ExperimentSetup:
         return preset(target, alpha=alpha, likelihood=likelihood, **overrides)
     if alpha is not None or likelihood is not None:
         raise ConfigError("alpha/likelihood overrides require a preset name")
-    if not isinstance(target, ExperimentSetup):
-        return _with_overrides(load_config(target), overrides)
-    # a ready setup's structure and target are checked as a config file's are
+    setup = target if isinstance(target, ExperimentSetup) else load_config(target)
+    if setup is not target and not overrides:
+        return setup  # validated as it was loaded
     try:
-        _checked_gamma(target.structure, target.initial.n_agents)
-        if target.re_target is not None:
-            _target_table(target.re_target, target.initial.setting)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-    return _with_overrides(target, overrides)
+        doc = setup._fields()
+    except (AttributeError, TypeError) as err:  # such as a landscape without to_dict
+        raise ConfigError(f"a ready setup must have a config document: {err}") from err
+    # checked as its config document; a ready setup keeps its own objects
+    return replace(setup, config=setup_from_dict({**doc, **_config_overrides(overrides)}).config)

@@ -24,10 +24,12 @@ from epidyn import (
     KnowledgeError,
     KnowledgeFunction,
     KnowledgeSetting,
+    LikelihoodLandscape,
     MetricTrace,
     PopulationState,
     RunResult,
     SimulationConfig,
+    TabularLikelihood,
     analyze,
     compute_credibility,
     compute_social_learning,
@@ -47,7 +49,31 @@ from epidyn.experiments import build_manifest, resolve_target, worker_count
 from conftest import dense_learning, perfbench_workloads, unfused_credibility
 
 
+# each preset variant's manifest input_hash, pinned: a preset's document
+# must echo, to the byte, the setup the preset has always built
+PRESET_HASHES = {
+    "test1": ("test1-self-inertia", {}, "b55b8764a1091b4afd11040d3a432740170d464d"),
+    "test2": ("test2-professor", {}, "81eec6ff0f6e216002d9f599dbcc2a5a382a4c55"),
+    "test3": ("test3-creation", {}, "838b28cb7b7a95c4d29639d7b48d104bbea9e0b3"),
+    "test4": ("test4-language", {}, "f8e9c33c0f718b5d52515bb7b3b75df49a54a3d6"),
+    "test1-alpha-0.3": ("test1-self-inertia", dict(alpha=0.3),
+                        "2892cef14f68b0b87300ac98aca273275fec28f1"),
+    "test1-alpha-1.0": ("test1-self-inertia", dict(alpha=1.0),
+                        "e52eb34b78c7b8b65f25e9fad3730ed40cb88f4f"),
+    "test2-constant": ("test2-professor", dict(likelihood="constant"),
+                       "17e8d34d50c8dda5b3acb51cdbbe0775e3fa8e9e"),
+    "test4-overrides": ("test4-language",
+                        dict(tau=0.1, seed=3, sample_size=7, metric_variant="consensus-projection"),
+                        "cf01c635b02f43f20835d2ceb2643146b6cb6e15"),
+}
+
+
 class TestPresets:
+    @pytest.mark.parametrize("variant", sorted(PRESET_HASHES))
+    def test_input_hash_is_pinned(self, variant):
+        name, knobs, digest = PRESET_HASHES[variant]
+        assert build_manifest(preset(name, **knobs))["input_hash"] == digest
+
     def test_self_inertia_resolved_parameters(self):
         s = preset("test1-self-inertia", alpha=0.5)
         assert np.array_equal(s.structure, [[0.5, 0.5], [0.5, 0.5]])
@@ -176,6 +202,25 @@ class TestConfigFiles:
         path.write_text('{\n  "tau": 0.5,,\n}\n')
         with pytest.raises(ConfigError, match="line 2"):
             load_config(path)
+
+    def test_undecodable_file_is_validation_error(self, tmp_path, capsys):
+        doc = preset("test4-language", replicates=1, horizon=2).to_dict()
+        doc["notes"] = ["Brücke"]
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("latin-1"))
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {path}: 'utf-8' codec can't decode")
+        assert not out.exists()
+
+    def test_deeply_nested_file_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"gamma": ' + "[" * 200_000 + "]" * 200_000 + "}")
+        out = tmp_path / "out"
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        line = capsys.readouterr().out
+        assert line.startswith(f"error: {path}: ") and "recursion" in line
+        assert not out.exists()
 
     def test_validation_lists_all_violations(self):
         s = preset("test4-language")
@@ -362,6 +407,50 @@ class TestRunExperiment:
         assert run_experiment(setup, out) == 2
         assert capsys.readouterr().out == "error: re_target entries must be finite\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("landscape, message", [
+        (GaussianPeakLikelihood([1.0, 1.0], 1.0),
+         "peak center has 2 coordinates in a 1-dimensional concept space"),
+        (TabularLikelihood(np.full((25, 3), 0.5)),
+         "a tabular likelihood needs a discrete concept space"),
+    ], ids=["peak-2d-on-1d-box", "tabular-on-box"])
+    def test_ready_setup_whose_landscape_does_not_fit_is_validation_error(
+        self, tmp_path, capsys, landscape, message
+    ):
+        # refused with the line its config file gets: the peak once ran on
+        # the box's one coordinate and the table failed at run time
+        setup = replace(preset("test3-creation", replicates=1, horizon=2), landscape=landscape)
+        out = tmp_path / "out"
+        assert run_experiment(setup, out) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+        path = tmp_path / "c.json"
+        dump_config(setup, path)
+        assert cli_main(["run", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_ready_setup_without_a_document_is_validation_error(self, tmp_path, capsys):
+        class Unwritten(LikelihoodLandscape):
+            def per_population(self, setting, values, support=None):
+                return np.ones(np.shape(values)[:-1])
+
+        setup = replace(preset("test1-self-inertia"), landscape=Unwritten())
+        out = tmp_path / "out"
+        assert run_experiment(setup, out) == 2
+        assert capsys.readouterr().out.startswith(
+            "error: a ready setup must have a config document: 'Unwritten' object"
+        )
+        assert not out.exists()
+
+    def test_ready_setup_runs_its_own_objects(self):
+        # checked as its document, it keeps its objects and its time index
+        setup = preset("test3-creation")
+        initial = PopulationState.from_values(setup.initial.setting, setup.initial.values, t=7)
+        setup = replace(setup, initial=initial)
+        resolved = resolve_target(setup, dict(seed=4))
+        for part in ("structure", "landscape", "initial", "re_target"):
+            assert getattr(resolved, part) is getattr(setup, part)
+        assert resolved.config == replace(setup.config, seed=4)
 
     @pytest.mark.parametrize("lo, hi", [
         ([-10.0], [math.inf]), ([-math.inf], [10.0]), ([math.nan], [10.0]), ([-10.0], [math.nan]),

@@ -3,7 +3,10 @@
     python3 tools/compare_outputs.py OLD NEW [--seed S ...] [--work DIR]
 
 OLD and NEW are epidyn checkouts, or their ``src`` directories.  Both run
-the four presets (test3-creation at ``--horizon 600``) and the creation,
+the four presets (test3-creation at ``--horizon 600``), three preset runs
+with options (``test1-alpha``: ``--alpha 0.3``; ``test2-constant``:
+``--likelihood constant``; ``test4-overrides``: ``--tau 0.1 --seed 3
+--sample-size 7 --metric consensus``) and the creation,
 crowd and naming workload configs of ``perfbench/workloads.py`` at each
 ``--seed`` (5 and 12 by default), each as a fresh ``epidyn run`` process
 with one BLAS thread and no replicate workers.  Two variants of the naming
@@ -69,11 +72,17 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# (case, preset, CLI arguments): the four presets, then three runs through
+# the preset options and config overrides
 PRESETS = (
-    ("test1-self-inertia", ()),
-    ("test2-professor", ()),
-    ("test3-creation", ("--horizon", "600")),
-    ("test4-language", ()),
+    ("test1-self-inertia", "test1-self-inertia", ()),
+    ("test2-professor", "test2-professor", ()),
+    ("test3-creation", "test3-creation", ("--horizon", "600")),
+    ("test4-language", "test4-language", ()),
+    ("test1-alpha", "test1-self-inertia", ("--alpha", "0.3")),
+    ("test2-constant", "test2-professor", ("--likelihood", "constant")),
+    ("test4-overrides", "test4-language",
+     ("--tau", "0.1", "--seed", "3", "--sample-size", "7", "--metric", "consensus")),
 )
 WORKLOADS = ("creation", "crowd", "naming")
 ZERO_COLOUR = 1  # the colour whose likelihood the zero-likelihood variants set to 0
@@ -266,7 +275,7 @@ def main(argv=None) -> int:
     work = Path(args.work or tempfile.mkdtemp(prefix="epidyn-compare-"))
     work.mkdir(parents=True, exist_ok=True)
 
-    cases = [(name, name, extra) for name, extra in PRESETS]
+    cases = list(PRESETS)
     cases += [(name, path, ()) for name, path in workload_configs(work, args.seed or [5, 12])]
     failed = total = 0
     try:
